@@ -25,15 +25,23 @@ from .grid import (
     GridError,
     GridFunction,
     ancestor_map,
+    assemble_levels,
     descendant_flat,
     expand,
     integral_pyramid,
     pool,
     scatter_subcells,
     subcell_matrix,
+    suffix_sweep,
 )
 from .weights import Weight, a_infty_modulus, dual_weight, two_weight_a2
-from .corona import CoronaDecomposition, CoronaStructureError, CubeSet, pn_alpha
+from .corona import (
+    CoronaDecomposition,
+    CoronaStructureError,
+    CubeSet,
+    _extent_indices,
+    pn_alpha,
+)
 from .shifts import SimpleHaarShift, operator_norm
 
 
@@ -109,17 +117,9 @@ class _IndicatorScan:
         fam = sorted(T.levels)
         self.fam = fam
 
-        # full pairing coefficients and per-level fields
-        self.cf = {}       # a -> (k, count_a)
-        self.ynat = {}     # a -> flat level-(a+tau) output field values
         self.gval = {}     # a -> (count_{a+tau}, k) g profile value field
         self.gamval = {}   # a -> (count_{a+tau}, k) gamma profile value field
         for a in fam:
-            sub = subcell_matrix(self.sigma_sums[a + tau], d, tau)
-            self.cf[a] = np.einsum("kcm,cm->kc", T.g[a], sub)
-            self.ynat[a] = scatter_subcells(
-                np.einsum("kc,kcm->cm", self.cf[a], T.gamma[a]), d, tau
-            )
             self.gval[a] = np.stack(
                 [scatter_subcells(T.g[a][k], d, tau) for k in range(T.g[a].shape[0])],
                 axis=-1,
@@ -149,14 +149,13 @@ class _IndicatorScan:
                                d, (a + tau) - j)
                 self.ca[j][a] = raw
 
-        # descending sweep: suffix fields and their pooled mu-integrals
+        # descending sweep over the full-pairing output fields: suffix fields
+        # and their pooled mu-integrals
+        fields = T.output_fields(T._coefficients_from_pyramid(self.sigma_sums))
         self.ps1 = [None] * (N + 1)       # pyramids of S_j * mu
         self.ps2 = [None] * (N + 1)       # level-j integrals of S_j^2 * mu
         self.s_cells = [None] * (N + 1)   # kept for shallow cross terms
-        s = np.zeros(grid.cell_count)
-        for j in range(N, -1, -1):
-            if j in T.g:
-                s = s + expand(self.ynat[j], d, N - (j + tau))
+        for j, s in suffix_sweep(fields, d, N, tau):
             self.s_cells[j] = s
             self.ps1[j] = integral_pyramid(s * self.mu_cells, d, N)
             self.ps2[j] = pool(s * s * self.mu_cells, d, N - j)
@@ -427,17 +426,9 @@ def h_functional(Q0: DyadicCube, cubes: CubeSet, T: SimpleHaarShift,
                  w: Weight) -> GridFunction:
     """Partial sum of <w, g_Q> gamma_Q over family cubes in `cubes` inside Q0."""
     grid = T.grid
-    sel = cubes.restrict_under(Q0)
-    masked = _masked_coefficients(T, w, sel)
-    fields = T.output_fields(masked)
-    out, prev = None, None
-    for lev in sorted(fields):
-        piece = fields[lev]
-        out = piece if out is None else expand(out, grid.d, lev - prev) + piece
-        prev = lev
-    if out is None:
-        return GridFunction.zeros(grid)
-    return GridFunction(grid, expand(out, grid.d, grid.N - prev))
+    masked = _masked_coefficients(T, w, cubes.restrict_under(Q0))
+    out = assemble_levels(T.output_fields(masked), grid.d, grid.N)
+    return GridFunction.zeros(grid) if out is None else GridFunction(grid, out)
 
 
 @dataclass(frozen=True)
@@ -456,18 +447,10 @@ def bold_h(cubes: CubeSet, T: SimpleHaarShift, w: Weight,
     """
     grid = T.grid
     d, N = grid.d, grid.N
-    masked = _masked_coefficients(T, w, cubes)
+    fields = T.output_fields(_masked_coefficients(T, w, cubes))
     dual_cells = grid.cell_volume / w.values
-    ynat = {}
-    for a in T.levels:
-        ynat[a] = scatter_subcells(
-            np.einsum("kc,kcm->cm", masked[a], T.gamma[a]), d, T.tau
-        )
     best, wit = 0.0, None
-    s = np.zeros(grid.cell_count)
-    for j in range(N, -1, -1):
-        if j in ynat:
-            s = s + expand(ynat[j], d, N - (j + T.tau))
+    for j, s in suffix_sweep(fields, d, N, T.tau):
         cand_mask = cubes.mask(j) if restrict_sup else np.ones(grid.level_count(j), bool)
         if not cand_mask.any():
             continue
@@ -517,19 +500,12 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     for L in stops:
         vals_l = h_local[(L.level, L.flat)]
         scale = max(1.0, float(vals_l.max()) if vals_l.size else 1.0)
-        full_l = None
-        if grid.d == 2:
-            full_l = np.zeros(grid.cell_count)
-            full_l[_flat_cells(L)] = vals_l
+        full_l = np.zeros(grid.cell_count)
+        full_l[_extent_indices(grid, L, grid.N)] = vals_l
         for Lp in corona.stopping_descendants(L):
             if not Q0.contains(Lp):
                 continue
-            if grid.d == 1:
-                lo = L.cell_slice().start
-                sl = Lp.cell_slice()
-                seg = vals_l[sl.start - lo:sl.stop - lo]
-            else:
-                seg = Lp.cell_values(full_l)
+            seg = Lp.cell_values(full_l)
             dev = float(seg.max() - seg.min()) if seg.size else 0.0
             worst_dev = max(worst_dev, dev)
             if dev > tol * scale:
@@ -541,18 +517,6 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
                 (seg * h_local[(Lp.level, Lp.flat)] * Lp.cell_values(dual_cells)).sum()
             )
     return ABSplitReport(a_part, b_part, len(stops), worst_dev)
-
-
-def _flat_cells(cube: DyadicCube) -> np.ndarray:
-    grid = cube.grid
-    if grid.d == 1:
-        s = cube.cell_slice()
-        return np.arange(s.start, s.stop)
-    t = grid.N - cube.level
-    m = 1 << grid.N
-    r0 = np.arange(cube.index[0] << t, (cube.index[0] + 1) << t)
-    r1 = np.arange(cube.index[1] << t, (cube.index[1] + 1) << t)
-    return (r0[:, None] * m + r1[None, :]).reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +571,10 @@ def jn_check(family: ProfileFamily, t_values=tuple(range(1, 11))) -> JNReport:
     grid = family.grid
     d, N, tau = grid.d, grid.N, family.tau
     vol = grid.cell_volume
-    suffix = np.zeros(grid.cell_count)
+    fields = {j + tau: scatter_subcells(family.profiles[j], d, tau) for j in family.levels}
     hyp_worst, hyp_wit = 0.0, None
     conc_worst = {t: 0.0 for t in t_values}
-    for j in range(N, -1, -1):
-        if j in family.profiles:
-            suffix = suffix + expand(
-                scatter_subcells(family.profiles[j], d, tau), d, N - (j + tau)
-            )
+    for j, suffix in suffix_sweep(fields, d, N, tau):
         absval = np.abs(suffix)
         over = pool((absval > 1.0).astype(np.float64) * vol, d, N - j)
         bound = (2.0 ** (-tau * d - 1)) * (2.0 ** (-j * d))
@@ -654,17 +614,21 @@ class DistributionCurve:
         return tuple(m / self.total_mass for m in self.masses)
 
     def log_slope(self) -> float | None:
-        """Least-squares slope of log(mass) against t over positive masses."""
-        ts = [t for t, m in zip(self.t_values, self.masses) if m > 0]
-        ms = [math.log(m) for m in self.masses if m > 0]
-        if len(ts) < 2:
-            return None
-        tbar = sum(ts) / len(ts)
-        mbar = sum(ms) / len(ms)
-        den = sum((t - tbar) ** 2 for t in ts)
-        if den == 0:
-            return None
-        return sum((t - tbar) * (m - mbar) for t, m in zip(ts, ms)) / den
+        return fit_slope(self.t_values, self.masses)
+
+
+def fit_slope(t_values, masses) -> float | None:
+    """Least-squares slope of log(mass) against t over positive masses."""
+    ts = [t for t, m in zip(t_values, masses) if m > 0]
+    ms = [math.log(m) for m in masses if m > 0]
+    if len(ts) < 2:
+        return None
+    tbar = sum(ts) / len(ts)
+    mbar = sum(ms) / len(ms)
+    den = sum((t - tbar) ** 2 for t in ts)
+    if den == 0:
+        return None
+    return sum((t - tbar) * (m - mbar) for t, m in zip(ts, ms)) / den
 
 
 @dataclass(frozen=True)
@@ -728,15 +692,7 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
             window_worst = max(window_worst, float((dens_q / band_cap).max()))
         # weak-type ratio of the class partial sums below each class member
         masked = {a: coeffs[a] * members.mask(a)[None, :] for a in T.levels}
-        fields = {}
-        for a in T.levels:
-            fields[a] = scatter_subcells(
-                np.einsum("kc,kcm->cm", masked[a], T.gamma[a]), d, T.tau
-            )
-        s = np.zeros(grid.cell_count)
-        for j in range(N, -1, -1):
-            if j in fields:
-                s = s + expand(fields[j], d, N - (j + T.tau))
+        for j, s in suffix_sweep(T.output_fields(masked), d, N, T.tau):
             sel = members.mask(j)
             if not sel.any():
                 continue

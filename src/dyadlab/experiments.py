@@ -8,7 +8,6 @@ suites; reruns must reproduce them.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +25,7 @@ from .shifts import (
 )
 from .partition import ShellPartition, partition_operator_norm, partition_power_weight
 from .corona import CoronaDecomposition, CubeSet, build_corona, qn_partition
-from .estimates import ProfileFamily, h_functional, jn_check, testing_constants
+from .estimates import ProfileFamily, fit_slope, h_functional, jn_check, testing_constants
 
 WORKERS_ENV = "DYADLAB_WORKERS"
 
@@ -200,20 +199,6 @@ def essence_aggregate_masses(data, k_constant: float,
             leb[idx] = max(leb[idx], cnt * case["cell_volume"] / case["lebesgue_total"])
             dua[idx] = max(dua[idx], case["dual_cum"][cnt - 1] / case["dual_total"])
     return tuple(leb), tuple(dua)
-
-
-def fit_slope(t_values, masses) -> float | None:
-    """Least-squares slope of log(mass) against t over positive masses."""
-    ts = [t for t, m in zip(t_values, masses) if m > 0]
-    ms = [math.log(m) for m in masses if m > 0]
-    if len(ts) < 2:
-        return None
-    tbar = sum(ts) / len(ts)
-    mbar = sum(ms) / len(ms)
-    den = sum((t - tbar) ** 2 for t in ts)
-    if den == 0:
-        return None
-    return sum((t - tbar) * (m - mbar) for t, m in zip(ts, ms)) / den
 
 
 def calibrate_essence_k(data, t_values=ESSENCE_T_VALUES,

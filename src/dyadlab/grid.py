@@ -167,22 +167,28 @@ class DyadicCube:
 
     def cell_values(self, cells: np.ndarray) -> np.ndarray:
         """This cube's finest-cell values out of a full cell array (local row-major)."""
-        if self.grid.d == 1:
-            return cells[self.cell_slice()]
-        t = self.grid.N - self.level
-        m = 1 << self.grid.N
-        w = 1 << t
-        block = cells.reshape(m, m)[
-            self.index[0] * w:(self.index[0] + 1) * w,
-            self.index[1] * w:(self.index[1] + 1) * w,
-        ]
-        return block.reshape(-1)
+        return cube_view(cells, self).reshape(-1)
 
     def address(self) -> dict:
         return {"level": self.level, "index": list(self.index)}
 
     def __repr__(self):
         return f"DyadicCube(level={self.level}, index={self.index})"
+
+
+def cube_view(cells: np.ndarray, cube: DyadicCube) -> np.ndarray:
+    """The cube's finest cells inside a contiguous full cell array, as a view.
+
+    A slice for d=1, a (2^t, 2^t) block for d=2 (t = N - level); writing
+    through the view writes into `cells`.
+    """
+    grid = cube.grid
+    if grid.d == 1:
+        return cells[cube.cell_slice()]
+    m = 1 << grid.N
+    w = 1 << (grid.N - cube.level)
+    i0, i1 = cube.index
+    return cells.reshape(m, m)[i0 * w:(i0 + 1) * w, i1 * w:(i1 + 1) * w]
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +318,35 @@ def integral_pyramid(cell_integrals: np.ndarray, d: int, N: int) -> list[np.ndar
     return pyr
 
 
+def suffix_sweep(fields: dict, d: int, N: int, tau: int):
+    """Yield (j, S_j) for j = N, ..., 0, where S_j is the cell array of the
+    sum of the fields of all family levels >= j.
+
+    `fields[j + tau]` is the level-(j + tau) field of family level j (the
+    layout of `SimpleHaarShift.output_fields`).  Each S_j is a fresh array,
+    built from S_(j+1) by one expansion and one addition.
+    """
+    s = np.zeros(1 << (N * d))
+    for j in range(N, -1, -1):
+        if j + tau in fields:
+            s = s + expand(fields[j + tau], d, N - (j + tau))
+        yield j, s
+
+
+def assemble_levels(pieces: dict, d: int, N: int) -> np.ndarray | None:
+    """Cell array of the sum of expand(pieces[lev], d, N - lev); None if empty.
+
+    Pieces are level arrays keyed by level, with an optional trailing batch
+    axis.  They are summed coarse to fine, the running total expanded across
+    each gap between levels, so the cost is one expansion per level.
+    """
+    out, prev = None, None
+    for lev in sorted(pieces):
+        out = pieces[lev] if out is None else expand(out, d, lev - prev) + pieces[lev]
+        prev = lev
+    return None if out is None else expand(out, d, N - prev)
+
+
 # ---------------------------------------------------------------------------
 # grid functions
 # ---------------------------------------------------------------------------
@@ -331,6 +366,8 @@ class GridFunction:
             raise GridError(
                 f"expected {grid.cell_count} cell values, got {vals.size}"
             )
+        if not np.isfinite(vals).all():
+            raise GridError("cell values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", vals)
@@ -349,14 +386,7 @@ class GridFunction:
     @classmethod
     def indicator(cls, cube: DyadicCube) -> "GridFunction":
         vals = np.zeros(cube.grid.cell_count)
-        if cube.grid.d == 1:
-            vals[cube.cell_slice()] = 1.0
-        else:
-            m = 1 << cube.grid.N
-            w = 1 << (cube.grid.N - cube.level)
-            v = vals.reshape(m, m)
-            v[cube.index[0] * w:(cube.index[0] + 1) * w,
-              cube.index[1] * w:(cube.index[1] + 1) * w] = 1.0
+        cube_view(vals, cube)[...] = 1.0
         return cls(cube.grid, vals)
 
     def integral(self) -> float:
@@ -456,15 +486,7 @@ class HaarFunction:
     def as_grid_function(self) -> GridFunction:
         vals = np.zeros(self.cube.grid.cell_count)
         for local, child in enumerate(self.cube.children()):
-            if self.cube.grid.d == 1:
-                vals[child.cell_slice()] = self.child_values[local]
-            else:
-                m = 1 << self.cube.grid.N
-                w = 1 << (self.cube.grid.N - child.level)
-                vals.reshape(m, m)[
-                    child.index[0] * w:(child.index[0] + 1) * w,
-                    child.index[1] * w:(child.index[1] + 1) * w,
-                ] = self.child_values[local]
+            cube_view(vals, child)[...] = self.child_values[local]
         return GridFunction(self.cube.grid, vals)
 
 

@@ -162,23 +162,39 @@ def load_shift(header_path: str) -> SimpleHaarShift:
     header = _read_json(header_path)
     if header.get("kind") != "simple_shift":
         raise FormatError("not a shift header")
-    grid = build_grid(int(header["d"]), int(header["N"]))
-    data_path = os.path.join(os.path.dirname(header_path) or ".", header["data"])
+    for key in ("d", "N", "tau", "levels", "blocks", "data"):
+        if key not in header:
+            raise FormatError(f"header missing field {key!r}")
+    try:
+        grid = build_grid(int(header["d"]), int(header["N"]))
+        tau, levels = int(header["tau"]), [int(j) for j in header["levels"]]
+        blocks = [
+            (int(blk["level"]), blk["profile"], int(blk["offset"]),
+             (int(blk["terms"]), int(blk["cubes"]), int(blk["subcells"])))
+            for blk in header["blocks"]
+        ]
+    except KeyError as exc:
+        raise FormatError(f"shift block missing field {exc}") from exc
+    except (GridError, ValueError, TypeError) as exc:
+        raise FormatError(f"bad shift parameters: {exc}") from exc
+    data_path = os.path.join(os.path.dirname(header_path) or ".", str(header["data"]))
     try:
         raw = np.fromfile(data_path, dtype="<f8")
     except OSError as exc:
         raise FormatError(f"cannot read payload: {exc}") from exc
     g, gamma = {}, {}
-    for blk in header["blocks"]:
-        start = blk["offset"] // 8
-        size = blk["terms"] * blk["cubes"] * blk["subcells"]
+    for level, profile, offset, shape in blocks:
+        if profile not in ("g", "gamma") or offset < 0 or min(shape) < 0:
+            raise FormatError(f"bad shift block at level {level}")
+        start, size = offset // 8, shape[0] * shape[1] * shape[2]
         arr = raw[start:start + size]
         if arr.size != size:
             raise FormatError("truncated shift payload")
-        arr = arr.reshape(blk["terms"], blk["cubes"], blk["subcells"])
-        (g if blk["profile"] == "g" else gamma)[blk["level"]] = arr
+        (g if profile == "g" else gamma)[level] = arr.reshape(shape)
+    if any(j not in g or j not in gamma for j in levels):
+        raise FormatError("shift header lists a level without its g and gamma blocks")
     return SimpleHaarShift(
-        grid, int(header["tau"]), header["levels"], g, gamma,
+        grid, tau, levels, g, gamma,
         separated=bool(header.get("separated", False)),
         meta={"kind": header.get("shift_kind"), "seed": header.get("seed")},
     )

@@ -25,6 +25,8 @@ from .grid import (
     DyadicGrid,
     GridError,
     GridFunction,
+    assemble_levels,
+    cube_view,
     expand,
     integral_pyramid,
     scatter_subcells,
@@ -158,46 +160,27 @@ class SimpleHaarShift:
         out = {}
         for j in self.levels:
             sub = subcell_matrix(pyr[j + self.tau], self.grid.d, self.tau)
-            out[j] = np.einsum("kcm,cm->kc", self.g[j], sub)
+            out[j] = np.einsum("kcm,cm...->kc...", self.g[j], sub)
         return out
 
     def output_fields(self, coeffs: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-        """Per-level output pieces sum_k coef * gamma, laid out at level j+tau."""
-        fields = {}
-        for j in self.levels:
-            mat = np.einsum("kc,kcm->cm", coeffs[j], self.gamma[j])
-            fields[j + self.tau] = fields.get(j + self.tau, 0.0) + scatter_subcells(
-                mat, self.grid.d, self.tau
+        """Per-level output pieces sum_k coef * gamma, keyed and laid out at level j+tau."""
+        return {
+            j + self.tau: scatter_subcells(
+                np.einsum("kc...,kcm->cm...", coeffs[j], self.gamma[j]), self.grid.d, self.tau
             )
-        return fields
+            for j in self.levels
+        }
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
         """Matrix-free application to raw cell values (1D, or 2D batched columns)."""
         grid = self.grid
         values = np.asarray(values, dtype=np.float64)
-        pyr = integral_pyramid(values * grid.cell_volume, grid.d, grid.N)
-        acc = {}
-        for j in self.levels:
-            sub = subcell_matrix(pyr[j + self.tau], grid.d, self.tau)
-            if values.ndim == 1:
-                coef = np.einsum("kcm,cm->kc", self.g[j], sub)
-                mat = np.einsum("kc,kcm->cm", coef, self.gamma[j])
-            else:
-                coef = np.einsum("kcm,cmn->kcn", self.g[j], sub)
-                mat = np.einsum("kcn,kcm->cmn", coef, self.gamma[j])
-            lev = j + self.tau
-            piece = scatter_subcells(mat, grid.d, self.tau)
-            acc[lev] = acc[lev] + piece if lev in acc else piece
-        if not acc:
-            return np.zeros_like(values)
-        out = None
-        for lev in sorted(acc):
-            if out is None:
-                out = acc[lev]
-            else:
-                out = expand(out, grid.d, lev - prev) + acc[lev]
-            prev = lev
-        return expand(out, grid.d, grid.N - prev)
+        fields = self.output_fields(self._coefficients_from_pyramid(
+            integral_pyramid(values * grid.cell_volume, grid.d, grid.N)
+        ))
+        out = assemble_levels(fields, grid.d, grid.N)
+        return np.zeros_like(values) if out is None else out
 
 
 class GenericHaarShift:
@@ -279,19 +262,12 @@ def _haar_coefficient_arrays(grid: DyadicGrid, pyr) -> dict[int, np.ndarray]:
 def _haar_reconstruct(grid: DyadicGrid, coefs: dict[int, np.ndarray]) -> np.ndarray:
     """Cell values of sum_{Q,e} c_{Q,e} h_Q^e."""
     signs = _haar_sign_table(grid.d)
-    out = None
-    prev = None
-    for j in sorted(coefs):
-        child_vals = (2.0 ** (j * grid.d / 2.0)) * (coefs[j].T @ signs)
-        piece = scatter_subcells(child_vals, grid.d, 1)     # level j+1 values
-        if out is None:
-            out = piece
-        else:
-            out = expand(out, grid.d, (j + 1) - prev) + piece
-        prev = j + 1
-    if out is None:
-        return np.zeros(grid.cell_count)
-    return expand(out, grid.d, grid.N - prev)
+    pieces = {      # level j+1 values of the level-j Haar terms
+        j + 1: scatter_subcells((2.0 ** (j * grid.d / 2.0)) * (coefs[j].T @ signs), grid.d, 1)
+        for j in coefs
+    }
+    out = assemble_levels(pieces, grid.d, grid.N)
+    return np.zeros(grid.cell_count) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -444,17 +420,10 @@ def _measure_scalings(grid, sigma, mu):
 def dense_matrix(T, sigma: Weight | None = None, mu: Weight | None = None) -> np.ndarray:
     """Dense matrix of f -> T(sigma f) between the scaled coordinates of
     L2(sigma) and L2(mu); its largest singular value is the operator norm."""
-    grid = T.grid
-    n = grid.cell_count
-    if n > 4096:
+    if T.grid.cell_count > 4096:
         raise ShiftError("dense matrix limited to grids with at most 4096 cells")
-    a, b = _measure_scalings(grid, sigma, mu)
-    basis = np.diag(a)
-    if isinstance(T, SimpleHaarShift):
-        out = T.apply_values(basis)
-    else:
-        out = np.stack([T.apply_values(basis[:, i]) for i in range(n)], axis=1)
-    return b[:, None] * out
+    a, b = _measure_scalings(T.grid, sigma, mu)
+    return b[:, None] * T.apply_values(np.diag(a))
 
 
 def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
@@ -555,15 +524,8 @@ class CZDecomposition:
         if key not in self._bad_local:
             raise ShiftError(f"{cube!r} is not a bad cube of this decomposition")
         vals = np.zeros(self.source.grid.cell_count)
-        if self.source.grid.d == 1:
-            vals[cube.cell_slice()] = self._bad_local[key]
-        else:
-            m = 1 << self.source.grid.N
-            w = 1 << (self.source.grid.N - cube.level)
-            vals.reshape(m, m)[
-                cube.index[0] * w:(cube.index[0] + 1) * w,
-                cube.index[1] * w:(cube.index[1] + 1) * w,
-            ] = self._bad_local[key].reshape(w, w)
+        view = cube_view(vals, cube)
+        view[...] = self._bad_local[key].reshape(view.shape)
         return GridFunction(self.source.grid, vals)
 
     def bad_total(self) -> GridFunction:
@@ -596,15 +558,7 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
             local = cube.cell_values(f.values) - avg
             bad_cubes.append(cube)
             bad_local[(j, int(flat))] = local
-            if grid.d == 1:
-                good_vals[cube.cell_slice()] = avg
-            else:
-                m = 1 << grid.N
-                w = 1 << (grid.N - j)
-                good_vals.reshape(m, m)[
-                    cube.index[0] * w:(cube.index[0] + 1) * w,
-                    cube.index[1] * w:(cube.index[1] + 1) * w,
-                ] = avg
+            cube_view(good_vals, cube)[...] = avg
         if j < grid.N:
             alive = expand(alive & ~is_bad, grid.d, 1)
     return CZDecomposition(f, lam, GridFunction(grid, good_vals), bad_cubes, bad_local)

@@ -205,3 +205,18 @@ def test_out_flag_writes_payload(tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads(target.read_text())
     assert doc["report"]["characteristic"] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weight_file_exit_two(tmp_path, capsys, bad):
+    w = power_weight(0.25, build_grid(1, 6))
+    header = save_weight(w, str(tmp_path / "w"))
+    payload = tmp_path / json.loads(open(header).read())["data"]
+    vals = w.values.copy()
+    vals[7] = bad
+    vals.astype("<f8").tofile(payload)
+    code = main(["char", "--weight-file", header, "--N", "6"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error:") and "finite" in err
+    assert "Traceback" not in err

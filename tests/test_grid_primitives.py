@@ -1,0 +1,103 @@
+"""Property tests of the level-array primitives against independent oracles.
+
+Each primitive is checked against a computation that does not use it: level
+arrays are carried to the finest level by indexing with `ancestor_map`
+instead of `expand`, and cube cells are addressed through
+`corona._extent_indices` instead of reshaped blocks.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dyadlab.corona import _extent_indices
+from dyadlab.grid import (
+    ancestor_map,
+    assemble_levels,
+    build_grid,
+    cube_view,
+    expand,
+    pool,
+    suffix_sweep,
+)
+
+MAX_N = {1: 7, 2: 4}
+
+
+@st.composite
+def grids(draw, max_n=MAX_N):
+    d = draw(st.sampled_from((1, 2)))
+    return d, draw(st.integers(1, max_n[d]))
+
+
+def _to_finest(arr, d, level, N):
+    """Level-`level` array carried to the cells by ancestor lookup."""
+    return arr[ancestor_map(d, N, level)]
+
+
+@given(grids(), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_suffix_sweep_equals_naive_suffix_sums(dn, tau, seed, data):
+    d, N = dn
+    tau = min(tau, N)
+    levels = data.draw(st.sets(st.integers(0, N - tau)))
+    rng = np.random.default_rng(seed)
+    fields = {j + tau: rng.standard_normal(1 << ((j + tau) * d)) for j in levels}
+    swept = list(suffix_sweep(fields, d, N, tau))
+    assert [j for j, _ in swept] == list(range(N, -1, -1))
+    for j, s in swept:        # every yielded array is kept: none may alias another
+        naive = np.zeros(1 << (N * d))
+        for k in levels:
+            if k >= j:
+                naive += _to_finest(fields[k + tau], d, k + tau, N)
+        np.testing.assert_allclose(s, naive, rtol=1e-12, atol=1e-12)
+
+
+@given(grids(), st.booleans(), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_assemble_levels_equals_sum_of_expansions(dn, batched, seed, data):
+    d, N = dn
+    levels = data.draw(st.sets(st.integers(0, N)))
+    rng = np.random.default_rng(seed)
+    batch = (3,) if batched else ()
+    pieces = {lev: rng.standard_normal((1 << (lev * d),) + batch) for lev in levels}
+    out = assemble_levels(pieces, d, N)
+    if not levels:
+        assert out is None
+        return
+    naive = sum(_to_finest(p, d, lev, N) for lev, p in pieces.items())
+    assert out.shape == naive.shape
+    np.testing.assert_allclose(out, naive, rtol=1e-12, atol=1e-12)
+
+
+@given(grids(max_n={1: 4, 2: 4}), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_cube_view_writes_the_cube_cells(dn, seed):
+    d, N = dn
+    grid = build_grid(d, N)
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(grid.cell_count)
+    for cube in grid.cubes():
+        idx = _extent_indices(grid, cube, grid.N)
+        local = rng.standard_normal(idx.size)
+        via_view = base.copy()
+        view = cube_view(via_view, cube)
+        view[...] = local.reshape(view.shape)
+        via_index = base.copy()
+        via_index[idx] = local
+        assert np.array_equal(via_view, via_index)
+        assert np.array_equal(cube.cell_values(base), base[idx])
+
+
+@given(grids(), st.integers(0, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pool_and_expand_are_adjoint(dn, steps, seed):
+    d, N = dn
+    steps = min(steps, N)
+    j = N - steps
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(1 << (N * d))
+    y = rng.standard_normal(1 << (j * d))
+    lhs = float(pool(x, d, steps) @ y)
+    rhs = float(x @ expand(y, d, steps))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())

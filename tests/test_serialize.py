@@ -104,3 +104,29 @@ def test_truncated_payload_raises(tmp_path):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(FormatError):
         load_grid_function(header)
+
+
+_SHIFT_HEADER_KEYS = ("d", "N", "tau", "levels", "blocks", "data")
+_SHIFT_BLOCK_KEYS = ("level", "profile", "offset", "terms", "cubes", "subcells")
+
+
+@pytest.mark.parametrize(
+    "where,key",
+    [("header", k) for k in _SHIFT_HEADER_KEYS]
+    + [("block", k) for k in _SHIFT_BLOCK_KEYS]
+    + [("mistyped", k) for k in _SHIFT_HEADER_KEYS],
+)
+def test_shift_header_missing_or_mistyped_key_raises(tmp_path, where, key):
+    g = build_grid(1, 5)
+    header_path = save_shift(random_simple_shift(2, 3, g), str(tmp_path / "s"))
+    header = json.loads(open(header_path).read())
+    if where == "header":
+        del header[key]
+    elif where == "block":
+        del header["blocks"][1][key]
+    else:
+        header[key] = {"not": "a value"}
+    with open(header_path, "w") as fh:
+        json.dump(header, fh)
+    with pytest.raises(FormatError):
+        load_shift(header_path)

@@ -215,3 +215,16 @@ def test_two_weight_a2_pair():
     assert pair.characteristic == ap_characteristic(w).characteristic
     one = Weight(GridFunction.constant(g, 1.0))
     assert two_weight_a2(one, one).characteristic == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weight_rejects_non_finite_values(bad):
+    from dyadlab.grid import GridError
+
+    g = build_grid(1, 3)
+    vals = [1.0] * 8
+    vals[5] = bad
+    with pytest.raises(GridError, match="finite"):
+        Weight(vals, grid=g)
+    with pytest.raises(GridError, match="finite"):
+        Weight(GridFunction(g, vals))
