@@ -9,8 +9,9 @@ sqrt(|Q'||Q''|)/|Q|.  Application is matrix-free: one integral pyramid, one
 pairing pass per level, one expansion pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces (power
-iteration against a dense SVD oracle), the dyadic Calderon-Zygmund
-decomposition, and a weak-L1 superlevel diagnostic.
+iteration against a dense oracle that takes the largest singular value from
+the eigenproblem of the symmetric Gram matrix M^T M), the dyadic
+Calderon-Zygmund decomposition, and a weak-L1 superlevel diagnostic.
 """
 
 from __future__ import annotations
@@ -224,11 +225,14 @@ class GenericHaarShift:
                                 meta={**self.meta, "adjoint": True}, validate=False)
 
     def apply_values(self, values: np.ndarray) -> np.ndarray:
+        """Application to raw cell values (1D, or 2D batched columns).
+
+        Works in the Haar domain: the input's Haar coefficients, one update
+        per entry, then reconstruction; a batch rides along as a trailing
+        column axis, so the entry loop runs once per call.
+        """
         grid = self.grid
-        if values.ndim != 1:
-            return np.stack(
-                [self.apply_values(values[:, i]) for i in range(values.shape[1])], axis=1
-            )
+        values = np.asarray(values, dtype=np.float64)
         pyr = integral_pyramid(values * grid.cell_volume, grid.d, grid.N)
         coefs = _haar_coefficient_arrays(grid, pyr)
         out_coefs = {
@@ -236,7 +240,8 @@ class GenericHaarShift:
         }
         for _, qp, ep, qpp, epp, a in self.entries:
             out_coefs[qpp.level][epp, qpp.flat] += a * coefs[qp.level][ep, qp.flat]
-        return _haar_reconstruct(grid, out_coefs)
+        out = _haar_reconstruct(grid, out_coefs)
+        return np.zeros_like(values) if out is None else out
 
 
 def _haar_sign_table(d: int) -> np.ndarray:
@@ -250,24 +255,28 @@ def _haar_sign_table(d: int) -> np.ndarray:
 
 
 def _haar_coefficient_arrays(grid: DyadicGrid, pyr) -> dict[int, np.ndarray]:
-    """<f, h_Q^e> for all cubes from f's integral pyramid: level -> (patterns, count)."""
+    """<f, h_Q^e> for all cubes from f's integral pyramid: level -> (patterns, count),
+    with the pyramid's trailing batch axis, if any, carried through."""
     signs = _haar_sign_table(grid.d)
     out = {}
     for j in range(grid.N):
-        child = subcell_matrix(pyr[j + 1], grid.d, 1)      # (count_j, 2^d)
-        out[j] = (2.0 ** (j * grid.d / 2.0)) * (signs @ child.T)
+        child = subcell_matrix(pyr[j + 1], grid.d, 1)      # (count_j, 2^d[, m])
+        out[j] = (2.0 ** (j * grid.d / 2.0)) * np.einsum("pc,kc...->pk...", signs, child)
     return out
 
 
-def _haar_reconstruct(grid: DyadicGrid, coefs: dict[int, np.ndarray]) -> np.ndarray:
-    """Cell values of sum_{Q,e} c_{Q,e} h_Q^e."""
+def _haar_reconstruct(grid: DyadicGrid, coefs: dict[int, np.ndarray]) -> np.ndarray | None:
+    """Cell values of sum_{Q,e} c_{Q,e} h_Q^e, with the coefficients' trailing
+    batch axis, if any; None when there are no levels."""
     signs = _haar_sign_table(grid.d)
     pieces = {      # level j+1 values of the level-j Haar terms
-        j + 1: scatter_subcells((2.0 ** (j * grid.d / 2.0)) * (coefs[j].T @ signs), grid.d, 1)
+        j + 1: scatter_subcells(
+            (2.0 ** (j * grid.d / 2.0)) * np.einsum("pk...,pc->kc...", coefs[j], signs),
+            grid.d, 1,
+        )
         for j in coefs
     }
-    out = assemble_levels(pieces, grid.d, grid.N)
-    return np.zeros(grid.cell_count) if out is None else out
+    return assemble_levels(pieces, grid.d, grid.N)
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +444,21 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     vector (see `power_iteration_norm` for the stopping rule); `dense-svd` is
     the oracle for grids of at most 4096 cells; `auto` picks the oracle when
     it is available.
+
+    The oracle takes the largest singular value of the dense matrix M as the
+    square root of the top eigenvalue of the symmetric Gram matrix M^T M,
+    which LAPACK's symmetric eigensolver finds faster than an SVD of M finds
+    sigma_max.  M is released before the solve, and a top eigenvalue at or
+    below zero (M = 0, up to rounding) gives 0.0, never NaN.
     """
     if method == "auto":
         method = "dense-svd" if T.grid.cell_count <= 4096 else "power-iteration"
     if method == "dense-svd":
         M = dense_matrix(T, sigma, mu)
-        return float(np.linalg.svd(M, compute_uv=False)[0])
+        gram = M.T @ M
+        del M
+        top = float(np.linalg.eigvalsh(gram)[-1])
+        return math.sqrt(top) if top > 0.0 else 0.0
     if method != "power-iteration":
         raise ShiftError(f"unknown method {method!r}")
 
