@@ -89,10 +89,7 @@ def _resolve_weight(args, grid):
     if args.family == "cascade":
         spec["n"] = args.n
         spec["seed"] = args.seed
-    try:
-        return build_config_weight(spec, grid)
-    except (WeightError, ValueError, KeyError) as exc:
-        raise CliError(str(exc)) from exc
+    return build_config_weight(spec, grid)
 
 
 def cmd_char(args) -> int:
@@ -193,8 +190,7 @@ def cmd_test_conditions(args) -> int:
     T = build_config_shift(cfg, grid)
     wid, w = _resolve_weight(args, grid)
     sigma, mu = w, dual_weight(w)
-    rep = testing_constants(T, sigma, mu,
-                            norm_method="auto" if args.method == "auto" else args.method)
+    rep = testing_constants(T, sigma, mu, norm_method=args.method)
     necessity = max(rep.c_wb, rep.c_t1, rep.c_tstar1) <= rep.full_norm + 1e-9
     _emit({
         "command": "test-conditions", "grid": {"d": cfg.d, "N": cfg.N},
@@ -347,7 +343,6 @@ def cmd_sweep(args) -> int:
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="output file or directory")
-    p.add_argument("--format", dest="fmt", default=None, choices=("csv", "json"))
 
 
 def _add_grid_flags(p, default_n=10):
@@ -426,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="weight sweep: norms, constants, CSV emission")
     _add_common_flags(p)
+    p.add_argument("--format", dest="fmt", default=None, choices=("csv", "json"))
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)
 

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, GridError, expand, pool
+from .grid import (
+    DyadicCube,
+    DyadicGrid,
+    GridError,
+    assemble_levels,
+    descendant_flat,
+    integral_pyramid,
+    pool,
+)
 from .weights import Weight
 
 STOPPING_FACTOR = 4.0
@@ -118,15 +126,9 @@ class CubeSet:
 
 
 def _extent_indices(grid: DyadicGrid, top: DyadicCube, level: int):
-    """Flat level indices of the cubes contained in `top`."""
-    t = level - top.level
-    if grid.d == 1:
-        lo = top.index[0] << t
-        return np.arange(lo, lo + (1 << t))
-    side = 1 << level
-    r0 = np.arange(top.index[0] << t, (top.index[0] + 1) << t)
-    r1 = np.arange(top.index[1] << t, (top.index[1] + 1) << t)
-    return (r0[:, None] * side + r1[None, :]).reshape(-1)
+    """Flat level indices of the cubes contained in `top`, in local row-major order."""
+    return descendant_flat(grid.d, top.level, level, top.flat,
+                           np.arange(1 << ((level - top.level) * grid.d)))
 
 
 class CoronaDecomposition:
@@ -138,15 +140,13 @@ class CoronaDecomposition:
     """
 
     def __init__(self, measure: Weight, family: CubeSet, top: DyadicCube,
-                 stopping: CubeSet, anchor_level, anchor_flat,
-                 stopping_levels=None):
+                 stopping: CubeSet, anchor_level, anchor_flat):
         self.measure = measure
         self.family = family
         self.top = top
         self.stopping = stopping
         self.anchor_level = anchor_level
         self.anchor_flat = anchor_flat
-        self.stopping_levels = stopping_levels
         self._carleson = None
 
     @property
@@ -276,11 +276,12 @@ def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
     gov_dens = np.array([dens[top.level][top.flat]])
     gov_lev = np.array([top.level])
     gov_flat = np.array([top.flat])
-    idx = _extent_indices(grid, top, top.level)  # just the top itself
+    idx = np.array([top.flat])
+    children = np.arange(1 << grid.d)
 
     for j in range(top.level + 1, grid.N + 1):
-        # _child_extent lists children grouped per parent, matching np.repeat
-        idx = _child_extent(grid, idx, j)
+        # children grouped per parent in child order, matching np.repeat
+        idx = descendant_flat(grid.d, j - 1, j, idx[:, None], children).reshape(-1)
         gov_dens = np.repeat(gov_dens, 1 << grid.d)
         gov_lev = np.repeat(gov_lev, 1 << grid.d)
         gov_flat = np.repeat(gov_flat, 1 << grid.d)
@@ -299,22 +300,8 @@ def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
         anchor_level[j][idx] = gov_lev
         anchor_flat[j][idx] = gov_flat
 
-    return CoronaDecomposition(
-        mu, family, top, CubeSet(grid, stop_masks), anchor_level, anchor_flat,
-        stopping_levels=None if stopping_levels is None else tuple(sorted(allowed)),
-    )
-
-
-def _child_extent(grid: DyadicGrid, idx: np.ndarray, level: int):
-    """Flat indices of all children (at `level`) of the cubes listed at level-1."""
-    if grid.d == 1:
-        return np.repeat(idx << 1, 2) + np.tile([0, 1], idx.size)
-    m_prev = 1 << (level - 1)
-    i0, i1 = idx // m_prev, idx % m_prev
-    side = 1 << level
-    base00 = (i0 * 2) * side + i1 * 2
-    offsets = np.array([0, 1, side, side + 1])
-    return np.repeat(base00, 4) + np.tile(offsets, idx.size)
+    return CoronaDecomposition(mu, family, top, CubeSet(grid, stop_masks),
+                               anchor_level, anchor_flat)
 
 
 @dataclass(frozen=True)
@@ -333,16 +320,10 @@ def packing_check(corona: CoronaDecomposition) -> PackingReport:
     grid = corona.grid
     stops = corona.stopping_cubes()
     # depth function: number of stopping cubes containing each cell
-    depth = np.zeros(grid.cell_count)
-    for j in corona.stopping.levels():
-        depth += expand(corona.stopping.mask(j).astype(np.float64), grid.d, grid.N - j)
-    depth_pyr = [None] * (grid.N + 1)
-    depth2_pyr = [None] * (grid.N + 1)
-    depth_pyr[grid.N] = depth * grid.cell_volume
-    depth2_pyr[grid.N] = depth * depth * grid.cell_volume
-    for j in range(grid.N - 1, -1, -1):
-        depth_pyr[j] = pool(depth_pyr[j + 1], grid.d)
-        depth2_pyr[j] = pool(depth2_pyr[j + 1], grid.d)
+    depth = assemble_levels({j: corona.stopping.mask(j).astype(np.float64)
+                             for j in corona.stopping.levels()}, grid.d, grid.N)
+    depth_pyr = integral_pyramid(depth * grid.cell_volume, grid.d, grid.N)
+    depth2_pyr = integral_pyramid(depth * depth * grid.cell_volume, grid.d, grid.N)
 
     child_ratio, child_wit = 0.0, None
     overlap_ratio, overlap_wit = 0.0, None
@@ -472,12 +453,6 @@ class QnPartition:
 
     def n_values(self) -> list[int]:
         return sorted(self.classes)
-
-    def class_of(self, cube: DyadicCube) -> int:
-        for n, cs in self.classes.items():
-            if cs.contains(cube):
-                return n
-        raise KeyError(f"{cube!r} not classified")
 
 
 def qn_partition(w: Weight, levels=None) -> QnPartition:

@@ -26,6 +26,7 @@ from .grid import (
     GridFunction,
     ancestor_map,
     assemble_levels,
+    cube_view,
     descendant_flat,
     expand,
     integral_pyramid,
@@ -39,7 +40,6 @@ from .corona import (
     CoronaDecomposition,
     CoronaStructureError,
     CubeSet,
-    _extent_indices,
     pn_alpha,
 )
 from .shifts import SimpleHaarShift, operator_norm
@@ -50,15 +50,6 @@ def _cells_of(grid: DyadicGrid, w: Weight | None) -> np.ndarray:
     if w is None:
         return np.full(grid.cell_count, grid.cell_volume)
     return w.values * grid.cell_volume
-
-
-def _local_ancestor(d: int, delta_from: int, delta_to: int, rel: int) -> int:
-    """Ancestor of a local offset: depth delta_from -> depth delta_to under one cube."""
-    t = delta_from - delta_to
-    if d == 1:
-        return rel >> t
-    r0, r1 = rel >> delta_from, rel & ((1 << delta_from) - 1)
-    return ((r0 >> t) << delta_to) + (r1 >> t)
 
 
 # ---------------------------------------------------------------------------
@@ -120,14 +111,8 @@ class _IndicatorScan:
         self.gval = {}     # a -> (count_{a+tau}, k) g profile value field
         self.gamval = {}   # a -> (count_{a+tau}, k) gamma profile value field
         for a in fam:
-            self.gval[a] = np.stack(
-                [scatter_subcells(T.g[a][k], d, tau) for k in range(T.g[a].shape[0])],
-                axis=-1,
-            )
-            self.gamval[a] = np.stack(
-                [scatter_subcells(T.gamma[a][k], d, tau) for k in range(T.gamma[a].shape[0])],
-                axis=-1,
-            )
+            self.gval[a] = scatter_subcells(np.moveaxis(T.g[a], 0, -1), d, tau)
+            self.gamval[a] = scatter_subcells(np.moveaxis(T.gamma[a], 0, -1), d, tau)
 
         # gamma-field integrals against mu, as full pyramids per ancestor level
         self.gmu = {}
@@ -216,9 +201,10 @@ class _IndicatorScan:
         q1 = descendant_flat(d, jq, jp, base, relp)
         q2 = descendant_flat(d, jq, js, base, rels)
 
-        if ds <= dp and _local_ancestor(d, dp, ds, relp) == rels:
+        # local offsets under Q number the cells of a level-dp (or ds) grid
+        if ds <= dp and ancestor_map(d, dp, ds)[relp] == rels:
             loc = self.ps1[jp][jp][q1]          # Q' inside Q'': integrate over Q'
-        elif dp < ds and _local_ancestor(d, ds, dp, rels) == relp:
+        elif dp < ds and ancestor_map(d, ds, dp)[rels] == relp:
             loc = self.ps1[jp][js][q2]          # Q'' strictly inside Q'
         else:
             loc = 0.0
@@ -361,17 +347,9 @@ def brute_testing_constants(T: SimpleHaarShift, sigma: Weight | None,
 # paraproduct
 # ---------------------------------------------------------------------------
 
-def _weighted_level_averages(cells_values: np.ndarray, w_sums, w_cells,
-                             d: int, N: int) -> list[np.ndarray]:
-    """Per level: integral of the function against w over each cube / w(Q)."""
-    pyr = integral_pyramid(cells_values * w_cells, d, N)
-    return [pyr[j] / w_sums[j] for j in range(N + 1)]
-
-
-def paraproduct_apply(f: GridFunction, T: SimpleHaarShift, sigma: Weight | None,
-                      w: Weight) -> GridFunction:
-    """Paraproduct pairing sigma-averages of f with the w-martingale
-    differences of T(sigma 1), summed over all cubes with children."""
+def _paraproduct(f: GridFunction, T: SimpleHaarShift, sigma: Weight | None, w: Weight):
+    """Cell values of P f, with the pieces it pairs: the sigma-averages a[j] of
+    f (levels < N) and the w-averages avg[j] of T(sigma 1) (levels <= N)."""
     grid = f.grid
     if grid != T.grid or grid != w.grid:
         raise GridError("grid mismatch")
@@ -380,28 +358,28 @@ def paraproduct_apply(f: GridFunction, T: SimpleHaarShift, sigma: Weight | None,
     sigma_sums = integral_pyramid(sigma_cells, d, N)
     g_cells = T.apply_values(sigma_cells / grid.cell_volume)  # T(sigma 1)
     a = [pool(f.values * sigma_cells, d, N - j) / sigma_sums[j] for j in range(N)]
-    avg = _weighted_level_averages(g_cells, w.sums, _cells_of(grid, w), d, N)
+    g_pyr = integral_pyramid(g_cells * _cells_of(grid, w), d, N)
+    avg = [g_pyr[j] / w.sums[j] for j in range(N + 1)]
     out = np.zeros(grid.cell_count)
     for j in range(N):
         diff = expand(avg[j + 1], d, N - (j + 1)) - expand(avg[j], d, N - j)
         out += expand(a[j], d, N - j) * diff
-    return GridFunction(grid, out)
+    return out, a, avg
+
+
+def paraproduct_apply(f: GridFunction, T: SimpleHaarShift, sigma: Weight | None,
+                      w: Weight) -> GridFunction:
+    """Paraproduct pairing sigma-averages of f with the w-martingale
+    differences of T(sigma 1), summed over all cubes with children."""
+    return GridFunction(f.grid, _paraproduct(f, T, sigma, w)[0])
 
 
 def paraproduct_identity(f: GridFunction, T: SimpleHaarShift, sigma: Weight | None,
                          w: Weight) -> tuple[float, float]:
     """Both sides of ||P f||^2_{L2(w)} = sum_Q a_Q^2 ||D_Q^w T(sigma 1)||^2_{L2(w)}."""
-    grid = f.grid
-    d, N = grid.d, grid.N
-    w_cells = _cells_of(grid, w)
-    sigma_cells = _cells_of(grid, sigma)
-    sigma_sums = integral_pyramid(sigma_cells, d, N)
-    p = paraproduct_apply(f, T, sigma, w)
-    lhs = float((p.values ** 2 * w_cells).sum())
-
-    g_cells = T.apply_values(sigma_cells / grid.cell_volume)
-    avg = _weighted_level_averages(g_cells, w.sums, w_cells, d, N)
-    a = [pool(f.values * sigma_cells, d, N - j) / sigma_sums[j] for j in range(N)]
+    d, N = f.grid.d, f.grid.N
+    out, a, avg = _paraproduct(f, T, sigma, w)
+    lhs = float((out ** 2 * _cells_of(f.grid, w)).sum())
     rhs = 0.0
     for j in range(N):
         diff = avg[j + 1] - expand(avg[j], d, 1)
@@ -501,7 +479,8 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
         vals_l = h_local[(L.level, L.flat)]
         scale = max(1.0, float(vals_l.max()) if vals_l.size else 1.0)
         full_l = np.zeros(grid.cell_count)
-        full_l[_extent_indices(grid, L, grid.N)] = vals_l
+        view = cube_view(full_l, L)
+        view[...] = vals_l.reshape(view.shape)
         for Lp in corona.stopping_descendants(L):
             if not Q0.contains(Lp):
                 continue
@@ -609,9 +588,6 @@ class DistributionCurve:
 
     def is_monotone(self) -> bool:
         return all(a >= b - 1e-15 for a, b in zip(self.masses, self.masses[1:]))
-
-    def normalized(self) -> tuple:
-        return tuple(m / self.total_mass for m in self.masses)
 
     def log_slope(self) -> float | None:
         return fit_slope(self.t_values, self.masses)

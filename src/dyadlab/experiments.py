@@ -15,9 +15,10 @@ from time import perf_counter
 
 import numpy as np
 
-from .grid import DyadicGrid, GridFunction, build_grid
-from .weights import Weight, dual_weight, power_weight, random_a2_weight
+from .grid import DyadicGrid, GridError, GridFunction, build_grid
+from .weights import Weight, WeightError, dual_weight, power_weight, random_a2_weight
 from .shifts import (
+    ShiftError,
     SimpleHaarShift,
     hilbert_shift,
     operator_norm,
@@ -394,12 +395,18 @@ class ExperimentConfig:
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         cfg = cls()
         grid = obj.get("grid", {})
-        cfg.d = int(grid.get("d", cfg.d))
-        cfg.N = int(grid.get("N", cfg.N))
+        try:
+            cfg.d = int(grid.get("d", cfg.d))
+            cfg.N = int(grid.get("N", cfg.N))
+        except (TypeError, ValueError) as exc:
+            raise GridError(f"bad grid parameters: {exc}") from exc
         shift = obj.get("shift", {})
         cfg.shift_kind = shift.get("kind", cfg.shift_kind)
-        cfg.tau = int(shift.get("tau", cfg.tau))
-        cfg.shift_seed = int(shift.get("seed", cfg.shift_seed))
+        try:
+            cfg.tau = int(shift.get("tau", cfg.tau))
+            cfg.shift_seed = int(shift.get("seed", cfg.shift_seed))
+        except (TypeError, ValueError) as exc:
+            raise ShiftError(f"bad shift parameters: {exc}") from exc
         cfg.separated = bool(shift.get("separated", cfg.separated))
         cfg.experiment_id = obj.get("experiment_id", cfg.experiment_id)
         cfg.weights = obj.get("weights", cfg.weights)
@@ -441,25 +448,28 @@ def build_config_shift(cfg: ExperimentConfig, grid: DyadicGrid) -> SimpleHaarShi
                                    separated=cfg.separated)
     if cfg.shift_kind == "zero":
         return zero_shift(grid, cfg.tau)
-    raise ValueError(f"unknown shift kind {cfg.shift_kind!r}")
+    raise ShiftError(f"unknown shift kind {cfg.shift_kind!r}")
 
 
 def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
     family = spec.get("family", "constant")
-    if family == "constant":
-        value = float(spec.get("value", 1.0))
-        return f"constant:{value}", Weight(GridFunction.constant(grid, value))
-    if family == "power":
-        a = float(spec["a"])
-        return f"power:a={a}", power_weight(a, grid)
-    if family == "cascade":
-        n = spec["n"]
-        seed = int(spec.get("seed", 0))
-        return f"cascade:n={n}:seed={seed}", random_a2_weight(n, seed, grid)
-    if family == "file":
-        from .serialize import load_weight
-        return f"file:{spec['path']}", load_weight(spec["path"])
-    raise ValueError(f"unknown weight family {family!r}")
+    try:
+        if family == "constant":
+            value = float(spec.get("value", 1.0))
+            return f"constant:{value}", Weight(GridFunction.constant(grid, value))
+        if family == "power":
+            a = float(spec["a"])
+            return f"power:a={a}", power_weight(a, grid)
+        if family == "cascade":
+            n = spec["n"]
+            seed = int(spec.get("seed", 0))
+            return f"cascade:n={n}:seed={seed}", random_a2_weight(n, seed, grid)
+        if family == "file":
+            from .serialize import load_weight
+            return f"file:{spec['path']}", load_weight(spec["path"])
+    except KeyError as exc:
+        raise WeightError(f"weight family {family!r} missing field {exc}") from exc
+    raise WeightError(f"unknown weight family {family!r}")
 
 
 def _sweep_row(args) -> SweepRow:

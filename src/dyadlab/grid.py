@@ -7,7 +7,8 @@ provides the Haar system on the grid and a small toolkit of "level array"
 operations: a level-j array holds one value per dyadic cube of level j, in
 row-major order over the index vectors, and the toolkit moves data between
 levels (pooling children into parents, expanding parents onto descendants,
-grouping descendants under an ancestor).
+grouping descendants under an ancestor).  These index rules, with descendant
+numbering, ancestor lookup and the tensor Haar sign table, live only here.
 """
 
 from __future__ import annotations
@@ -207,22 +208,15 @@ def _side_of(count: int, d: int) -> int:
 def pool(arr: np.ndarray, d: int, steps: int = 1) -> np.ndarray:
     """Sum children into parents, repeated `steps` times.
 
-    Accepts a flat level array, optionally with one trailing batch axis.
+    Accepts a flat level array with any trailing batch shape.
     """
+    tail = arr.shape[1:]
     for _ in range(steps):
         if d == 1:
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 2).sum(axis=1)
-            else:
-                arr = arr.reshape(-1, 2, arr.shape[-1]).sum(axis=1)
+            arr = arr.reshape((-1, 2) + tail).sum(axis=1)
         else:
-            m = _side_of(arr.shape[0], d)
-            h = m // 2
-            if arr.ndim == 1:
-                arr = arr.reshape(h, 2, h, 2).sum(axis=(1, 3)).reshape(h * h)
-            else:
-                k = arr.shape[-1]
-                arr = arr.reshape(h, 2, h, 2, k).sum(axis=(1, 3)).reshape(h * h, k)
+            h = _side_of(arr.shape[0], d) // 2
+            arr = arr.reshape((h, 2, h, 2) + tail).sum(axis=(1, 3)).reshape((h * h,) + tail)
     return arr
 
 
@@ -234,52 +228,36 @@ def expand(arr: np.ndarray, d: int, steps: int = 1) -> np.ndarray:
     if d == 1:
         return np.repeat(arr, s, axis=0)
     m = _side_of(arr.shape[0], d)
-    if arr.ndim == 1:
-        a = arr.reshape(m, m)
-        a = np.repeat(np.repeat(a, s, axis=0), s, axis=1)
-        return a.reshape(m * m * s * s)
-    k = arr.shape[-1]
-    a = arr.reshape(m, m, k)
-    a = np.repeat(np.repeat(a, s, axis=0), s, axis=1)
-    return a.reshape(m * m * s * s, k)
+    tail = arr.shape[1:]
+    a = np.repeat(np.repeat(arr.reshape((m, m) + tail), s, axis=0), s, axis=1)
+    return a.reshape((m * m * s * s,) + tail)
 
 
 def subcell_matrix(arr: np.ndarray, d: int, t: int) -> np.ndarray:
     """Group a level-j array by level-(j-t) ancestors.
 
     Returns shape (count(j-t), 2^(t*d)) with columns in local row-major
-    order, matching profile storage in shifts; a trailing batch axis is
+    order, matching profile storage in shifts; a trailing batch shape is
     carried through.
     """
     s = 1 << t
+    tail = arr.shape[1:]
     if d == 1:
-        if arr.ndim == 1:
-            return arr.reshape(-1, s)
-        return arr.reshape(-1, s, arr.shape[-1])
-    m = _side_of(arr.shape[0], d)
-    h = m >> t
-    if arr.ndim == 1:
-        a = arr.reshape(h, s, h, s).transpose(0, 2, 1, 3)
-        return a.reshape(h * h, s * s)
-    k = arr.shape[-1]
-    a = arr.reshape(h, s, h, s, k).transpose(0, 2, 1, 3, 4)
-    return a.reshape(h * h, s * s, k)
+        return arr.reshape((-1, s) + tail)
+    h = _side_of(arr.shape[0], d) >> t
+    a = arr.reshape((h, s, h, s) + tail).swapaxes(1, 2)
+    return a.reshape((h * h, s * s) + tail)
 
 
 def scatter_subcells(mat: np.ndarray, d: int, t: int) -> np.ndarray:
     """Inverse of subcell_matrix: lay rows back out as a flat level array."""
     s = 1 << t
+    tail = mat.shape[2:]
     if d == 1:
-        if mat.ndim == 2:
-            return mat.reshape(-1)
-        return mat.reshape(-1, mat.shape[-1])
+        return mat.reshape((-1,) + tail)
     h = math.isqrt(mat.shape[0])
-    if mat.ndim == 2:
-        a = mat.reshape(h, h, s, s).transpose(0, 2, 1, 3)
-        return a.reshape(h * s * h * s)
-    k = mat.shape[-1]
-    a = mat.reshape(h, h, s, s, k).transpose(0, 2, 1, 3, 4)
-    return a.reshape(h * s * h * s, k)
+    a = mat.reshape((h, h, s, s) + tail).swapaxes(1, 2)
+    return a.reshape((h * s * h * s,) + tail)
 
 
 def ancestor_map(d: int, j_from: int, j_to: int) -> np.ndarray:
@@ -296,8 +274,12 @@ def ancestor_map(d: int, j_from: int, j_to: int) -> np.ndarray:
     return (i0 >> t) * (1 << j_to) + (i1 >> t)
 
 
-def descendant_flat(d: int, j_from: int, j_to: int, base: np.ndarray, rel: int) -> np.ndarray:
-    """Flat level-j_to index of each base cube's descendant at local offset rel."""
+def descendant_flat(d: int, j_from: int, j_to: int, base, rel) -> np.ndarray:
+    """Flat level-j_to index of each base cube's descendant at local offset rel.
+
+    Local offsets number the depth-(j_to - j_from) descendants of a cube in
+    row-major order over their index vectors; base and rel broadcast.
+    """
     t = j_to - j_from
     if t < 0:
         raise GridError("descendant level must not precede base level")
@@ -420,10 +402,6 @@ class GridFunction:
     def __neg__(self):
         return GridFunction(self.grid, -self.values)
 
-    def times(self, other: "GridFunction") -> "GridFunction":
-        self._check(other)
-        return GridFunction(self.grid, self.values * other.values)
-
     def _check(self, other):
         if not isinstance(other, GridFunction) or other.grid != self.grid:
             raise GridError("grid mismatch")
@@ -459,9 +437,15 @@ def l2_norm(f: GridFunction, measure=None) -> float:
 # Haar system
 # ---------------------------------------------------------------------------
 
-# Tensor sign-pattern order for d=2: epsilon = (0,1), (1,0), (1,1); the sign of
-# child (c0,c1) under epsilon (e0,e1) is (-1)^(e0*c0 + e1*c1).
-_TENSOR_EPS = ((0, 1), (1, 0), (1, 1))
+# Tensor Haar sign table, (patterns, children) per dimension.  For d=2 the
+# patterns are epsilon = (0,1), (1,0), (1,1), and child (c0,c1), local index
+# 2*c0 + c1, has the sign (-1)^(e0*c0 + e1*c1) under epsilon (e0,e1).
+_HAAR_SIGNS = {
+    1: np.array([[1.0, -1.0]]),
+    2: np.array([[1.0, -1.0, 1.0, -1.0],
+                 [1.0, 1.0, -1.0, -1.0],
+                 [1.0, -1.0, -1.0, 1.0]]),
+}
 
 
 @dataclass(frozen=True)
@@ -499,15 +483,8 @@ def haar_basis(cube: DyadicCube) -> list[HaarFunction]:
     if cube.level >= cube.grid.N:
         raise GridError("cube at finest level has no Haar functions")
     scale = cube.volume ** -0.5
-    if cube.grid.d == 1:
-        return [HaarFunction(cube, (scale, -scale))]
-    out = []
-    for e0, e1 in _TENSOR_EPS:
-        vals = tuple(
-            scale * ((-1.0) ** (e0 * (c >> 1) + e1 * (c & 1))) for c in range(4)
-        )
-        out.append(HaarFunction(cube, vals))
-    return out
+    return [HaarFunction(cube, tuple((scale * row).tolist()))
+            for row in _HAAR_SIGNS[cube.grid.d]]
 
 
 def haar_coefficient(f: GridFunction, h: HaarFunction) -> float:

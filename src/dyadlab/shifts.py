@@ -26,6 +26,7 @@ from .grid import (
     DyadicGrid,
     GridError,
     GridFunction,
+    _HAAR_SIGNS,
     assemble_levels,
     cube_view,
     expand,
@@ -210,7 +211,7 @@ class GenericHaarShift:
                         raise ShiftError("entry cube more than tau levels below parent")
                     if q.level >= grid.N:
                         raise ShiftError("Haar cube must be above the finest level")
-                    if not 0 <= e < max(1, (1 << grid.d) - 1):
+                    if not 0 <= e < len(_HAAR_SIGNS[grid.d]):
                         raise ShiftError("bad Haar pattern index")
                 bound = math.sqrt(qp.volume * qpp.volume) / parent.volume
                 if abs(a) > bound * (1 + 1e-12):
@@ -244,20 +245,10 @@ class GenericHaarShift:
         return np.zeros_like(values) if out is None else out
 
 
-def _haar_sign_table(d: int) -> np.ndarray:
-    """(patterns, children) sign matrix of the tensor Haar system."""
-    if d == 1:
-        return np.array([[1.0, -1.0]])
-    eps = ((0, 1), (1, 0), (1, 1))
-    return np.array(
-        [[(-1.0) ** (e0 * (c >> 1) + e1 * (c & 1)) for c in range(4)] for e0, e1 in eps]
-    )
-
-
 def _haar_coefficient_arrays(grid: DyadicGrid, pyr) -> dict[int, np.ndarray]:
     """<f, h_Q^e> for all cubes from f's integral pyramid: level -> (patterns, count),
     with the pyramid's trailing batch axis, if any, carried through."""
-    signs = _haar_sign_table(grid.d)
+    signs = _HAAR_SIGNS[grid.d]
     out = {}
     for j in range(grid.N):
         child = subcell_matrix(pyr[j + 1], grid.d, 1)      # (count_j, 2^d[, m])
@@ -268,7 +259,7 @@ def _haar_coefficient_arrays(grid: DyadicGrid, pyr) -> dict[int, np.ndarray]:
 def _haar_reconstruct(grid: DyadicGrid, coefs: dict[int, np.ndarray]) -> np.ndarray | None:
     """Cell values of sum_{Q,e} c_{Q,e} h_Q^e, with the coefficients' trailing
     batch axis, if any; None when there are no levels."""
-    signs = _haar_sign_table(grid.d)
+    signs = _HAAR_SIGNS[grid.d]
     pieces = {      # level j+1 values of the level-j Haar terms
         j + 1: scatter_subcells(
             (2.0 ** (j * grid.d / 2.0)) * np.einsum("pk...,pc->kc...", coefs[j], signs),
@@ -331,7 +322,7 @@ def martingale_transform(signs, grid: DyadicGrid, separated: bool = False) -> Si
     """
     tau = 1
     levels = default_levels(grid, tau, separated)
-    sign_table = _haar_sign_table(grid.d)
+    sign_table = _HAAR_SIGNS[grid.d]
     npat = sign_table.shape[0]
     g, gamma = {}, {}
     for j in levels:
@@ -359,7 +350,7 @@ def random_signs(grid: DyadicGrid, seed: int) -> dict:
     """Seeded +/-1 sign assignment for every cube (and pattern at d=2)."""
     rng = np.random.default_rng(seed)
     out = {}
-    npat = 1 if grid.d == 1 else 3
+    npat = len(_HAAR_SIGNS[grid.d])
     for j in range(grid.N):
         draw = rng.integers(0, 2, size=(grid.level_count(j), npat)) * 2 - 1
         for flat in range(grid.level_count(j)):
@@ -545,9 +536,6 @@ class CZDecomposition:
         view = cube_view(vals, cube)
         view[...] = self._bad_local[key].reshape(view.shape)
         return GridFunction(self.source.grid, vals)
-
-    def bad_total(self) -> GridFunction:
-        return self.source - self.good
 
     def bad_measure(self) -> float:
         return sum(c.volume for c in self.bad_cubes)

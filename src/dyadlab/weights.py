@@ -91,11 +91,6 @@ class Weight:
     def total_mass(self) -> float:
         return float(self.sums[0][0])
 
-    def density_arrays(self) -> list[np.ndarray]:
-        """w(Q)/|Q| per level."""
-        d, N = self.grid.d, self.grid.N
-        return [self.sums[j] * (2.0 ** (j * d)) for j in range(N + 1)]
-
     def a2_characteristic(self) -> float:
         if self._a2 is None:
             object.__setattr__(self, "_a2", ap_characteristic(self, 2.0).characteristic)
@@ -145,29 +140,27 @@ def ap_characteristic(w: Weight, p: float = 2.0) -> ApReport:
     else:
         cell_int = w.values ** (-1.0 / (p - 1.0)) * g.cell_volume
         dual = integral_pyramid(cell_int, g.d, g.N)
-    best, best_level, best_flat = -np.inf, 0, 0
-    for j in range(g.N + 1):
-        inv_vol = 2.0 ** (j * g.d)
-        prod = (w.sums[j] * inv_vol) * (dual[j] * inv_vol) ** (p - 1.0)
-        k = int(np.argmax(prod))
-        if prod[k] > best:
-            best, best_level, best_flat = float(prod[k]), j, k
-    return ApReport(p, best, g.cube(best_level, best_flat))
+    return _ap_scan(g, p, w.sums, dual)
 
 
 def two_weight_a2(alpha: Weight, beta: Weight) -> ApReport:
     """sup over cubes of (alpha(Q)/|Q|) * (beta(Q)/|Q|) for a weight pair."""
     if alpha.grid != beta.grid:
         raise GridError("grid mismatch")
-    g = alpha.grid
+    return _ap_scan(alpha.grid, 2.0, alpha.sums, beta.sums)
+
+
+def _ap_scan(g: DyadicGrid, p: float, sums, other) -> ApReport:
+    """Max over all cubes of (sums(Q)/|Q|) * (other(Q)/|Q|)^(p-1), first
+    attaining cube in level then index order as witness."""
     best, best_level, best_flat = -np.inf, 0, 0
     for j in range(g.N + 1):
         inv_vol = 2.0 ** (j * g.d)
-        prod = (alpha.sums[j] * inv_vol) * (beta.sums[j] * inv_vol)
+        prod = (sums[j] * inv_vol) * (other[j] * inv_vol) ** (p - 1.0)
         k = int(np.argmax(prod))
         if prod[k] > best:
             best, best_level, best_flat = float(prod[k]), j, k
-    return ApReport(2.0, best, g.cube(best_level, best_flat))
+    return ApReport(p, best, g.cube(best_level, best_flat))
 
 
 def power_weight(a: float, grid: DyadicGrid) -> Weight:
@@ -269,7 +262,7 @@ def a_infty_modulus(mu: Weight, eps: float) -> float:
         k = int(math.floor(eps * m + 1e-9))
         if k == 0:
             continue
-        rows = subcell_matrix(cells, g.d, g.N - j) if j < g.N else cells.reshape(-1, 1)
+        rows = subcell_matrix(cells, g.d, g.N - j)
         part = np.partition(rows, m - k, axis=1)[:, m - k:]
         frac = part.sum(axis=1) / rows.sum(axis=1)
         eta = max(eta, float(frac.max()))

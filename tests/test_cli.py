@@ -192,10 +192,21 @@ def test_sweep_json_format(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
-def test_sweep_bad_config_exit_two(tmp_path):
+@pytest.mark.parametrize("text", [
+    "{{{",
+    json.dumps({"shift": {"kind": "nope"}}),
+    json.dumps({"weights": [{"family": "bogus"}]}),
+    json.dumps({"weights": [{"family": "power"}]}),
+    json.dumps({"grid": {"N": "six"}}),
+], ids=["broken-json", "shift-kind", "weight-family", "power-without-a", "grid-n"])
+def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     cfgp = tmp_path / "broken.json"
-    cfgp.write_text("{{{")
-    assert main(["sweep", "--config", str(cfgp)]) == EXIT_BAD_INPUT
+    cfgp.write_text(text)
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_out_flag_writes_payload(tmp_path, capsys):

@@ -2,8 +2,10 @@
 
 Each primitive is checked against a computation that does not use it: level
 arrays are carried to the finest level by indexing with `ancestor_map`
-instead of `expand`, and cube cells are addressed through
-`corona._extent_indices` instead of reshaped blocks.
+instead of `expand`, cube cells are addressed through
+`corona._extent_indices` instead of reshaped blocks, descendant numbering is
+checked against `DyadicCube.child` chains, and batched calls against the
+column-by-column stack of 1-D calls.
 """
 
 import numpy as np
@@ -16,8 +18,11 @@ from dyadlab.grid import (
     assemble_levels,
     build_grid,
     cube_view,
+    descendant_flat,
     expand,
     pool,
+    scatter_subcells,
+    subcell_matrix,
     suffix_sweep,
 )
 
@@ -101,3 +106,47 @@ def test_pool_and_expand_are_adjoint(dn, steps, seed):
     lhs = float(pool(x, d, steps) @ y)
     rhs = float(x @ expand(y, d, steps))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())
+
+
+@given(grids(max_n={1: 6, 2: 4}), st.data())
+@settings(max_examples=60, deadline=None)
+def test_descendant_flat_follows_child_chains_in_local_row_major_order(dn, data):
+    d, N = dn
+    grid = build_grid(d, N)
+    j = data.draw(st.integers(0, N))
+    t = data.draw(st.integers(0, N - j))
+    base = np.arange(grid.level_count(j))
+    rels = np.arange(1 << (t * d))
+    table = descendant_flat(d, j, j + t, base[:, None], rels)
+    for b in base:
+        chain = [grid.cube(j, int(b))]
+        for _ in range(t):
+            chain = [c for q in chain for c in q.children()]
+        row_major = sorted(chain, key=lambda c: c.index)
+        if t == 1:       # build_corona pairs children with parents in child order
+            assert row_major == chain
+        assert table[b].tolist() == [c.flat for c in row_major]
+        assert [int(descendant_flat(d, j, j + t, b, rel)) for rel in rels] == table[b].tolist()
+
+
+@given(grids(), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_batched_primitives_equal_the_column_stack(dn, steps, k, seed):
+    d, N = dn
+    steps = min(steps, N)
+    rng = np.random.default_rng(seed)
+    fine = rng.standard_normal((1 << (N * d), k))
+    fine[::3] = -0.0
+    coarse = fine[:1 << ((N - steps) * d)]
+    for op, arr in ((pool, fine), (expand, coarse), (subcell_matrix, fine),
+                    (scatter_subcells, subcell_matrix(fine, d, steps))):
+        batched = op(arr, d, steps)
+        stacked = np.stack([op(arr[..., c], d, steps) for c in range(k)], axis=-1)
+        assert batched.shape == stacked.shape
+        if op is pool and d == 2:
+            # numpy sums the four children of a d=2 cube in an order that
+            # depends on the array layout, so a batch may differ by rounding
+            bound = 8 * steps * np.finfo(float).eps * pool(np.abs(arr), d, steps)
+            assert (np.abs(batched - stacked) <= bound).all()
+        else:           # bitwise, signed zeros included
+            assert batched.tobytes() == stacked.tobytes()
