@@ -58,7 +58,7 @@ def _emit(payload: dict, out: str | None):
     sys.stdout.write(text)
 
 
-def _load_config(path: str | None, overrides: dict) -> ExperimentConfig:
+def _load_config(path: str | None) -> ExperimentConfig:
     obj = {}
     if path:
         try:
@@ -68,10 +68,15 @@ def _load_config(path: str | None, overrides: dict) -> ExperimentConfig:
             raise CliError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(obj, dict):
             raise CliError(f"config {path} is not a JSON object")
-    for key, val in overrides.items():
-        if val is not None:
-            obj[key] = val
     return ExperimentConfig.from_dict(obj)
+
+
+def _flag_shift(args, grid):
+    """The config and shift that the --d/--N, --shift, --tau, --seed and
+    --separated flags describe."""
+    cfg = ExperimentConfig(d=args.d, N=args.N, shift_kind=args.shift, tau=args.tau,
+                           shift_seed=args.seed, separated=args.separated)
+    return cfg, build_config_shift(cfg, grid)
 
 
 def _resolve_weight(args, grid):
@@ -103,11 +108,7 @@ def cmd_char(args) -> int:
 
 def cmd_norm(args) -> int:
     grid = build_grid(args.d, args.N)
-    cfg = ExperimentConfig(
-        d=args.d, N=args.N, shift_kind=args.shift, tau=args.tau,
-        shift_seed=args.seed, separated=args.separated,
-    )
-    T = build_config_shift(cfg, grid)
+    cfg, T = _flag_shift(args, grid)
     wid, w = _resolve_weight(args, grid)
     sigma, mu = (None, None) if args.family == "constant" and args.weight_file is None \
         else (w, dual_weight(w))
@@ -181,19 +182,14 @@ def cmd_corona(args) -> int:
 
 
 def cmd_test_conditions(args) -> int:
-    cfg = _load_config(args.config, {
-        "grid": {"d": args.d, "N": args.N},
-        "shift": {"kind": args.shift, "tau": args.tau, "seed": args.seed,
-                  "separated": args.separated},
-    })
-    grid = build_grid(cfg.d, cfg.N)
-    T = build_config_shift(cfg, grid)
+    grid = build_grid(args.d, args.N)
+    cfg, T = _flag_shift(args, grid)
     wid, w = _resolve_weight(args, grid)
     sigma, mu = w, dual_weight(w)
     rep = testing_constants(T, sigma, mu, norm_method=args.method)
     necessity = max(rep.c_wb, rep.c_t1, rep.c_tstar1) <= rep.full_norm + 1e-9
     _emit({
-        "command": "test-conditions", "grid": {"d": cfg.d, "N": cfg.N},
+        "command": "test-conditions", "grid": {"d": args.d, "N": args.N},
         "weight": wid,
         "shift": cfg.to_dict()["shift"],
         "report": rep.to_dict(),
@@ -205,10 +201,7 @@ def cmd_test_conditions(args) -> int:
 def cmd_lemmas(args) -> int:
     grid = build_grid(args.d, args.N)
     wid, w = _resolve_weight(args, grid)
-    cfg = ExperimentConfig(d=args.d, N=args.N, shift_kind=args.shift,
-                           tau=args.tau, shift_seed=args.seed,
-                           separated=args.separated)
-    T = build_config_shift(cfg, grid)
+    cfg, T = _flag_shift(args, grid)
 
     rng = np.random.default_rng(args.seed)
     f = GridFunction(grid, rng.standard_normal(grid.cell_count))
@@ -279,7 +272,7 @@ def _essence_bundle(args, w):
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args.config, {})
+    cfg = _load_config(args.config)
     if args.out:
         cfg.out_dir = args.out
     if args.fmt:
@@ -407,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p)
     _add_weight_flags(p)
     _add_shift_flags(p)
-    p.add_argument("--config", default=None)
     p.add_argument("--method", default="auto",
                    choices=("auto", "power-iteration", "dense-svd"))
     p.set_defaults(func=cmd_test_conditions)

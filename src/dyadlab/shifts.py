@@ -8,10 +8,11 @@ coefficients a_{Q',Q''} under a common parent with the size bound
 sqrt(|Q'||Q''|)/|Q|.  Application is matrix-free: one integral pyramid, one
 pairing pass per level, one expansion pass, costing O((2^(tau d) + N) 2^(Nd)).
 
-The module also provides operator norms between weighted L^2 spaces (power
-iteration against a dense oracle that takes the largest singular value from
-the eigenproblem of the symmetric Gram matrix M^T M), the dyadic
-Calderon-Zygmund decomposition, and a weak-L1 superlevel diagnostic.
+The module also provides operator norms between weighted L^2 spaces
+(matrix-free Golub-Kahan-Lanczos bidiagonalization against a dense oracle
+that takes the largest singular value from the eigenproblem of the symmetric
+Gram matrix M^T M), the dyadic Calderon-Zygmund decomposition, and a weak-L1
+superlevel diagnostic.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ class ShiftError(ValueError):
 
 
 class OperatorNormError(RuntimeError):
-    """Power iteration failed to converge; carries the last estimate bracket."""
+    """The Krylov norm iteration did not converge; `bracket` holds its last
+    two top Ritz values, which increase towards the norm."""
 
     def __init__(self, message, bracket):
         super().__init__(message)
@@ -431,10 +433,10 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
                   max_iter: int = 10_000, seed: int = _POWER_SEED) -> float:
     """Norm of f -> T(sigma f) from L2(sigma) to L2(mu).
 
-    `power-iteration` runs on the normal operator from a fixed seeded start
-    vector (see `power_iteration_norm` for the stopping rule); `dense-svd` is
-    the oracle for grids of at most 4096 cells; `auto` picks the oracle when
-    it is available.
+    `power-iteration` runs Golub-Kahan-Lanczos bidiagonalization from a fixed
+    seeded start vector (see `power_iteration_norm` for the stopping rule);
+    `dense-svd` is the oracle for grids of at most 4096 cells; `auto` picks
+    the oracle when it is available.
 
     The oracle takes the largest singular value of the dense matrix M as the
     square root of the top eigenvalue of the symmetric Gram matrix M^T M,
@@ -467,44 +469,43 @@ def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
                          max_iter: int = 10_000, seed: int = _POWER_SEED) -> float:
     """Largest singular value of a matrix M given as x -> Mx and y -> M^T y.
 
-    Power iteration on M^T M from a seeded Gaussian start.  The estimates
-    |Mv| increase towards the norm; once successive increments contract
-    geometrically, the Aitken remainder delta r / (1 - r) of the tail is
-    added and the loop stops when it drops below `tol` relative.  The first
-    steps typically jump and then stall, which fakes a tiny ratio r, so the
-    remainder is trusted only when the last two contraction ratios agree to
-    within half of the earlier one.
+    Golub-Kahan-Lanczos bidiagonalization from a seeded Gaussian start, with
+    full reorthogonalization of both Krylov bases; each step applies M and
+    M^T once.  After k steps M V_k = U_k B_k with B_k upper bidiagonal, and
+    the top singular triple (s, p, q) of B_k leaves the residual
+    |M^T U_k p - s V_k q| = beta_k |e_k^T p|.  The loop stops when that is at
+    most `tol` * s, and returns s, a lower bound for |M| that increases with
+    k by interlacing.  A zero alpha means the Krylov space is invariant and
+    B_k holds the exact top singular value (0.0 when M kills the start).
+    At most min(max_iter, n) steps run.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
-    est, est_prev, delta_prev, ratio_prev = None, None, None, None
-    for _ in range(max_iter):
-        est_prev = est
-        w = forward(v)
-        est = float(np.linalg.norm(w))
-        if est == 0.0:
-            return 0.0
-        u = backward(w)
-        nu = np.linalg.norm(u)
-        if nu == 0.0:
+    V, U, alphas, betas = [], [], [], []
+    est = est_prev = None
+    for _ in range(min(max_iter, n)):
+        u = forward(v) - (betas[-1] * U[-1] if U else 0.0)
+        for x in U:         # full reorthogonalization, in place
+            u -= (x @ u) * x
+        alpha = float(np.linalg.norm(u))
+        alphas.append(alpha)
+        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        est_prev, est = est, float(s[0])
+        if alpha == 0.0:
             return est
-        v = u / nu
-        if est_prev is not None:
-            delta = abs(est - est_prev)
-            if delta <= 1e-15 * est:
-                return est
-            if delta_prev:
-                r = delta / delta_prev
-                steady = ratio_prev is not None and abs(r - ratio_prev) <= 0.5 * ratio_prev
-                if r < 1.0 and steady:
-                    remainder = delta * r / (1.0 - r)
-                    if remainder <= tol * est:
-                        return est + remainder
-                ratio_prev = r
-            delta_prev = delta
+        V.append(v)
+        U.append(u / alpha)
+        p = backward(U[-1]) - alpha * v
+        for x in V:
+            p -= (x @ p) * x
+        beta = float(np.linalg.norm(p))
+        if beta * abs(left[-1, 0]) <= tol * est:
+            return est
+        betas.append(beta)
+        v = p / beta
     raise OperatorNormError(
-        f"power iteration did not converge in {max_iter} iterations",
+        f"Golub-Kahan-Lanczos did not converge in {len(alphas)} steps",
         bracket=(est_prev, est),
     )
 

@@ -221,8 +221,9 @@ def test_power_iteration_matches_dense_oracle():
 
 
 def test_power_iteration_does_not_stop_on_the_startup_jump():
-    # The first steps jump and then stall.  A remainder test that trusts the
-    # stall stops 14 of these 40 starts between 0.9998 and 1.0008.
+    # Power iteration's first steps jump and then stall, and a stopping rule
+    # that extrapolated from the estimates alone ended 14 of these 40 starts
+    # between 0.9998 and 1.0008.  The Krylov residual bound must not.
     g = build_grid(1, 8)
     T = hilbert_shift(g)
     w = power_weight(0.1, g)
@@ -231,6 +232,42 @@ def test_power_iteration_does_not_stop_on_the_startup_jump():
     assert dn == pytest.approx(1.017375858276546, rel=1e-12)
     for seed in range(40):
         assert operator_norm(T, w, wi, seed=seed) == pytest.approx(dn, rel=1e-6)
+
+
+def _power_case(seed):
+    g = build_grid(1, 10)
+    w = power_weight(0.1, g)
+    return {"T": hilbert_shift(g), "sigma": w, "mu": dual_weight(w), "seed": seed}
+
+
+def _tiny_case(d, N):
+    g = build_grid(d, N)
+    w = random_a2_weight(2, 3, g)
+    return {"T": random_simple_shift(1, 5, g), "sigma": w, "mu": dual_weight(w)}
+
+
+def _criterion_3_case(seed):
+    return {"T": random_simple_shift(1 + seed % 3, 10_000 + seed, build_grid(1, 10))}
+
+
+KRYLOV_CASES = {
+    # power iteration ran out of its 10,000 steps on this start
+    "hilbert-power0.1-N10-seed6": lambda: _power_case(6),
+    # rank-deficient operators on 4 and 16 cells exhaust the Krylov space
+    "tiny-d1-N2": lambda: _tiny_case(1, 2),
+    "tiny-d2-N1": lambda: _tiny_case(2, 1),
+    "tiny-d2-N2": lambda: _tiny_case(2, 2),
+    # criterion 3's instances with power iteration's largest gaps to dense (2e-10..6e-10)
+    **{f"criterion3-seed{s}": (lambda s=s: _criterion_3_case(s))
+       for s in (11, 59, 77, 85, 97)},
+}
+
+
+@pytest.mark.parametrize("case", list(KRYLOV_CASES))
+def test_krylov_norm_equals_dense_oracle(case):
+    args = KRYLOV_CASES[case]()
+    dn = operator_norm(**args, method="dense-svd")
+    assert operator_norm(**args) == pytest.approx(dn, rel=1e-12)
 
 
 def test_operator_norm_methods_and_errors():
