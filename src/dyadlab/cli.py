@@ -334,7 +334,9 @@ def cmd_sweep(args) -> int:
 
 
 def _add_common_flags(p):
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="one seed for every random draw of the command: the random "
+                        "shift, the cascade weight and lemmas' test function alike")
     p.add_argument("--out", default=None, help="output file or directory")
 
 

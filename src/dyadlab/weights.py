@@ -6,6 +6,13 @@ characteristic computations are exact and cheap.  Two generator families are
 provided: exact cell averages of power functions x^a (d=1), and a seeded
 multiplicative cascade whose realized A2 characteristic is steered into a
 dyadic target window.
+
+The cascade's A2 has a closed form: with e = fl(1 + delta) - 1 every cube at
+level j has A2 product (1 - e^2)^-(N-j), whatever the signs and d, up to
+rounding.  The bisection decides each step from that closed form and scans
+the realized weight only when the closed form lies within the relative margin
+64 (N+1) eps / (1 - e) of the target, over a hundred times the largest
+rounding deviation measured.
 """
 
 from __future__ import annotations
@@ -181,6 +188,32 @@ def power_weight(a: float, grid: DyadicGrid) -> Weight:
 
 
 _CASCADE_DELTA_CAP = 0.999
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _cascade_a2_closed_form(delta: float, N: int) -> float:
+    """(1 - e^2)^-N with e = fl(1 + delta) - 1: the cascade's A2 in exact arithmetic.
+
+    Every child pair realizes as (1 + e, 1 - e), up to rounding, so a cube's
+    w-average is its ancestor product and its w^{-1}-average is the inverse
+    ancestor product times (1 - e^2)^-(levels below it); the ancestor factors
+    cancel and the root attains the maximum.  1 - e and 1 + e are exact.
+    """
+    e = (1.0 + delta) - 1.0
+    return ((1.0 - e) * (1.0 + e)) ** -N
+
+
+def _cascade_a2_margin(delta: float, N: int) -> float:
+    """Relative distance within which the computed A2 may differ from the closed form.
+
+    Each of the N+1 levels adds a few rounding errors of relative size eps;
+    the - pairs round 1 - delta and 1 + delta separately, which perturbs
+    1 / ((1 - e)(1 + e)) by up to eps / (1 - e) per level.  The largest
+    deviation measured is (N+1) eps / (1 - e) / 2, so the 64 leaves a factor
+    of over 100.
+    """
+    e = (1.0 + delta) - 1.0
+    return 64.0 * (N + 1) * _EPS / (1.0 - e)
 
 
 def random_a2_weight(n: float, seed: int, grid: DyadicGrid) -> Weight:
@@ -188,47 +221,78 @@ def random_a2_weight(n: float, seed: int, grid: DyadicGrid) -> Weight:
 
     Children averages are parent * (1 +/- delta) in balanced pairs, so parent
     averages (hence all cube masses) are preserved exactly.  The signs are
-    drawn once from the seed; delta is then found by bisection so the realized
-    characteristic lands in [2^(n-1), 2^(n+1)].
+    drawn once from the seed; delta is then found by a 60-step bisection on
+    [0, _CASCADE_DELTA_CAP] so the realized characteristic lands in
+    [2^(n-1), 2^(n+1)].
+
+    Each bisection step asks whether A2(delta) < 2^n.  In exact arithmetic the
+    answer depends on delta alone: A2 = (1 - e^2)^-N with e = fl(1 + delta) - 1,
+    whatever the signs and d.  A step therefore realizes the weight and scans
+    its A2 only when that closed form lies within _cascade_a2_margin of the
+    target, where rounding could decide; every other decision, and hence the
+    weight, delta and meta, is the one the full scan gives.  The same rule
+    settles reachability at the cap, and the loop ends once the bracket holds
+    two adjacent floats, after which every step would repeat.  The weight
+    last realized at the upper end is the one returned.
     """
     if n < 0:
         raise WeightError("target exponent must be nonnegative")
+    try:
+        target = 2.0 ** n
+    except OverflowError:
+        target = math.inf
+    if not math.isfinite(target):
+        raise WeightError(f"target exponent must be finite with 2^n representable, got {n}")
     d, N = grid.d, grid.N
     rng = np.random.default_rng(seed)
-    # one sign per child pair: d=1 has one pair per cube, d=2 has two
-    signs = [
-        rng.integers(0, 2, size=((1 << (j * d)), 1 << (d - 1))) * 2.0 - 1.0
-        for j in range(N)
-    ]
+    # one sign draw per child pair (d=1 has one pair per cube, d=2 has two):
+    # draw 1 gives the pair (1 + delta, 2 - (1 + delta)), draw 0 gives
+    # (1 - delta, 2 - (1 - delta)); picks[j] indexes each level-(j+1) child's
+    # factor in that four-entry table, children in local row-major order
+    picks = []
+    for j in range(N):
+        up = rng.integers(0, 2, size=(1 << (j * d), 1 << (d - 1)))
+        picks.append(np.concatenate([2 - 2 * up, 3 - 2 * up], axis=1))
 
     def realize(delta: float) -> Weight:
+        plus, minus = 1.0 + delta, 1.0 - delta
+        table = np.array([plus, 2.0 - plus, minus, 2.0 - minus])
         avg = np.ones(1)
-        for j in range(N):
-            pair_factors = 1.0 + delta * signs[j]          # (count_j, 2^(d-1))
-            factors = np.concatenate([pair_factors, -pair_factors + 2.0], axis=1)
-            child = avg[:, None] * factors                 # (count_j, 2^d) local row-major
-            avg = scatter_subcells(child, d, 1)
+        for pick in picks:
+            avg = scatter_subcells(avg[:, None] * table[pick], d, 1)
         return Weight(GridFunction(grid, avg))
 
-    target = 2.0 ** n
+    def below_target(delta: float) -> tuple[bool, Weight | None]:
+        """Whether realize(delta) has A2 below the target, and that weight if
+        the closed form could not decide and it had to be realized."""
+        closed = _cascade_a2_closed_form(delta, N)
+        if abs(closed - target) > target * _cascade_a2_margin(delta, N):
+            return closed < target, None
+        w = realize(delta)
+        return w.a2_characteristic() < target, w
+
     if n == 0:
         w = realize(0.0)
         delta = 0.0
     else:
-        hi_char = realize(_CASCADE_DELTA_CAP).a2_characteristic()
-        if hi_char < target:
+        lo, hi = 0.0, _CASCADE_DELTA_CAP
+        below, hi_weight = below_target(hi)
+        if below:
+            hi_char = (realize(hi) if hi_weight is None else hi_weight).a2_characteristic()
             raise WeightError(
                 f"target 2^{n} unreachable at depth {N}: achievable range [1, {hi_char:.6g}]"
             )
-        lo, hi = 0.0, _CASCADE_DELTA_CAP
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if realize(mid).a2_characteristic() < target:
+            if mid == lo or mid == hi:
+                break
+            below, mid_weight = below_target(mid)
+            if below:
                 lo = mid
             else:
-                hi = mid
+                hi, hi_weight = mid, mid_weight
         delta = hi
-        w = realize(delta)
+        w = realize(delta) if hi_weight is None else hi_weight
     char = w.a2_characteristic()
     if not 2.0 ** (n - 1) <= char <= 2.0 ** (n + 1):
         raise WeightError(

@@ -231,3 +231,12 @@ def test_non_finite_weight_file_exit_two(tmp_path, capsys, bad):
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and "finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["2000", "nan", "inf"])
+def test_cascade_target_out_of_range_exit_two(capsys, n):
+    code = main(["char", "--N", "8", "--family", "cascade", "--n", n])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

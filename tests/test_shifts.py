@@ -28,7 +28,7 @@ from dyadlab import (
     weak_l1_ratio,
     zero_shift,
 )
-from dyadlab.shifts import default_levels
+from dyadlab.shifts import default_levels, power_iteration_norm
 
 
 # -- constructors -----------------------------------------------------------
@@ -268,6 +268,35 @@ def test_krylov_norm_equals_dense_oracle(case):
     args = KRYLOV_CASES[case]()
     dn = operator_norm(**args, method="dense-svd")
     assert operator_norm(**args) == pytest.approx(dn, rel=1e-12)
+
+
+def test_krylov_bases_stay_orthonormal_over_hundreds_of_steps():
+    # 20 top singular values within 2e-5 of 1, a bulk in [0.5, 0.9] and a
+    # 20-dimensional kernel: the norm needs over a hundred steps, long after
+    # the Lanczos recurrence alone has lost orthogonality; each of the two
+    # reorthogonalization sweeps and the three-term subtraction is needed to
+    # keep the vectors handed to M and M^T orthonormal
+    n = 300
+    rng = np.random.default_rng(0)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.concatenate([1.0 - 1e-6 * np.arange(20), np.linspace(0.5, 0.9, n - 40), np.zeros(20)])
+    M = (q1 * s) @ q2.T
+    V, U = [], []
+
+    def forward(x):
+        V.append(x.copy())
+        return M @ x
+
+    def backward(y):
+        U.append(y.copy())
+        return M.T @ y
+
+    est = power_iteration_norm(forward, backward, n)
+    assert len(V) > 100
+    assert est == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
+    for basis in (np.array(V), np.array(U)):
+        assert np.abs(basis @ basis.T - np.eye(len(basis))).max() < 1e-12
 
 
 def test_operator_norm_methods_and_errors():

@@ -17,6 +17,12 @@ from dyadlab import (
     random_a2_weight,
     two_weight_a2,
 )
+from dyadlab.grid import scatter_subcells
+from dyadlab.weights import (
+    _CASCADE_DELTA_CAP,
+    _cascade_a2_closed_form,
+    _cascade_a2_margin,
+)
 
 
 def brute_force_a2(w: Weight) -> tuple[float, tuple]:
@@ -228,3 +234,137 @@ def test_weight_rejects_non_finite_values(bad):
         Weight(vals, grid=g)
     with pytest.raises(GridError, match="finite"):
         Weight(GridFunction(g, vals))
+
+
+# ---------------------------------------------------------------------------
+# cascade bisection: the closed-form steering against the literal bisection
+# ---------------------------------------------------------------------------
+
+def _reference_signs(seed, grid):
+    rng = np.random.default_rng(seed)
+    return [
+        rng.integers(0, 2, size=((1 << (j * grid.d)), 1 << (grid.d - 1))) * 2.0 - 1.0
+        for j in range(grid.N)
+    ]
+
+
+def _reference_realize(signs, delta, grid):
+    avg = np.ones(1)
+    for j in range(grid.N):
+        pair_factors = 1.0 + delta * signs[j]
+        factors = np.concatenate([pair_factors, -pair_factors + 2.0], axis=1)
+        avg = scatter_subcells(avg[:, None] * factors, grid.d, 1)
+    return Weight(GridFunction(grid, avg))
+
+
+def _reference_random_a2_weight(n, seed, grid):
+    """The cascade as a plain 60-step bisection that scans A2 at every step."""
+    signs = _reference_signs(seed, grid)
+    target = 2.0 ** n
+    if n == 0:
+        w, delta = _reference_realize(signs, 0.0, grid), 0.0
+    else:
+        hi_char = _reference_realize(signs, _CASCADE_DELTA_CAP, grid).a2_characteristic()
+        if hi_char < target:
+            raise WeightError(
+                f"target 2^{n} unreachable at depth {grid.N}: achievable range [1, {hi_char:.6g}]"
+            )
+        lo, hi = 0.0, _CASCADE_DELTA_CAP
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _reference_realize(signs, mid, grid).a2_characteristic() < target:
+                lo = mid
+            else:
+                hi = mid
+        delta = hi
+        w = _reference_realize(signs, delta, grid)
+    char = w.a2_characteristic()
+    if not 2.0 ** (n - 1) <= char <= 2.0 ** (n + 1):
+        raise WeightError(
+            f"bisection failed to land in [2^{n - 1}, 2^{n + 1}]: got {char:.6g}"
+        )
+    w.meta.update({"family": "cascade", "parameters": {"n": n, "delta": delta},
+                   "seed": seed, "realized_A2": char})
+    return w
+
+
+def _outcome(make, *args):
+    try:
+        w = make(*args)
+    except WeightError as exc:
+        return ("error", str(exc))
+    return (w.values.tobytes(), repr(w.meta))
+
+
+def _assert_same_as_reference(n, seed, grid):
+    got = _outcome(random_a2_weight, n, seed, grid)
+    want = _outcome(_reference_random_a2_weight, n, seed, grid)
+    assert got == want, (n, seed, grid)
+
+
+_exponents = st.one_of(
+    st.integers(0, 40),
+    st.floats(0.0, 40.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.integers(1, 8), _exponents, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_cascade_bisection_matches_reference_d1(N, n, seed):
+    _assert_same_as_reference(n, seed, build_grid(1, N))
+
+
+@given(st.integers(1, 4), _exponents, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cascade_bisection_matches_reference_d2(N, n, seed):
+    _assert_same_as_reference(n, seed, build_grid(2, N))
+
+
+@pytest.mark.parametrize("d,N,n,seed", [
+    # delta lands within 0.002 of the cap, where the - pairs' rounding moves
+    # A2 furthest from the closed form
+    *[(d, N, n, seed) for d in (1, 2)
+      for N, n, seed in [(1, 8, 0), (1, 8.9, 3), (2, 17, 5), (3, 24, 1), (3, 26, 1)]],
+    # the cascade suite's cascade_weight(7) and (13) at N=12
+    (1, 12, 7, 3007), (1, 12, 5, 3013),
+    # the two-weight suite's instance 4 and both weights of instance 11 at N=10
+    (1, 10, 4, 1004), (1, 10, 3, 1311), (1, 10, 3, 1711),
+])
+def test_cascade_bisection_pinned_keys_match_reference(d, N, n, seed):
+    _assert_same_as_reference(n, seed, build_grid(d, N))
+
+
+_deltas = st.one_of(
+    st.floats(0.0, _CASCADE_DELTA_CAP),
+    st.floats(0.99, _CASCADE_DELTA_CAP),
+    st.floats(0.0, 1e-3),
+)
+
+
+@pytest.mark.parametrize("d,max_N", [(1, 10), (2, 5)])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_cascade_a2_products_follow_closed_form(d, max_N, data):
+    # every cube at level j has A2 product (1 - e^2)^-(N - j), whatever the
+    # signs, up to rounding well inside the margin the bisection relies on
+    N = data.draw(st.integers(1, max_N))
+    delta = data.draw(_deltas)
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    grid = build_grid(d, N)
+    w = _reference_realize(_reference_signs(seed, grid), delta, grid)
+    margin = _cascade_a2_margin(delta, N)
+    worst = 0.0
+    for j in range(N + 1):
+        inv_vol = 2.0 ** (j * d)
+        prod = (w.sums[j] * inv_vol) * (w.dual_sums[j] * inv_vol)
+        closed = _cascade_a2_closed_form(delta, N - j)
+        worst = max(worst, float(np.abs(prod / closed - 1.0).max()))
+    assert worst <= margin / 16, (worst, margin)
+    root = _cascade_a2_closed_form(delta, N)
+    assert abs(w.a2_characteristic() / root - 1.0) <= margin / 16
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2000, 1024.0, 10**400])
+def test_cascade_rejects_non_finite_target(n):
+    with pytest.raises(WeightError, match="finite"):
+        random_a2_weight(n, 0, build_grid(1, 4))
