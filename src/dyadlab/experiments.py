@@ -223,6 +223,13 @@ def calibrate_essence_k(data, t_values=ESSENCE_T_VALUES,
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One weight of a configured (CLI) sweep.
+
+    `norm` is `operator_norm(T, w, dual_weight(w))`: the norm of T on
+    L2(w^-1), which is the norm of the adjoint T* on L2(w).  Criterion 6 and
+    `power_sweep_norms` (the calibration's `a2_sweep`) measure T on L2(w).
+    """
+
     weight_id: str
     a2: float
     norm: float
@@ -473,6 +480,7 @@ def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
 
 
 def _sweep_row(args) -> SweepRow:
+    """The row of one weight; its `norm` is T on L2(w^-1), T* on L2(w)."""
     cfg_dict, spec = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
     grid = build_grid(cfg.d, cfg.N)

@@ -18,8 +18,10 @@ Functions constant on the cells are handled in Lebesgue-orthonormal
 coordinates (cell value times the square root of the cell length), in which
 the Haar transform of the partition tree is orthogonal.  The operator is the
 dyadic Hilbert shift compressed to cell-constant functions, P T P with P the
-cell averaging; every number stays within the range of the weight values
-however deep the partition goes.
+cell averaging.  The pair (g_Q, gamma_Q) that T puts on every cube is read
+once from `shifts.hilbert_shift` on (h_Q, h_Q-, h_Q+) and applied to the
+partition tree in one stencil pass; the adjoint swaps the pair.  Every number
+stays within the range of the weight values however deep the partition goes.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import MAX_DEPTH, GridError, build_grid, integral_pyramid
-from .shifts import ShiftError, power_iteration_norm
-from .weights import WeightError, power_weight
+from .grid import MAX_DEPTH, GridError, GridFunction, build_grid, haar_basis, haar_coefficient
+from .shifts import ShiftError, hilbert_shift, power_iteration_norm
+from .weights import Weight, WeightError, power_weight, two_weight_a2
 
 SHELL_LEVELS = 3                 # each shell is cut into 2^3 = 8 cells
 SHELL_CELLS = 1 << SHELL_LEVELS
@@ -161,46 +163,49 @@ def _tree_synthesis(s, coefs):
 # the compressed dyadic Hilbert shift
 # ---------------------------------------------------------------------------
 
-def _tree_shift(c):
-    """h_Q -> (h_Q- - h_Q+)/sqrt(2) inside one tree; the deepest level's
-    children are cells, whose Haar functions the compression drops."""
-    out = [np.zeros_like(c[0])] if c else []
-    for lev in c[:-1]:
-        nxt = np.empty((lev.shape[0], 2 * lev.shape[1]) + lev.shape[2:])
-        nxt[:, 0::2] = lev * _R2
-        nxt[:, 1::2] = -lev * _R2
-        out.append(nxt)
-    return out
+def _root_profile():
+    """`hilbert_shift`'s g_Q and gamma_Q on (h_Q, h_Q-, h_Q+), Q the root."""
+    grid = build_grid(1, 2)
+    T, root = hilbert_shift(grid), grid.root()
+    basis = [h for cube in (root, *root.children()) for h in haar_basis(cube)]
+    return [tuple(haar_coefficient(GridFunction(grid, prof[0, 0]), h) for h in basis)
+            for prof in (T.g[0], T.gamma[0])]
 
 
-def _tree_shift_adjoint(d):
-    out = [(nxt[:, 0::2] - nxt[:, 1::2]) * _R2 for nxt in d[1:]]
-    if d:
-        out.append(np.zeros_like(d[-1]))
-    return out
+_G, _GAMMA = _root_profile()        # (1, 0, 0) and (0, sqrt(1/2), -sqrt(1/2))
 
 
-def _hilbert_coefs(coefs):
+def _families(coefs):
+    """(Q, Q-, Q+) views of the Haar coefficients, each node Q of the partition
+    tree once; None is a child that is a cell, whose Haar functions P drops."""
+    _, c_un, c_sp, c_sh = coefs
+    fams = [(c, n[:, 0::2], n[:, 1::2])
+            for tree in (c_un, c_sh) for c, n in zip(tree, tree[1:])]
+    top = c_un[-1]
+    if not len(c_sp):
+        return fams + [(top, None, None)]
+    # the cell [0, 2^-M) is spine node M; spine node k has children spine k+1
+    # (the tail cell for k = D-1) and shell k
+    return fams + [(top[:, :1], c_sp[None, :1], None), (top[:, 1:], None, None),
+                   (c_sp[:-1], c_sp[1:], c_sh[0][:-1, 0]),
+                   (c_sp[-1:], None, c_sh[0][-1:, 0]), (c_sh[-1], None, None)]
+
+
+def _shift_coefs(coefs, adjoint):
+    """sum_Q <c, g_Q> gamma_Q over the nodes Q of the partition tree; the
+    adjoint swaps g and gamma as `SimpleHaarShift.adjoint` does."""
+    g, gamma = (_GAMMA, _G) if adjoint else (_G, _GAMMA)
     s_un, c_un, c_sp, c_sh = coefs
-    d_un, d_sh = _tree_shift(c_un), _tree_shift(c_sh)
-    d_sp = np.zeros_like(c_sp)
-    if len(c_sp):
-        # [0, 2^-(M-1)) -> left child spine M; spine k -> spine k+1 and shell k
-        d_sp[0] = c_un[-1][0, 0] * _R2
-        d_sp[1:] = c_sp[:-1] * _R2
-        d_sh[0][:, 0] -= c_sp * _R2
-    return np.zeros_like(s_un), d_un, d_sp, d_sh
-
-
-def _hilbert_coefs_adjoint(coefs):
-    s_un, d_un, d_sp, d_sh = coefs
-    c_un, c_sh = _tree_shift_adjoint(d_un), _tree_shift_adjoint(d_sh)
-    c_sp = np.zeros_like(d_sp)
-    if len(d_sp):
-        c_un[-1][0, 0] += d_sp[0] * _R2
-        c_sp[:-1] = d_sp[1:] * _R2
-        c_sp -= d_sh[0][:, 0] * _R2
-    return np.zeros_like(s_un), c_un, c_sp, c_sh
+    out = (np.zeros_like(s_un), [np.zeros_like(c) for c in c_un], np.zeros_like(c_sp),
+           [np.zeros_like(c) for c in c_sh])
+    for src, dst in zip(_families(coefs), _families(out)):
+        reads = [(a, x) for a, x in zip(g, src) if a and x is not None]
+        writes = [(a, y) for a, y in zip(gamma, dst) if a and y is not None]
+        if reads and writes:
+            t = sum(a * x for a, x in reads)
+            for a, y in writes:
+                y += a * t
+    return out
 
 
 def hilbert_compressed(part: ShellPartition, x: np.ndarray, adjoint: bool = False) -> np.ndarray:
@@ -213,9 +218,8 @@ def hilbert_compressed(part: ShellPartition, x: np.ndarray, adjoint: bool = Fals
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != part.cell_count:
         raise GridError("cell array does not match the partition")
-    col = x.reshape(x.shape[0], -1)
-    step = _hilbert_coefs_adjoint if adjoint else _hilbert_coefs
-    return part.synthesis(step(part.analysis(col))).reshape(x.shape)
+    coefs = _shift_coefs(part.analysis(x.reshape(x.shape[0], -1)), adjoint)
+    return part.synthesis(coefs).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +248,8 @@ class PartitionWeight:
         """sup over the dyadic cubes of avg_Q(w) avg_Q(1/w).
 
         Cubes inside a cell give 1; the others are unions of cells.  On the
-        uniform block the arithmetic is that of `Weight.a2_characteristic`, so
-        D = M reproduces the grid value exactly.
+        uniform block the scan is `weights.two_weight_a2`, so D = M reproduces
+        the grid value exactly.
         """
         part = self.partition
         w_tail, w_sh, w_un = part._split(self.values)
@@ -264,13 +268,9 @@ class PartitionWeight:
                 w_cells[0] = 0.5 * (w_cells[0] + wa[k, 0])
                 v_cells[0] = 0.5 * (v_cells[0] + va[k, 0])
                 best = max(best, float(w_cells[0] * v_cells[0]))
-        vol = 2.0 ** -part.depth
-        sums = integral_pyramid(w_cells * vol, 1, part.depth)
-        dual = integral_pyramid(v_cells * vol, 1, part.depth)
-        for j in range(part.depth + 1):
-            inv_vol = 2.0 ** j
-            best = max(best, float(((sums[j] * inv_vol) * (dual[j] * inv_vol)).max()))
-        return best
+        grid = build_grid(1, part.depth)
+        uniform = two_weight_a2(Weight(w_cells, grid), Weight(v_cells, grid))
+        return max(best, uniform.characteristic)
 
 
 def partition_power_weight(a: float, part: ShellPartition) -> PartitionWeight:

@@ -18,7 +18,7 @@ import os
 import numpy as np
 
 from .grid import DyadicGrid, GridError, GridFunction, build_grid
-from .shifts import SimpleHaarShift
+from .shifts import ShiftError, SimpleHaarShift
 from .weights import Weight
 
 SCHEMA_VERSION = "dyadlab/1"
@@ -85,6 +85,8 @@ def load_grid_function(header_path: str) -> GridFunction:
         grid = build_grid(int(header["d"]), int(header["N"]))
     except (GridError, ValueError, TypeError) as exc:
         raise FormatError(f"bad grid parameters: {exc}") from exc
+    if not isinstance(header["data"], str):
+        raise FormatError("header field 'data' must be a file name")
     data_path = os.path.join(os.path.dirname(header_path) or ".", header["data"])
     try:
         if header["format"] == "binary-le":
@@ -111,10 +113,13 @@ def save_weight(w: Weight, base: str, fmt: str = "binary") -> str:
 
 def load_weight(header_path: str) -> Weight:
     header = _read_json(header_path)
+    meta = header.get("weight_meta", {})
+    if not isinstance(meta, dict):
+        raise FormatError("header field 'weight_meta' must be a JSON object")
     gf = load_grid_function(header_path)
     if gf.values.min() <= 0:
         raise FormatError("weight payload has nonpositive values")
-    return Weight(gf, meta=header.get("weight_meta", {}))
+    return Weight(gf, meta=meta)
 
 
 def save_shift(T: SimpleHaarShift, base: str) -> str:
@@ -184,7 +189,7 @@ def load_shift(header_path: str) -> SimpleHaarShift:
         raise FormatError(f"cannot read payload: {exc}") from exc
     g, gamma = {}, {}
     for level, profile, offset, shape in blocks:
-        if profile not in ("g", "gamma") or offset < 0 or min(shape) < 0:
+        if profile not in ("g", "gamma") or offset < 0 or offset % 8 or min(shape) < 0:
             raise FormatError(f"bad shift block at level {level}")
         start, size = offset // 8, shape[0] * shape[1] * shape[2]
         arr = raw[start:start + size]
@@ -193,8 +198,11 @@ def load_shift(header_path: str) -> SimpleHaarShift:
         (g if profile == "g" else gamma)[level] = arr.reshape(shape)
     if any(j not in g or j not in gamma for j in levels):
         raise FormatError("shift header lists a level without its g and gamma blocks")
-    return SimpleHaarShift(
-        grid, tau, levels, g, gamma,
-        separated=bool(header.get("separated", False)),
-        meta={"kind": header.get("shift_kind"), "seed": header.get("seed")},
-    )
+    try:
+        return SimpleHaarShift(
+            grid, tau, levels, g, gamma,
+            separated=bool(header.get("separated", False)),
+            meta={"kind": header.get("shift_kind"), "seed": header.get("seed")},
+        )
+    except (GridError, ShiftError) as exc:
+        raise FormatError(f"shift blocks rejected: {exc}") from exc

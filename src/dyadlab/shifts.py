@@ -108,7 +108,7 @@ class SimpleHaarShift:
                 _check_profile_block(gb, j, self.tau, grid)
                 _check_profile_block(cb, j, self.tau, grid)
             if gb.shape != cb.shape:
-                raise ShiftError("g and gamma blocks must have matching shapes")
+                raise ShiftError(f"g and gamma blocks at level {j} must have matching shapes")
             self.g[j] = gb
             self.gamma[j] = cb
         self.separated = bool(separated)

@@ -240,3 +240,18 @@ def test_cascade_target_out_of_range_exit_two(capsys, n):
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("data", None), ("data", 3), ("weight_meta", "abc"),
+                                       ("weight_meta", [1])])
+def test_mistyped_weight_header_exit_two(tmp_path, capsys, key, value):
+    header = save_weight(power_weight(0.25, build_grid(1, 4)), str(tmp_path / "h"))
+    obj = json.loads(open(header).read())
+    obj[key] = value
+    with open(header, "w") as fh:
+        json.dump(obj, fh)
+    code = main(["char", "--N", "4", "--weight-file", header])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -13,11 +13,13 @@ from dyadlab import (
     dense_matrix,
     dual_weight,
     hilbert_shift,
+    martingale_transform,
     operator_norm,
     partition_operator_norm,
     partition_power_weight,
     power_weight,
 )
+from dyadlab import partition
 from dyadlab.partition import SHELL_LEVELS, compressed_matrix, hilbert_compressed
 import dyadlab.experiments as exp
 
@@ -82,6 +84,28 @@ def test_refined_partition_matches_its_embedding_in_a_fine_grid(a):
     fine_matrix = dense_matrix(hilbert_shift(g), dual_weight(w), w)
     compressed = E.T @ fine_matrix @ E
     assert np.abs(compressed_matrix(part, pw.dual(), pw) - compressed).max() <= 1e-13
+    # the adjoint against the fine grid's own adjoint shift, not the transpose
+    # of the partition's forward operator
+    eye = np.eye(part.cell_count)
+    adjoint = E.T @ dense_matrix(hilbert_shift(g).adjoint()) @ E
+    assert np.abs(hilbert_compressed(part, eye, adjoint=True) - adjoint).max() <= 1e-13
+
+
+@pytest.mark.parametrize("M,D", [(4, 8), (1, 5), (3, 3)])
+def test_stencil_pass_reaches_every_node_of_the_partition_tree(monkeypatch, M, D):
+    # the Hilbert pair never pairs a node with itself, so nodes whose children
+    # are both cells are only exercised by a pair with g_Q = gamma_Q = h_Q: the
+    # martingale transform with all signs +1
+    monkeypatch.setattr(partition, "_G", (1.0, 0.0, 0.0))
+    monkeypatch.setattr(partition, "_GAMMA", (1.0, 0.0, 0.0))
+    part = ShellPartition(M, D)
+    N = part.refinement + SHELL_LEVELS
+    g = build_grid(1, N)
+    _, E = _embedding(part, N)
+    compressed = E.T @ dense_matrix(martingale_transform({}, g)) @ E
+    eye = np.eye(part.cell_count)
+    for adjoint in (False, True):
+        assert np.abs(hilbert_compressed(part, eye, adjoint=adjoint) - compressed).max() <= 1e-13
 
 
 @pytest.mark.parametrize("a", [0.75, 0.95])

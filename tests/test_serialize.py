@@ -4,7 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from dyadlab import GridFunction, apply_shift, build_grid, random_a2_weight, random_simple_shift
+from dyadlab import (
+    GridError,
+    GridFunction,
+    ShiftError,
+    WeightError,
+    apply_shift,
+    build_grid,
+    power_weight,
+    random_a2_weight,
+    random_simple_shift,
+)
 from dyadlab.serialize import (
     FormatError,
     load_grid_function,
@@ -130,3 +140,89 @@ def test_shift_header_missing_or_mistyped_key_raises(tmp_path, where, key):
         json.dump(header, fh)
     with pytest.raises(FormatError):
         load_shift(header_path)
+
+
+def _rewrite(path, header):
+    with open(path, "w") as fh:
+        json.dump(header, fh)
+
+
+@pytest.mark.parametrize("offset", [4, 12, -8, 1.5])
+def test_shift_block_offset_must_be_a_whole_float64(tmp_path, offset):
+    header_path = save_shift(random_simple_shift(2, 3, build_grid(1, 5)), str(tmp_path / "s"))
+    header = json.loads(open(header_path).read())
+    header["blocks"][1]["offset"] = offset
+    _rewrite(header_path, header)
+    with pytest.raises(FormatError):
+        load_shift(header_path)
+
+
+def _move_level(old, new):
+    def mutate(header):
+        for block in header["blocks"]:
+            if block["level"] == old:
+                block["level"] = new
+        header["levels"] = [new if j == old else j for j in header["levels"]]
+    return mutate
+
+
+def _reshape_block(**shape):
+    def mutate(header):
+        header["blocks"][3].update(shape)          # the gamma block of level 1
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,level", [
+    (_move_level(3, 4), 4),                         # too deep for tau=2 on N=5
+    (_move_level(0, -1), -1),
+    (_reshape_block(terms=2, cubes=1), 1),          # same size, wrong shape
+    (_reshape_block(cubes=4, subcells=2), 1),
+], ids=["too-deep", "negative", "cubes", "subcells"])
+def test_shift_block_rejected_by_the_shift_raises_format_error(tmp_path, mutate, level):
+    header_path = save_shift(random_simple_shift(2, 3, build_grid(1, 5)), str(tmp_path / "s"))
+    header = json.loads(open(header_path).read())
+    mutate(header)
+    _rewrite(header_path, header)
+    with pytest.raises(FormatError, match=f"level {level}"):
+        load_shift(header_path)
+
+
+_FUZZ_VALUES = (None, "x", [], {}, 1.5, -1, 0, 10**6, True, [1])
+_LIBRARY_ERRORS = (FormatError, GridError, WeightError, ShiftError)
+
+
+def _fuzz_cases(tmp_path):
+    g = build_grid(1, 5)
+    cases = [
+        (load_grid_function,
+         save_grid_function(GridFunction.constant(g, 1.0), str(tmp_path / "f"))),
+        (load_weight, save_weight(power_weight(0.5, g), str(tmp_path / "w"))),
+        (load_shift, save_shift(random_simple_shift(2, 3, g), str(tmp_path / "s"))),
+    ]
+    for loader, path in cases:
+        header = json.loads(open(path).read())
+        keys = [(None, k) for k in header]
+        keys += [("block", k) for k in header.get("blocks", [{}])[0]]
+        yield loader, path, header, keys
+
+
+def test_loader_header_fuzz_raises_only_library_errors(tmp_path):
+    """Every header key, and every key of the first shift block, set to each
+    of a few wrong values: the loaders may refuse, but only with the
+    library's own error types."""
+    escaped, mutations = [], 0
+    for loader, path, header, keys in _fuzz_cases(tmp_path):
+        for where, key in keys:
+            for value in _FUZZ_VALUES:
+                mutated = json.loads(json.dumps(header))
+                (mutated if where is None else mutated["blocks"][0])[key] = value
+                _rewrite(path, mutated)
+                mutations += 1
+                try:
+                    loader(path)
+                except _LIBRARY_ERRORS:
+                    pass
+                except Exception as exc:    # noqa: BLE001 - collected and reported below
+                    escaped.append((loader.__name__, where, key, value, type(exc).__name__))
+    assert mutations == 310
+    assert escaped == []
