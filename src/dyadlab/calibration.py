@@ -38,11 +38,8 @@ def compute_calibration(verbose: bool = True) -> dict:
     """Run every pinned suite and collect the observed constants."""
     from . import experiments as exp
     from .corona import carleson_check, packing_check
-    from .estimates import weak_boundedness_from_t1_check, bold_h
-    from .shifts import random_simple_shift, weak_l1_ratio
-    from .weights import random_a2_weight
-    from .grid import build_grid
-    from .corona import qn_partition
+    from .estimates import bold_h, corona_ab_split, weak_boundedness_from_t1_check
+    from .shifts import weak_l1_ratio
     from .partition import SHELL_CELLS
 
     def log(msg):
@@ -61,19 +58,32 @@ def compute_calibration(verbose: bool = True) -> dict:
     chars, norms = exp.power_sweep_norms()
     constants["a2_sweep"] = exp.sweep_models(chars, norms)
 
-    log("[3/7] corona overlap ratios (cascade suite, N=12) ...")
-    overlap_max, carleson_max = 0.0, 0.0
+    # stages 3-5 share one pass: each cascade index builds its weight, shift,
+    # Q_n partition and class coronas once
+    log("[3-5/7] corona overlap, essence distribution, partial-sum and "
+        "corona-split constants (cascade suite, N=12) ...")
+    overlap_max = carleson_max = bold_max = ab_a_max = ab_b_max = 0.0
+    data = []
     for i in range(exp.CASCADE_COUNT):
-        w = exp.cascade_weight(i)
+        w, T = exp.cascade_weight(i), exp.essence_shift(i)
         corona = exp.corona_for(w)
-        pk = packing_check(corona)
-        overlap_max = max(overlap_max, pk.overlap_ratio)
+        overlap_max = max(overlap_max, packing_check(corona).overlap_ratio)
         carleson_max = max(carleson_max, carleson_check(corona).worst_ratio)
+        coronas, cases = exp.class_coronas(w, T)
+        data += exp.essence_distributions(w, T, cases)
+        if i >= 50:
+            continue
+        a2 = w.a2_characteristic()
+        for n, cls, q0, sub in coronas:
+            if i < 30:
+                bold = bold_h(cls, T, w).value / (2.0 ** (n / 2.0) * math.sqrt(a2))
+                bold_max = max(bold_max, bold)
+            ab = corona_ab_split(q0, n, sub, T, w)
+            scale = (2.0 ** n) * a2 * w.mass(q0)
+            ab_a_max = max(ab_a_max, ab.a_part / scale)
+            ab_b_max = max(ab_b_max, ab.b_part / scale)
     constants["overlap_ratio_max"] = overlap_max
     constants["carleson_ratio_max"] = carleson_max
-
-    log("[4/7] essence distribution suite (cascade suite, N=12) ...")
-    data = exp.collect_essence_distributions(range(exp.CASCADE_COUNT))
     k = exp.calibrate_essence_k(data)
     leb, dua = exp.essence_aggregate_masses(data, k)
     constants["essence"] = {
@@ -84,30 +94,6 @@ def compute_calibration(verbose: bool = True) -> dict:
         "dual_masses": list(dua),
         "case_count": len(data),
     }
-
-    log("[5/7] partial-sum and corona-split constants (N=12) ...")
-    bold_max = 0.0
-    ab_a_max, ab_b_max = 0.0, 0.0
-    from .estimates import corona_ab_split
-    for i in range(50):
-        w = exp.cascade_weight(i)
-        T = exp.essence_shift(i)
-        a2 = w.a2_characteristic()
-        qn = qn_partition(w, levels=T.levels)
-        for n in qn.n_values():
-            cls = qn.classes[n]
-            if i < 30:
-                rep = bold_h(cls, T, w)
-                bold_max = max(
-                    bold_max, rep.value / (2.0 ** (n / 2.0) * math.sqrt(a2))
-                )
-            q0 = cls.cubes()[0]
-            members = cls.restrict_under(q0)
-            corona = exp.build_corona(w, members, q0, stopping_levels=T.levels)
-            ab = corona_ab_split(q0, n, corona, T, w)
-            scale = (2.0 ** n) * a2 * w.mass(q0)
-            ab_a_max = max(ab_a_max, ab.a_part / scale)
-            ab_b_max = max(ab_b_max, ab.b_part / scale)
     constants["bold_h_ratio_max"] = bold_max
     constants["ab_split"] = {"a_ratio_max": ab_a_max, "b_ratio_max": ab_b_max}
 
@@ -126,10 +112,8 @@ def compute_calibration(verbose: bool = True) -> dict:
 
     log("[7/7] derived weak-boundedness ratios (N=8) ...")
     i2_max, large_max = 0.0, 0.0
-    g8 = build_grid(1, exp.WEAK_L1_DEPTH)
-    for i in range(5):
-        w = random_a2_weight(1 + i % 4, 9000 + i, g8)
-        T = random_simple_shift(2, 9100 + i, g8)
+    for i in range(exp.WEAK_BOUNDEDNESS_COUNT):
+        T, w = exp.weak_boundedness_instance(i)
         rep = weak_boundedness_from_t1_check(T, w)
         i2_max = max(i2_max, rep.i2_worst)
         large_max = max(large_max, rep.largescale_worst)

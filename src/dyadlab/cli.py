@@ -30,12 +30,13 @@ from .experiments import (
     ExperimentConfig,
     build_config_shift,
     build_config_weight,
+    class_corona,
     corona_for,
     jn_boundary_family,
     run_sweep,
     sweep_models,
 )
-from .serialize import FormatError, dumps_json, load_weight
+from .serialize import FormatError, dumps_json
 
 SCHEMA = "dyadlab-cli/1"
 
@@ -80,20 +81,8 @@ def _flag_shift(args, grid):
 
 
 def _resolve_weight(args, grid):
-    if args.weight_file:
-        try:
-            w = load_weight(args.weight_file)
-        except FormatError as exc:
-            raise CliError(str(exc)) from exc
-        if w.grid != grid:
-            raise CliError("weight file grid does not match --d/--N")
-        return f"file:{args.weight_file}", w
-    spec = {"family": args.family}
-    if args.family == "power":
-        spec["a"] = args.a
-    if args.family == "cascade":
-        spec["n"] = args.n
-        spec["seed"] = args.seed
+    spec = ({"family": "file", "path": args.weight_file} if args.weight_file else
+            {"family": args.family, "a": args.a, "n": args.n, "seed": args.seed})
     return build_config_weight(spec, grid)
 
 
@@ -240,7 +229,7 @@ def cmd_lemmas(args) -> int:
 def _essence_bundle(args, w):
     """Distributional-decay data on the deepest-class corona fibers."""
     from .calibration import load_calibration
-    from .corona import build_corona, qn_partition
+    from .corona import qn_partition
     from .estimates import essence_check
     from .shifts import random_simple_shift
 
@@ -249,9 +238,7 @@ def _essence_bundle(args, w):
     T = random_simple_shift(max(args.tau, 1), args.seed, grid, separated=True)
     qn = qn_partition(w, levels=T.levels)
     n = max(qn.n_values())
-    cls = qn.classes[n]
-    q0 = cls.cubes()[0]
-    corona = build_corona(w, cls.restrict_under(q0), q0, stopping_levels=T.levels)
+    _q0, corona = class_corona(w, qn.classes[n], T.levels)
     curves = []
     ok = True
     for L in corona.stopping_cubes()[:4]:

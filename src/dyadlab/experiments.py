@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .grid import DyadicGrid, GridError, GridFunction, build_grid
+from .grid import DyadicCube, DyadicGrid, GridError, GridFunction, build_grid
 from .weights import Weight, WeightError, dual_weight, power_weight, random_a2_weight
 from .shifts import (
     ShiftError,
@@ -27,6 +27,7 @@ from .shifts import (
 from .partition import ShellPartition, partition_operator_norm, partition_power_weight
 from .corona import CoronaDecomposition, CubeSet, build_corona, qn_partition
 from .estimates import ProfileFamily, fit_slope, h_functional, jn_check, testing_constants
+from .serialize import FormatError, load_weight
 
 WORKERS_ENV = "DYADLAB_WORKERS"
 
@@ -50,6 +51,7 @@ ESSENCE_TAU = 2
 ESSENCE_T_VALUES = tuple(range(1, 9))
 WEAK_L1_DEPTH = 8
 WEAK_L1_TRIALS = 100
+WEAK_BOUNDEDNESS_COUNT = 5
 JN_COUNT = 50
 JN_DEPTH = 10
 
@@ -59,6 +61,15 @@ def worker_count() -> int:
         return max(1, int(os.environ.get(WORKERS_ENV, "1")))
     except ValueError:
         return 1
+
+
+def _map_workers(fn, jobs) -> list:
+    """`fn` over `jobs` in order, on `worker_count()` processes if above 1."""
+    workers = worker_count()
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, jobs))
+    return [fn(j) for j in jobs]
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +110,7 @@ def _two_weight_row(i: int) -> dict:
 
 
 def run_two_weight_suite(count: int = TWO_WEIGHT_COUNT) -> list[dict]:
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_two_weight_row, range(count)))
-    return [_two_weight_row(i) for i in range(count)]
+    return _map_workers(_two_weight_row, range(count))
 
 
 # ---------------------------------------------------------------------------
@@ -130,56 +137,63 @@ def essence_shift(i: int, depth: int = CASCADE_DEPTH) -> SimpleHaarShift:
     return random_simple_shift(ESSENCE_TAU, 4000 + i, grid, separated=True)
 
 
-def essence_cases(weight_index: int, depth: int = CASCADE_DEPTH):
-    """All (n, Q0, corona, L, fiber) cases of one cascade weight.
+def class_corona(w: Weight, cls: CubeSet,
+                 levels) -> tuple[DyadicCube, CoronaDecomposition]:
+    """(Q0, corona) of one Q_n class: Q0 is the class's first cube in level
+    then index order, and the corona runs over the class members under Q0
+    with stopping cubes restricted to `levels`."""
+    j = cls.levels()[0]
+    q0 = w.grid.cube(j, int(np.flatnonzero(cls.mask(j))[0]))
+    return q0, build_corona(w, cls.restrict_under(q0), q0, stopping_levels=levels)
 
-    Classes are taken over the scale-separated levels of the suite shift; Q0
-    is the first cube of each class (level then index order), the corona is
-    built over the class members under Q0 with stopping cubes restricted to
-    the separated lattice.
-    """
-    w = cascade_weight(weight_index, depth)
-    T = essence_shift(weight_index, depth)
+
+def class_coronas(w: Weight, T: SimpleHaarShift) -> tuple[list, list]:
+    """(n, class, Q0, corona) for every Q_n class of w over the levels of T, and
+    the (n, Q0, corona, L, fiber) cases of their nonempty stopping fibers."""
     qn = qn_partition(w, levels=T.levels)
-    out = []
+    coronas, cases = [], []
     for n in qn.n_values():
-        cls = qn.classes[n]
-        q0 = cls.cubes()[0]
-        members = cls.restrict_under(q0)
-        corona = build_corona(w, members, q0, stopping_levels=T.levels)
+        q0, corona = class_corona(w, qn.classes[n], T.levels)
+        coronas.append((n, qn.classes[n], q0, corona))
         for L in corona.stopping_cubes():
             fiber = corona.corona_of(L)
-            if fiber.count() == 0:
-                continue
-            out.append((n, q0, corona, L, fiber))
-    return w, T, out
+            if fiber.count() > 0:
+                cases.append((n, q0, corona, L, fiber))
+    return coronas, cases
+
+
+def essence_cases(weight_index: int, depth: int = CASCADE_DEPTH):
+    """All (n, Q0, corona, L, fiber) cases of one cascade weight, over the
+    scale-separated levels of the suite shift."""
+    w = cascade_weight(weight_index, depth)
+    T = essence_shift(weight_index, depth)
+    return w, T, class_coronas(w, T)[1]
+
+
+def essence_distributions(w: Weight, T: SimpleHaarShift, cases) -> list[dict]:
+    """Raw per-case data for threshold scans: sorted |H|/density values with
+    the matching dual-cell masses, plus case totals."""
+    dual_cells = w.grid.cell_volume / w.values
+    data = []
+    for *_, L, fiber in cases:
+        h = h_functional(L, fiber, T, w)
+        u = np.abs(L.cell_values(h.values)) / w.density(L)
+        duals = L.cell_values(dual_cells)
+        order = np.argsort(u)[::-1]
+        data.append({
+            "u_sorted": u[order],
+            "dual_cum": np.cumsum(duals[order]),
+            "cell_volume": w.grid.cell_volume,
+            "lebesgue_total": L.volume,
+            "dual_total": float(duals.sum()),
+        })
+    return data
 
 
 def collect_essence_distributions(weight_indices, depth: int = CASCADE_DEPTH):
-    """Raw per-case data for threshold scans: sorted |H|/density values with
-    the matching dual-cell masses, plus case totals."""
-    data = []
-    for i in weight_indices:
-        w, T, cases = essence_cases(i, depth)
-        dual_cells = w.grid.cell_volume / w.values
-        for n, q0, corona, L, fiber in cases:
-            h = h_functional(L, fiber, T, w)
-            u = np.abs(L.cell_values(h.values)) / w.density(L)
-            duals = L.cell_values(dual_cells)
-            order = np.argsort(u)[::-1]
-            u_sorted = u[order]
-            dual_sorted = np.cumsum(duals[order])
-            data.append({
-                "weight": i,
-                "n": n,
-                "L": L,
-                "u_sorted": u_sorted,
-                "dual_cum": dual_sorted,
-                "cell_volume": w.grid.cell_volume,
-                "lebesgue_total": L.volume,
-                "dual_total": float(duals.sum()),
-            })
-    return data
+    """`essence_distributions` of every listed cascade weight, in order."""
+    return [row for i in weight_indices
+            for row in essence_distributions(*essence_cases(i, depth))]
 
 
 def essence_aggregate_masses(data, k_constant: float,
@@ -241,17 +255,7 @@ class SweepRow:
     runtime_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "weight_id": self.weight_id,
-            "a2": self.a2,
-            "norm": self.norm,
-            "c_wb": self.c_wb,
-            "c_t1": self.c_t1,
-            "c_tstar1": self.c_tstar1,
-            "stopping_count": self.stopping_count,
-            "carleson_max": self.carleson_max,
-            "runtime_ms": self.runtime_ms,
-        }
+        return asdict(self)
 
 
 def affine_r2(x, y) -> float:
@@ -301,7 +305,7 @@ def sweep_models(chars, norms) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# weak-L1 spike suite
+# weak-L1 spike suite and derived weak-boundedness suite
 # ---------------------------------------------------------------------------
 
 def weak_l1_trial(tau: int, t: int, depth: int = WEAK_L1_DEPTH):
@@ -323,6 +327,13 @@ def weak_l1_trial(tau: int, t: int, depth: int = WEAK_L1_DEPTH):
         f = GridFunction(grid, vals)
         f = f * (1.0 / f.l1_norm())
     return T, f
+
+
+def weak_boundedness_instance(i: int, depth: int = WEAK_L1_DEPTH):
+    """Shift and weight of instance i of the derived weak-boundedness suite."""
+    grid = build_grid(1, depth)
+    return (random_simple_shift(2, 9100 + i, grid),
+            random_a2_weight(1 + i % 4, 9000 + i, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -405,23 +416,28 @@ class ExperimentConfig:
         try:
             cfg.d = int(grid.get("d", cfg.d))
             cfg.N = int(grid.get("N", cfg.N))
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise GridError(f"bad grid parameters: {exc}") from exc
         shift = obj.get("shift", {})
-        cfg.shift_kind = shift.get("kind", cfg.shift_kind)
         try:
+            cfg.shift_kind = shift.get("kind", cfg.shift_kind)
             cfg.tau = int(shift.get("tau", cfg.tau))
             cfg.shift_seed = int(shift.get("seed", cfg.shift_seed))
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ShiftError(f"bad shift parameters: {exc}") from exc
         cfg.separated = bool(shift.get("separated", cfg.separated))
         cfg.experiment_id = obj.get("experiment_id", cfg.experiment_id)
         cfg.weights = obj.get("weights", cfg.weights)
+        if not (isinstance(cfg.weights, list) and cfg.weights
+                and all(isinstance(spec, dict) for spec in cfg.weights)):
+            raise WeightError("config field 'weights' must be a nonempty list of objects")
         cfg.norm_method = obj.get("norm_method", cfg.norm_method)
         cfg.with_testing = bool(obj.get("with_testing", cfg.with_testing))
         cfg.with_corona = bool(obj.get("with_corona", cfg.with_corona))
         cfg.out_dir = obj.get("out_dir", cfg.out_dir)
         cfg.fmt = obj.get("format", cfg.fmt)
+        if cfg.fmt not in ("csv", "json"):
+            raise FormatError(f"config field 'format' must be csv or json, not {cfg.fmt!r}")
         return cfg
 
     def to_dict(self) -> dict:
@@ -463,19 +479,32 @@ def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
     try:
         if family == "constant":
             value = float(spec.get("value", 1.0))
-            return f"constant:{value}", Weight(GridFunction.constant(grid, value))
-        if family == "power":
+        elif family == "power":
             a = float(spec["a"])
-            return f"power:a={a}", power_weight(a, grid)
-        if family == "cascade":
-            n = spec["n"]
-            seed = int(spec.get("seed", 0))
-            return f"cascade:n={n}:seed={seed}", random_a2_weight(n, seed, grid)
-        if family == "file":
-            from .serialize import load_weight
-            return f"file:{spec['path']}", load_weight(spec["path"])
+        elif family == "cascade":
+            n, seed = spec["n"], int(spec.get("seed", 0))
+            if isinstance(n, bool) or not isinstance(n, (int, float)):
+                raise TypeError(f"cascade target n must be a number, got {n!r}")
+        elif family == "file":
+            path = spec["path"]
+            if not isinstance(path, str):
+                raise TypeError(f"weight file path must be a string, got {path!r}")
     except KeyError as exc:
         raise WeightError(f"weight family {family!r} missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise WeightError(f"bad {family!r} weight parameters: {exc}") from exc
+    if family == "constant":
+        return f"constant:{value}", Weight(GridFunction.constant(grid, value))
+    if family == "power":
+        return f"power:a={a}", power_weight(a, grid)
+    if family == "cascade":
+        return f"cascade:n={n}:seed={seed}", random_a2_weight(n, seed, grid)
+    if family == "file":
+        w = load_weight(path)
+        if w.grid != grid:
+            raise WeightError(f"weight file {path} is on the d={w.grid.d}, N={w.grid.N} "
+                              f"grid, not d={grid.d}, N={grid.N}")
+        return f"file:{path}", w
     raise WeightError(f"unknown weight family {family!r}")
 
 
@@ -506,9 +535,4 @@ def _sweep_row(args) -> SweepRow:
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
-    jobs = [(cfg.to_dict(), spec) for spec in cfg.weights]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_row, jobs))
-    return [_sweep_row(j) for j in jobs]
+    return _map_workers(_sweep_row, [(cfg.to_dict(), spec) for spec in cfg.weights])

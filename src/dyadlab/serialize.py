@@ -191,6 +191,10 @@ def load_shift(header_path: str) -> SimpleHaarShift:
     for level, profile, offset, shape in blocks:
         if profile not in ("g", "gamma") or offset < 0 or offset % 8 or min(shape) < 0:
             raise FormatError(f"bad shift block at level {level}")
+        if level not in levels:
+            raise FormatError(f"shift block at level {level} is not on a listed level")
+        if level in (g if profile == "g" else gamma):
+            raise FormatError(f"repeated {profile} shift block at level {level}")
         start, size = offset // 8, shape[0] * shape[1] * shape[2]
         arr = raw[start:start + size]
         if arr.size != size:

@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab import bold_h, build_corona, build_grid, corona_ab_split, dual_weight
-from dyadlab import qn_partition, random_a2_weight, random_simple_shift
+from dyadlab import bold_h, corona_ab_split, qn_partition
 from dyadlab import weak_boundedness_from_t1_check, weak_l1_ratio
 from dyadlab.calibration import load_calibration
 import dyadlab.experiments as exp
@@ -53,12 +52,7 @@ def test_ab_split_suite_within_frozen_constants():
         w = exp.cascade_weight(i)
         T = exp.essence_shift(i)
         a2 = w.a2_characteristic()
-        qn = qn_partition(w, levels=T.levels)
-        for n in qn.n_values():
-            cls = qn.classes[n]
-            q0 = cls.cubes()[0]
-            members = cls.restrict_under(q0)
-            corona = build_corona(w, members, q0, stopping_levels=T.levels)
+        for n, _cls, q0, corona in exp.class_coronas(w, T)[0]:
             rep = corona_ab_split(q0, n, corona, T, w)
             scale = (2.0 ** n) * a2 * w.mass(q0)
             worst_a = max(worst_a, rep.a_part / scale)
@@ -68,11 +62,9 @@ def test_ab_split_suite_within_frozen_constants():
 
 
 def test_i2_ratios_within_frozen_constant():
-    g = build_grid(1, exp.WEAK_L1_DEPTH)
     worst_i2, worst_large = 0.0, 0.0
-    for i in range(5):
-        w = random_a2_weight(1 + i % 4, 9000 + i, g)
-        T = random_simple_shift(2, 9100 + i, g)
+    for i in range(exp.WEAK_BOUNDEDNESS_COUNT):
+        T, w = exp.weak_boundedness_instance(i)
         rep = weak_boundedness_from_t1_check(T, w)
         worst_i2 = max(worst_i2, rep.i2_worst)
         worst_large = max(worst_large, rep.largescale_worst)

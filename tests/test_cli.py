@@ -198,7 +198,17 @@ def test_sweep_json_format(tmp_path, capsys):
     json.dumps({"weights": [{"family": "bogus"}]}),
     json.dumps({"weights": [{"family": "power"}]}),
     json.dumps({"grid": {"N": "six"}}),
-], ids=["broken-json", "shift-kind", "weight-family", "power-without-a", "grid-n"])
+    json.dumps({"grid": []}),
+    json.dumps({"shift": "x"}),
+    json.dumps({"weights": "abc"}),
+    json.dumps({"weights": [1]}),
+    json.dumps({"weights": []}),
+    json.dumps({"weights": [{"family": "power", "a": "x"}]}),
+    json.dumps({"weights": [{"family": "cascade", "n": "x"}]}),
+    json.dumps({"format": "xml"}),
+], ids=["broken-json", "shift-kind", "weight-family", "power-without-a", "grid-n",
+        "grid-list", "shift-string", "weights-string", "weight-number", "weights-empty",
+        "power-a-string", "cascade-n-string", "format-xml"])
 def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     cfgp = tmp_path / "broken.json"
     cfgp.write_text(text)
@@ -207,6 +217,23 @@ def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["sweep", "char"])
+def test_weight_file_on_another_grid_exit_two(tmp_path, capsys, command):
+    header = save_weight(power_weight(0.25, build_grid(1, 5)), str(tmp_path / "w"))
+    if command == "sweep":
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps({"grid": {"d": 1, "N": 6}, "shift": {"kind": "hilbert"},
+                                    "weights": [{"family": "file", "path": header}]}))
+        argv = ["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out")]
+    else:
+        argv = ["char", "--N", "6", "--weight-file", header]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "N=5" in err and "N=6" in err
 
 
 def test_out_flag_writes_payload(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import (
     CoronaStructureError,
@@ -287,3 +289,23 @@ def test_single_value_violation_raises_structure_error():
     T = random_simple_shift(2, 77, g)
     with pytest.raises(CoronaStructureError):
         corona_ab_split(g.root(), 1, corona, T, w)
+
+
+@given(st.sampled_from(((1, 7), (2, 4))), st.integers(0, 3), st.integers(0, 10**6),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_class_corona_q0_is_the_first_listed_cube(shape, n, seed, data):
+    """The mask lookup of Q0 agrees with the first cube of `CubeSet.cubes()`,
+    and the corona is the one built on the class members under that cube."""
+    d, N = shape
+    w = random_a2_weight(n, seed, build_grid(d, N))
+    levels = data.draw(st.none() | st.lists(st.integers(0, N), min_size=1, unique=True))
+    qn = qn_partition(w, levels=levels)
+    for cls in qn.classes.values():
+        q0, corona = exp.class_corona(w, cls, levels)
+        first, *_ = cls.cubes()
+        assert q0 == first
+        oracle = build_corona(w, cls.restrict_under(first), first, stopping_levels=levels)
+        assert corona.stopping.masks.keys() == oracle.stopping.masks.keys()
+        for j, mask in oracle.stopping.masks.items():
+            assert np.array_equal(corona.stopping.masks[j], mask)

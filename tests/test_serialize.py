@@ -172,12 +172,25 @@ def _reshape_block(**shape):
     return mutate
 
 
+def _repeat_gamma0(header):
+    # a second level-0 gamma block that points at the level-0 g data
+    header["blocks"].append({**header["blocks"][1], "offset": header["blocks"][0]["offset"]})
+
+
+def _unlist_level(level):
+    def mutate(header):
+        header["levels"].remove(level)
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,level", [
     (_move_level(3, 4), 4),                         # too deep for tau=2 on N=5
     (_move_level(0, -1), -1),
     (_reshape_block(terms=2, cubes=1), 1),          # same size, wrong shape
     (_reshape_block(cubes=4, subcells=2), 1),
-], ids=["too-deep", "negative", "cubes", "subcells"])
+    (_repeat_gamma0, 0),
+    (_unlist_level(3), 3),                          # its blocks stay in the file
+], ids=["too-deep", "negative", "cubes", "subcells", "repeated-block", "unlisted-level"])
 def test_shift_block_rejected_by_the_shift_raises_format_error(tmp_path, mutate, level):
     header_path = save_shift(random_simple_shift(2, 3, build_grid(1, 5)), str(tmp_path / "s"))
     header = json.loads(open(header_path).read())
