@@ -10,6 +10,11 @@ operator application per cube.  Indicator testing (the T1-style constants)
 additionally corrects the suffix field by the few ancestor profiles that see
 the indicator cutoff; a brute-force oracle on small grids pins the fast path
 down in the tests.
+
+Cube and cell masses come only from a Weight's cached pyramids: w(Q) is
+`w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each holds the
+cell masses.  A measure argument of None means Lebesgue measure; `_measure`
+resolves it, in this one place, to the constant-one Weight.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .grid import (
     subcell_matrix,
     suffix_sweep,
 )
-from .weights import Weight, a_infty_modulus, dual_weight, two_weight_a2
+from .weights import Weight, a_infty_modulus, two_weight_a2
 from .corona import (
     CoronaDecomposition,
     CoronaStructureError,
@@ -45,11 +50,9 @@ from .corona import (
 from .shifts import SimpleHaarShift, operator_norm
 
 
-def _cells_of(grid: DyadicGrid, w: Weight | None) -> np.ndarray:
-    """Cell measures (value * cell volume); Lebesgue when w is None."""
-    if w is None:
-        return np.full(grid.cell_count, grid.cell_volume)
-    return w.values * grid.cell_volume
+def _measure(grid: DyadicGrid, w: Weight | None) -> Weight:
+    """w itself, or Lebesgue measure as the constant-one Weight when w is None."""
+    return Weight(np.ones(grid.cell_count), grid) if w is None else w
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +104,9 @@ class _IndicatorScan:
         self.T = T
         self.grid = grid
         d, N, tau = grid.d, grid.N, T.tau
-        self.sigma_cells = _cells_of(grid, sigma)
-        self.mu_cells = _cells_of(grid, mu)
-        self.sigma_sums = integral_pyramid(self.sigma_cells, d, N)
-        self.mu_sums = integral_pyramid(self.mu_cells, d, N)
+        self.sigma_sums = _measure(grid, sigma).sums
+        self.mu_sums = _measure(grid, mu).sums
+        self.mu_cells = self.mu_sums[N]
         fam = sorted(T.levels)
         self.fam = fam
 
@@ -136,7 +138,7 @@ class _IndicatorScan:
 
         # descending sweep over the full-pairing output fields: suffix fields
         # and their pooled mu-integrals
-        fields = T.output_fields(T._coefficients_from_pyramid(self.sigma_sums))
+        fields = T.output_fields(T.pairing_coefficients(self.sigma_sums))
         self.ps1 = [None] * (N + 1)       # pyramids of S_j * mu
         self.ps2 = [None] * (N + 1)       # level-j integrals of S_j^2 * mu
         self.s_cells = [None] * (N + 1)   # kept for shallow cross terms
@@ -292,30 +294,24 @@ def brute_testing_constants(T: SimpleHaarShift, sigma: Weight | None,
     if grid.cell_count > 4096:
         raise GridError("brute-force testing constants limited to 4096 cells")
     d, N, tau = grid.d, grid.N, T.tau
-    mu_cells = _cells_of(grid, mu)
-    sigma_sums = integral_pyramid(_cells_of(grid, sigma), d, N)
-    mu_sums = integral_pyramid(mu_cells, d, N)
+    sigma, mu = _measure(grid, sigma), _measure(grid, mu)
 
-    def t1_side(op, s_sums, m_cells):
+    def t1_side(op, s, m):
         best, wit = 0.0, grid.root()
         pyrs = {}
         for j in range(N + 1):
             for flat in range(grid.level_count(j)):
                 cube = grid.cube(j, flat)
-                ind = GridFunction.indicator(cube).values
-                svals = ind if op[1] is None else ind * op[1].values
-                out = op[0].apply_values(svals)
-                pyrs[(j, flat)] = integral_pyramid(out * m_cells, d, N)
-                num = float((cube.cell_values(out) ** 2 * cube.cell_values(m_cells)).sum())
-                ratio = math.sqrt(num / s_sums[j][flat])
+                out = op.apply_values(GridFunction.indicator(cube).values * s.values)
+                pyrs[(j, flat)] = integral_pyramid(out * m.sums[N], d, N)
+                num = float((cube.cell_values(out) ** 2 * cube.cell_values(m.sums[N])).sum())
+                ratio = math.sqrt(num / s.sums[j][flat])
                 if ratio > best:
                     best, wit = ratio, cube
         return best, wit, pyrs
 
-    c_t1, wit_t1, pyrs = t1_side((T, sigma), sigma_sums, mu_cells)
-    c_tstar1, wit_tstar1, _ = t1_side(
-        (T.adjoint(), mu), mu_sums, _cells_of(grid, sigma)
-    )
+    c_t1, wit_t1, pyrs = t1_side(T, sigma, mu)
+    c_tstar1, wit_tstar1, _ = t1_side(T.adjoint(), mu, sigma)
 
     c_wb, wit_wb = 0.0, (grid.root(), grid.root())
     for j in range(N + 1):
@@ -331,9 +327,7 @@ def brute_testing_constants(T: SimpleHaarShift, sigma: Weight | None,
                 pyr = pyrs[(qp.level, qp.flat)]
                 for qs in members:
                     val = abs(pyr[qs.level][qs.flat])
-                    den = math.sqrt(
-                        sigma_sums[qp.level][qp.flat] * mu_sums[qs.level][qs.flat]
-                    )
+                    den = math.sqrt(sigma.sums[qp.level][qp.flat] * mu.sums[qs.level][qs.flat])
                     if val / den > c_wb:
                         c_wb, wit_wb = val / den, (qp, qs)
     full = operator_norm(T, sigma, mu, method="dense-svd")
@@ -354,11 +348,11 @@ def _paraproduct(f: GridFunction, T: SimpleHaarShift, sigma: Weight | None, w: W
     if grid != T.grid or grid != w.grid:
         raise GridError("grid mismatch")
     d, N = grid.d, grid.N
-    sigma_cells = _cells_of(grid, sigma)
-    sigma_sums = integral_pyramid(sigma_cells, d, N)
-    g_cells = T.apply_values(sigma_cells / grid.cell_volume)  # T(sigma 1)
-    a = [pool(f.values * sigma_cells, d, N - j) / sigma_sums[j] for j in range(N)]
-    g_pyr = integral_pyramid(g_cells * _cells_of(grid, w), d, N)
+    sigma = _measure(grid, sigma)
+    g_cells = T.apply_values(sigma.values)  # T(sigma 1)
+    f_pyr = integral_pyramid(f.values * sigma.sums[N], d, N)
+    a = [f_pyr[j] / sigma.sums[j] for j in range(N)]
+    g_pyr = integral_pyramid(g_cells * w.sums[N], d, N)
     avg = [g_pyr[j] / w.sums[j] for j in range(N + 1)]
     out = np.zeros(grid.cell_count)
     for j in range(N):
@@ -379,7 +373,7 @@ def paraproduct_identity(f: GridFunction, T: SimpleHaarShift, sigma: Weight | No
     """Both sides of ||P f||^2_{L2(w)} = sum_Q a_Q^2 ||D_Q^w T(sigma 1)||^2_{L2(w)}."""
     d, N = f.grid.d, f.grid.N
     out, a, avg = _paraproduct(f, T, sigma, w)
-    lhs = float((out ** 2 * _cells_of(f.grid, w)).sum())
+    lhs = float((out ** 2 * w.sums[N]).sum())
     rhs = 0.0
     for j in range(N):
         diff = avg[j + 1] - expand(avg[j], d, 1)
@@ -393,11 +387,8 @@ def paraproduct_identity(f: GridFunction, T: SimpleHaarShift, sigma: Weight | No
 # ---------------------------------------------------------------------------
 
 def _masked_coefficients(T: SimpleHaarShift, w: Weight, cubes: CubeSet):
-    coeffs = T.pairing_coefficients(w.values)
-    masked = {}
-    for a in T.levels:
-        masked[a] = coeffs[a] * cubes.mask(a)[None, :]
-    return masked
+    coeffs = T.pairing_coefficients(w.sums)
+    return {a: coeffs[a] * cubes.mask(a)[None, :] for a in T.levels}
 
 
 def h_functional(Q0: DyadicCube, cubes: CubeSet, T: SimpleHaarShift,
@@ -426,7 +417,7 @@ def bold_h(cubes: CubeSet, T: SimpleHaarShift, w: Weight,
     grid = T.grid
     d, N = grid.d, grid.N
     fields = T.output_fields(_masked_coefficients(T, w, cubes))
-    dual_cells = grid.cell_volume / w.values
+    dual_cells = w.dual_sums[N]
     best, wit = 0.0, None
     for j, s in suffix_sweep(fields, d, N, T.tau):
         cand_mask = cubes.mask(j) if restrict_sup else np.ones(grid.level_count(j), bool)
@@ -463,7 +454,7 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     descendant; a violation raises CoronaStructureError.
     """
     grid = T.grid
-    dual_cells = grid.cell_volume / w.values
+    dual_cells = w.dual_sums[grid.N]
     stops = [L for L in corona.stopping_cubes() if Q0.contains(L)]
     h_local = {}
     for L in stops:
@@ -519,8 +510,8 @@ class ProfileFamily:
             m = 1 << (self.tau * grid.d)
             if block.shape != (grid.level_count(j), m):
                 raise GridError(f"profile block shape mismatch at level {j}")
-            if validate and block.size and np.abs(block).max() > 1.0 + 1e-12:
-                raise GridError("profile sup norm exceeds one")
+            if validate and block.size and not np.abs(block).max() <= 1.0 + 1e-12:
+                raise GridError(f"profile at level {j} is not finite with sup norm at most one")
             self.profiles[j] = block
 
     def scaled(self, s: float) -> "ProfileFamily":
@@ -630,7 +621,7 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
     grid = T.grid
     d, N = grid.d, grid.N
     dens_l = w.density(L)
-    dual_cells = grid.cell_volume / w.values
+    dual_cells = w.dual_sums[N]
     h = h_functional(L, cubes, T, w)
     local = np.abs(L.cell_values(h.values))
     local_dual = L.cell_values(dual_cells)
@@ -721,8 +712,7 @@ def weak_boundedness_from_t1_check(T: SimpleHaarShift, w: Weight) -> WbFromT1Rep
     grid = T.grid
     d, N, tau = grid.d, grid.N, T.tau
     a2 = w.a2_characteristic()
-    dual = dual_weight(w)
-    dual_cells = _cells_of(grid, dual)
+    dual_cells = w.dual_sums[N]
     i2_worst = i3_worst = large_worst = chain_worst = 0.0
     for j in range(N + 1):
         for flat in range(grid.level_count(j)):
@@ -733,15 +723,15 @@ def weak_boundedness_from_t1_check(T: SimpleHaarShift, w: Weight) -> WbFromT1Rep
             loc = float((q.cell_values(out) ** 2 * q.cell_values(dual_cells)).sum())
             i3_worst = max(i3_worst, loc / (a2 ** 2 * wq))
             for lr in range(max(0, j - (tau + 1)), min(N, j + (tau + 1)) + 1):
-                rights = a2 * np.sqrt(wq * dual.sums[lr])
+                rights = a2 * np.sqrt(wq * w.dual_sums[lr])
                 i2_worst = max(i2_worst, float((np.abs(pyr[lr]) / rights).max()))
             for lr in range(max(0, j - (tau + 1)), j + 1):
                 anc = q.ancestor_at(lr)
                 inner = float(pyr[lr][anc.flat]) - float(pyr[j][flat])
-                denom = wq * dual.sums[lr][anc.flat] * (2.0 ** (lr * d))
+                denom = wq * w.dual_sums[lr][anc.flat] * (2.0 ** (lr * d))
                 if q != anc:
                     large_worst = max(large_worst, abs(inner) / denom)
-                chain = math.sqrt(wq * dual.sums[lr][anc.flat]) * (2.0 ** (lr * d))
+                chain = math.sqrt(wq * w.dual_sums[lr][anc.flat]) * (2.0 ** (lr * d))
                 chain_worst = max(chain_worst, chain / math.sqrt(a2))
     return WbFromT1Report(i2_worst, i3_worst, large_worst, chain_worst, a2)
 

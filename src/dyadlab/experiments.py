@@ -173,7 +173,7 @@ def essence_cases(weight_index: int, depth: int = CASCADE_DEPTH):
 def essence_distributions(w: Weight, T: SimpleHaarShift, cases) -> list[dict]:
     """Raw per-case data for threshold scans: sorted |H|/density values with
     the matching dual-cell masses, plus case totals."""
-    dual_cells = w.grid.cell_volume / w.values
+    dual_cells = w.dual_sums[w.grid.N]
     data = []
     for *_, L, fiber in cases:
         h = h_functional(L, fiber, T, w)
@@ -389,6 +389,15 @@ def jn_boundary_family(i: int, depth: int = JN_DEPTH) -> ProfileFamily:
 # sweep configuration for the CLI
 # ---------------------------------------------------------------------------
 
+def _typed_field(obj: dict, key: str, default, error: type):
+    """obj[key], or the default when absent; raises `error` unless the value
+    has the default's type (a JSON boolean or string)."""
+    value = obj.get(key, default)
+    if not isinstance(value, type(default)):
+        raise error(f"config field {key!r} must be a {type(default).__name__}, not {value!r}")
+    return value
+
+
 @dataclass
 class ExperimentConfig:
     """Deterministic sweep description; identical configs give identical bytes."""
@@ -425,16 +434,13 @@ class ExperimentConfig:
             cfg.shift_seed = int(shift.get("seed", cfg.shift_seed))
         except (AttributeError, TypeError, ValueError) as exc:
             raise ShiftError(f"bad shift parameters: {exc}") from exc
-        cfg.separated = bool(shift.get("separated", cfg.separated))
-        cfg.experiment_id = obj.get("experiment_id", cfg.experiment_id)
+        cfg.separated = _typed_field(shift, "separated", cfg.separated, ShiftError)
         cfg.weights = obj.get("weights", cfg.weights)
         if not (isinstance(cfg.weights, list) and cfg.weights
                 and all(isinstance(spec, dict) for spec in cfg.weights)):
             raise WeightError("config field 'weights' must be a nonempty list of objects")
-        cfg.norm_method = obj.get("norm_method", cfg.norm_method)
-        cfg.with_testing = bool(obj.get("with_testing", cfg.with_testing))
-        cfg.with_corona = bool(obj.get("with_corona", cfg.with_corona))
-        cfg.out_dir = obj.get("out_dir", cfg.out_dir)
+        for key in ("experiment_id", "norm_method", "with_testing", "with_corona", "out_dir"):
+            setattr(cfg, key, _typed_field(obj, key, getattr(cfg, key), FormatError))
         cfg.fmt = obj.get("format", cfg.fmt)
         if cfg.fmt not in ("csv", "json"):
             raise FormatError(f"config field 'format' must be csv or json, not {cfg.fmt!r}")

@@ -188,6 +188,7 @@ def load_shift(header_path: str) -> SimpleHaarShift:
     except OSError as exc:
         raise FormatError(f"cannot read payload: {exc}") from exc
     g, gamma = {}, {}
+    used = np.zeros(raw.size, dtype=bool)       # payload entries claimed by a block
     for level, profile, offset, shape in blocks:
         if profile not in ("g", "gamma") or offset < 0 or offset % 8 or min(shape) < 0:
             raise FormatError(f"bad shift block at level {level}")
@@ -199,6 +200,9 @@ def load_shift(header_path: str) -> SimpleHaarShift:
         arr = raw[start:start + size]
         if arr.size != size:
             raise FormatError("truncated shift payload")
+        if used[start:start + size].any():
+            raise FormatError(f"{profile} shift block at level {level} overlaps another block")
+        used[start:start + size] = True
         (g if profile == "g" else gamma)[level] = arr.reshape(shape)
     if any(j not in g or j not in gamma for j in levels):
         raise FormatError("shift header lists a level without its g and gamma blocks")

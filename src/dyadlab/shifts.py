@@ -52,7 +52,7 @@ class OperatorNormError(RuntimeError):
 
 
 def _check_profile_block(block: np.ndarray, level: int, tau: int, grid: DyadicGrid):
-    """Profiles must be mean zero over their cube and sup-bounded by |Q|^(-1/2)."""
+    """Profiles must be finite, mean zero over their cube and sup-bounded by |Q|^(-1/2)."""
     count = grid.level_count(level)
     m = 1 << (tau * grid.d)
     if block.shape[-2:] != (count, m):
@@ -60,8 +60,8 @@ def _check_profile_block(block: np.ndarray, level: int, tau: int, grid: DyadicGr
             f"profile block at level {level} must have shape (*, {count}, {m})"
         )
     bound = 2.0 ** (level * grid.d / 2.0)
-    if block.size and np.abs(block).max() > bound * (1 + 1e-12):
-        raise ShiftError(f"profile sup norm exceeds |Q|^(-1/2) at level {level}")
+    if block.size and not np.abs(block).max() <= bound * (1 + 1e-12):   # NaN fails <=
+        raise ShiftError(f"profile at level {level} is not finite with sup <= |Q|^(-1/2)")
     if block.size and np.abs(block.sum(axis=-1)).max() > 1e-9 * max(bound, 1.0):
         raise ShiftError(f"profile not mean zero at level {level}")
 
@@ -149,18 +149,13 @@ class SimpleHaarShift:
 
     # -- application -------------------------------------------------------
 
-    def pairing_coefficients(self, cell_density: np.ndarray | None) -> dict[int, np.ndarray]:
-        """<h, g_Q> for every family cube, h having the given cell densities.
+    def pairing_coefficients(self, pyr) -> dict[int, np.ndarray]:
+        """<h, g_Q> for every family cube, from the integral pyramid of h.
 
-        Returns per-level arrays of shape (terms, count).  `cell_density` is
-        the integrand's cell values (not integrals); None means h = 1.
+        `pyr[j]` holds the integrals of h over the level-j cubes (a Weight's
+        `sums` is the pyramid of its density); a trailing batch axis is
+        carried through.  Returns per-level arrays of shape (terms, count).
         """
-        grid = self.grid
-        cells = (np.ones(grid.cell_count) if cell_density is None else cell_density)
-        pyr = integral_pyramid(cells * grid.cell_volume, grid.d, grid.N)
-        return self._coefficients_from_pyramid(pyr)
-
-    def _coefficients_from_pyramid(self, pyr) -> dict[int, np.ndarray]:
         out = {}
         for j in self.levels:
             sub = subcell_matrix(pyr[j + self.tau], self.grid.d, self.tau)
@@ -180,7 +175,7 @@ class SimpleHaarShift:
         """Matrix-free application to raw cell values (1D, or 2D batched columns)."""
         grid = self.grid
         values = np.asarray(values, dtype=np.float64)
-        fields = self.output_fields(self._coefficients_from_pyramid(
+        fields = self.output_fields(self.pairing_coefficients(
             integral_pyramid(values * grid.cell_volume, grid.d, grid.N)
         ))
         out = assemble_levels(fields, grid.d, grid.N)
@@ -216,8 +211,8 @@ class GenericHaarShift:
                     if not 0 <= e < len(_HAAR_SIGNS[grid.d]):
                         raise ShiftError("bad Haar pattern index")
                 bound = math.sqrt(qp.volume * qpp.volume) / parent.volume
-                if abs(a) > bound * (1 + 1e-12):
-                    raise ShiftError("coefficient exceeds sqrt(|Q'||Q''|)/|Q|")
+                if not abs(a) <= bound * (1 + 1e-12):     # NaN fails <=
+                    raise ShiftError("coefficient not finite with |a| <= sqrt(|Q'||Q''|)/|Q|")
             norm_entries.append((parent, qp, ep, qpp, epp, float(a)))
         self.entries = tuple(norm_entries)
         self.meta = dict(meta or {})

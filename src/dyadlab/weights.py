@@ -319,7 +319,7 @@ def a_infty_modulus(mu: Weight, eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise WeightError("eps must lie in (0, 1)")
     g = mu.grid
-    cells = mu.values * g.cell_volume
+    cells = mu.sums[g.N]
     eta = 0.0
     for j in range(g.N + 1):
         m = 1 << ((g.N - j) * g.d)

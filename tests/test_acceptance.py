@@ -252,7 +252,7 @@ def test_criterion_9_essence_decay():
     for i in range(exp.CASCADE_COUNT):
         w = exp.cascade_weight(i)
         T = exp.essence_shift(i)
-        coeffs = T.pairing_coefficients(w.values)
+        coeffs = T.pairing_coefficients(w.sums)
         for a in T.levels:
             dens = w.sums[a] * (2.0 ** a)
             peak = (np.abs(coeffs[a]) * np.abs(T.gamma[a]).max(axis=-1)).max(axis=0)

@@ -192,6 +192,9 @@ def test_sweep_json_format(tmp_path, capsys):
     assert not (out / "sweep.csv").exists()
 
 
+_SMALL_SWEEP = {"grid": {"d": 1, "N": 4}, "weights": [{"family": "power", "a": 0.5}]}
+
+
 @pytest.mark.parametrize("text", [
     "{{{",
     json.dumps({"shift": {"kind": "nope"}}),
@@ -206,9 +209,15 @@ def test_sweep_json_format(tmp_path, capsys):
     json.dumps({"weights": [{"family": "power", "a": "x"}]}),
     json.dumps({"weights": [{"family": "cascade", "n": "x"}]}),
     json.dumps({"format": "xml"}),
+    json.dumps({**_SMALL_SWEEP, "with_corona": "false"}),
+    json.dumps({**_SMALL_SWEEP, "with_testing": 1}),
+    json.dumps({**_SMALL_SWEEP, "shift": {"kind": "hilbert", "separated": "no"}}),
+    json.dumps({**_SMALL_SWEEP, "experiment_id": [1]}),
+    json.dumps({**_SMALL_SWEEP, "out_dir": 5}),
 ], ids=["broken-json", "shift-kind", "weight-family", "power-without-a", "grid-n",
         "grid-list", "shift-string", "weights-string", "weight-number", "weights-empty",
-        "power-a-string", "cascade-n-string", "format-xml"])
+        "power-a-string", "cascade-n-string", "format-xml", "with-corona-string",
+        "with-testing-number", "separated-string", "experiment-id-list", "out-dir-number"])
 def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     cfgp = tmp_path / "broken.json"
     cfgp.write_text(text)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import (
     CubeSet,
+    GridError,
     GridFunction,
     Weight,
     bold_h,
@@ -77,6 +80,27 @@ def test_fast_constants_match_oracle_lebesgue_and_multiterm():
     assert fast.c_t1 == pytest.approx(brute.c_t1, abs=1e-12)
     assert fast.c_tstar1 == pytest.approx(brute.c_tstar1, abs=1e-12)
     assert fast.c_wb == pytest.approx(brute.c_wb, abs=1e-12)
+
+
+@given(st.sampled_from([(1, N) for N in range(1, 6)] + [(2, N) for N in range(1, 4)]),
+       st.integers(1, 3), st.integers(0, 3), st.integers(0, 10**6),
+       st.sampled_from(("none", "weight", "dual")), st.sampled_from(("none", "weight", "dual")))
+@settings(max_examples=60, deadline=None)
+def test_fast_constants_match_oracle_on_any_measure_pair(shape, tau, n, seed, sigma_kind,
+                                                         mu_kind):
+    """Each side is Lebesgue measure (None), a cascade weight or its dual."""
+    d, N = shape
+    tau = min(tau, N)
+    g = build_grid(d, N)
+    w = random_a2_weight(n, seed, g)
+    pick = {"none": None, "weight": w, "dual": dual_weight(w)}
+    sigma, mu = pick[sigma_kind], pick[mu_kind]
+    T = random_simple_shift(tau, seed + 1, g)
+    fast = eval_testing_constants(T, sigma, mu, norm_method="dense-svd")
+    brute = brute_testing_constants(T, sigma, mu)
+    assert fast.c_t1 == pytest.approx(brute.c_t1, abs=1e-10)
+    assert fast.c_tstar1 == pytest.approx(brute.c_tstar1, abs=1e-10)
+    assert fast.c_wb == pytest.approx(brute.c_wb, abs=1e-10)
 
 
 def test_necessity_on_sample_instances():
@@ -284,6 +308,8 @@ def test_profile_family_validation():
         ProfileFamily(g, 1, {0: np.array([[1.5, -1.5]])})
     with pytest.raises(Exception):
         ProfileFamily(g, 1, {0: np.array([[1.0, -1.0, 0.0]])})
+    with pytest.raises(GridError, match="not finite"):
+        ProfileFamily(g, 1, {0: np.array([[np.nan, -1.0]])})
 
 
 # -- essence lemma ------------------------------------------------------------------

@@ -177,6 +177,11 @@ def _repeat_gamma0(header):
     header["blocks"].append({**header["blocks"][1], "offset": header["blocks"][0]["offset"]})
 
 
+def _overlap_gamma0(header):
+    # the level-0 gamma block reads the bytes of the level-0 g block
+    header["blocks"][1]["offset"] = header["blocks"][0]["offset"]
+
+
 def _unlist_level(level):
     def mutate(header):
         header["levels"].remove(level)
@@ -190,13 +195,27 @@ def _unlist_level(level):
     (_reshape_block(cubes=4, subcells=2), 1),
     (_repeat_gamma0, 0),
     (_unlist_level(3), 3),                          # its blocks stay in the file
-], ids=["too-deep", "negative", "cubes", "subcells", "repeated-block", "unlisted-level"])
+    (_overlap_gamma0, 0),
+], ids=["too-deep", "negative", "cubes", "subcells", "repeated-block", "unlisted-level",
+        "overlapping-offset"])
 def test_shift_block_rejected_by_the_shift_raises_format_error(tmp_path, mutate, level):
     header_path = save_shift(random_simple_shift(2, 3, build_grid(1, 5)), str(tmp_path / "s"))
     header = json.loads(open(header_path).read())
     mutate(header)
     _rewrite(header_path, header)
     with pytest.raises(FormatError, match=f"level {level}"):
+        load_shift(header_path)
+
+
+def test_shift_nan_payload_raises_format_error(tmp_path):
+    header_path = save_shift(random_simple_shift(2, 3, build_grid(1, 5)), str(tmp_path / "s"))
+    header = json.loads(open(header_path).read())
+    gamma1 = header["blocks"][3]                    # the gamma block of level 1
+    data_path = os.path.join(os.path.dirname(header_path), header["data"])
+    raw = np.fromfile(data_path, dtype="<f8")
+    raw[gamma1["offset"] // 8] = np.nan
+    raw.tofile(data_path)
+    with pytest.raises(FormatError, match="level 1 is not finite"):
         load_shift(header_path)
 
 

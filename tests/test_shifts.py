@@ -476,6 +476,16 @@ def test_generic_shift_matches_simple_martingale():
     assert np.abs(apply_shift(Tg, f).values - apply_shift(Ts, f).values).max() < 1e-12
 
 
+def test_non_finite_shift_data_raises_shift_error():
+    g = build_grid(1, 3)
+    good = np.array([[1.0, 1.0, -1.0, -1.0]])
+    with pytest.raises(ShiftError, match="not finite"):
+        SimpleHaarShift(g, 2, (0,), {0: good}, {0: good * np.array([1.0, np.nan, 1.0, 1.0])})
+    root = g.root()
+    with pytest.raises(ShiftError, match="not finite"):
+        GenericHaarShift(g, 1, [(root, root, root, math.nan)])
+
+
 def test_generic_shift_validation_and_adjoint():
     g = build_grid(1, 5)
     root = g.root()
