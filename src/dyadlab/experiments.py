@@ -398,6 +398,19 @@ def _typed_field(obj: dict, key: str, default, error: type):
     return value
 
 
+def _known_keys(obj, keys: frozenset, error: type, where: str):
+    """Raise `error` if the config object has a key outside the closed set `keys`."""
+    unknown = sorted(repr(k) for k in set(obj) - keys) if isinstance(obj, dict) else []
+    if unknown:
+        raise error(f"unknown {where} key(s) {', '.join(unknown)}")
+
+
+_CONFIG_KEYS = frozenset({"experiment_id", "grid", "shift", "weights", "norm_method",
+                          "with_testing", "with_corona", "out_dir", "format"})
+_GRID_KEYS = frozenset({"d", "N"})
+_SHIFT_KEYS = frozenset({"kind", "tau", "seed", "separated"})
+
+
 @dataclass
 class ExperimentConfig:
     """Deterministic sweep description; identical configs give identical bytes."""
@@ -421,13 +434,16 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         cfg = cls()
+        _known_keys(obj, _CONFIG_KEYS, FormatError, "config")
         grid = obj.get("grid", {})
+        _known_keys(grid, _GRID_KEYS, GridError, "grid")
         try:
             cfg.d = int(grid.get("d", cfg.d))
             cfg.N = int(grid.get("N", cfg.N))
         except (AttributeError, TypeError, ValueError) as exc:
             raise GridError(f"bad grid parameters: {exc}") from exc
         shift = obj.get("shift", {})
+        _known_keys(shift, _SHIFT_KEYS, ShiftError, "shift")
         try:
             cfg.shift_kind = shift.get("kind", cfg.shift_kind)
             cfg.tau = int(shift.get("tau", cfg.tau))

@@ -208,15 +208,20 @@ def _side_of(count: int, d: int) -> int:
 def pool(arr: np.ndarray, d: int, steps: int = 1) -> np.ndarray:
     """Sum children into parents, repeated `steps` times.
 
-    Accepts a flat level array with any trailing batch shape.
+    Accepts a flat level array with any trailing batch shape.  The children
+    are added through strided views in one fixed order, c0 + c1 at d=1 and
+    (c00 + c01) + (c10 + c11) at d=2 (child (c0, c1) in row c0, column c1),
+    so every column of a batch is pooled bit for bit as it would be alone.
     """
     tail = arr.shape[1:]
     for _ in range(steps):
         if d == 1:
-            arr = arr.reshape((-1, 2) + tail).sum(axis=1)
+            arr = arr[0::2] + arr[1::2]
         else:
             h = _side_of(arr.shape[0], d) // 2
-            arr = arr.reshape((h, 2, h, 2) + tail).sum(axis=(1, 3)).reshape((h * h,) + tail)
+            a = arr.reshape((h, 2, h, 2) + tail)
+            arr = ((a[:, 0, :, 0] + a[:, 0, :, 1])
+                   + (a[:, 1, :, 0] + a[:, 1, :, 1])).reshape((h * h,) + tail)
     return arr
 
 

@@ -35,7 +35,7 @@ from .grid import (
     scatter_subcells,
     subcell_matrix,
 )
-from .weights import Weight
+from .weights import Weight, _measure
 
 
 class ShiftError(ValueError):
@@ -407,10 +407,9 @@ _POWER_SEED = 0x0D7AD1C
 
 def _measure_scalings(grid, sigma, mu):
     vol = grid.cell_volume
-    sv = np.ones(grid.cell_count) if sigma is None else sigma.values
-    mv = np.ones(grid.cell_count) if mu is None else mu.values
-    a = np.sqrt(sv / vol)   # input scaling: L2(sigma) isometry composed with (sigma .)
-    b = np.sqrt(mv * vol)   # output scaling: L2(mu) isometry
+    # input scaling: L2(sigma) isometry composed with (sigma .); output: L2(mu) isometry
+    a = np.sqrt(_measure(grid, sigma).values / vol)
+    b = np.sqrt(_measure(grid, mu).values * vol)
     return a, b
 
 

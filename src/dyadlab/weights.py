@@ -117,6 +117,15 @@ def dual_weight(w: Weight) -> Weight:
     return dual
 
 
+def _measure(grid: DyadicGrid, w: Weight | None) -> Weight:
+    """w itself, or Lebesgue measure as the constant-one Weight when w is None.
+
+    The one rule for a measure argument of None, shared by `shifts` and
+    `estimates`.
+    """
+    return Weight(np.ones(grid.cell_count), grid) if w is None else w
+
+
 @dataclass(frozen=True)
 class ApReport:
     """Supremum defining the A_p characteristic, with the cube attaining it."""

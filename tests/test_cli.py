@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from dyadlab import build_grid, power_weight
+from dyadlab import GridError, ShiftError, build_grid, power_weight
 from dyadlab.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from dyadlab.serialize import save_weight
+from dyadlab.experiments import ExperimentConfig
+from dyadlab.serialize import FormatError, save_weight
 
 
 def run(capsys, *argv):
@@ -226,6 +227,26 @@ def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,error", [
+    ({**_SMALL_SWEEP, "separated": True}, FormatError),
+    ({**_SMALL_SWEEP, "with_corna": True}, FormatError),
+    ({**_SMALL_SWEEP, "grid": {"d": 1, "n": 4}}, GridError),
+    ({**_SMALL_SWEEP, "shift": {"kind": "hilbert", "seperated": True}}, ShiftError),
+], ids=["separated-top-level", "with-corna", "grid-n", "shift-key"])
+def test_sweep_unknown_config_key_exit_two(tmp_path, capsys, config, error):
+    """The key set of a sweep config is closed: a misplaced or misspelled key
+    fails instead of running with its default."""
+    with pytest.raises(error, match="unknown"):
+        ExperimentConfig.from_dict(config)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(config))
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["sweep", "char"])

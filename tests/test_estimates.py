@@ -18,6 +18,7 @@ from dyadlab import (
     dual_weight,
     essence_check,
     h_functional,
+    hilbert_shift,
     jn_check,
     martingale_transform,
     operator_norm,
@@ -31,7 +32,8 @@ from dyadlab import (
     weak_boundedness_from_t1_check,
     zero_shift,
 )
-from dyadlab.estimates import DistributionCurve, ProfileFamily
+from dyadlab.estimates import _WB_BATCH_ENTRIES, DistributionCurve, ProfileFamily
+from dyadlab.grid import integral_pyramid
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.experiments as exp
 
@@ -358,6 +360,78 @@ def test_distribution_curve_slope_and_monotonicity():
 
 
 # -- derived weak boundedness and sufficiency -----------------------------------------
+
+def _reference_weak_boundedness(T, w):
+    """The cube-by-cube weak-boundedness scan: one application of T per cube."""
+    grid = T.grid
+    d, N, tau = grid.d, grid.N, T.tau
+    a2 = w.a2_characteristic()
+    dual_cells = w.dual_sums[N]
+    i2_worst = i3_worst = large_worst = chain_worst = 0.0
+    for j in range(N + 1):
+        for flat in range(grid.level_count(j)):
+            q = grid.cube(j, flat)
+            out = T.apply_values(GridFunction.indicator(q).values * w.values)
+            pyr = integral_pyramid(out * dual_cells, d, N)
+            wq = w.sums[j][flat]
+            loc = float((q.cell_values(out) ** 2 * q.cell_values(dual_cells)).sum())
+            i3_worst = max(i3_worst, loc / (a2 ** 2 * wq))
+            for lr in range(max(0, j - (tau + 1)), min(N, j + (tau + 1)) + 1):
+                rights = a2 * np.sqrt(wq * w.dual_sums[lr])
+                i2_worst = max(i2_worst, float((np.abs(pyr[lr]) / rights).max()))
+            for lr in range(max(0, j - (tau + 1)), j + 1):
+                anc = q.ancestor_at(lr)
+                inner = float(pyr[lr][anc.flat]) - float(pyr[j][flat])
+                denom = wq * w.dual_sums[lr][anc.flat] * (2.0 ** (lr * d))
+                if q != anc:
+                    large_worst = max(large_worst, abs(inner) / denom)
+                chain = math.sqrt(wq * w.dual_sums[lr][anc.flat]) * (2.0 ** (lr * d))
+                chain_worst = max(chain_worst, chain / math.sqrt(a2))
+    return i2_worst, i3_worst, large_worst, chain_worst, a2
+
+
+def _assert_matches_reference(T, w):
+    """Every field within 1e-13 relative: the batched application of T may
+    round a coefficient differently from one column at a time."""
+    rep = weak_boundedness_from_t1_check(T, w)
+    got = rep.i2_worst, rep.i3_worst, rep.largescale_worst, rep.chain_worst, rep.a2
+    for g, r in zip(got, _reference_weak_boundedness(T, w)):
+        assert abs(g - r) <= 1e-13 * abs(r), (got, r)
+
+
+@given(st.sampled_from([(1, N) for N in range(1, 9)] + [(2, N) for N in range(1, 5)]),
+       st.sampled_from((1, 2, 3, "hilbert")), st.sampled_from((None, 0, 1, 2, 3)),
+       st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_batched_weak_boundedness_matches_the_cube_by_cube_scan(shape, shift, n, seed):
+    """Cascade weights (n=0 included) and the constant-one weight (n None)."""
+    d, N = shape
+    g = build_grid(d, N)
+    if shift == "hilbert" and d == 1 and N >= 2:
+        T = hilbert_shift(g)
+    else:           # the Hilbert shift exists only at d=1, N >= 2
+        T = random_simple_shift(min(2 if shift == "hilbert" else shift, N), seed + 1, g)
+    w = Weight(GridFunction.constant(g, 1.0)) if n is None else random_a2_weight(n, seed, g)
+    _assert_matches_reference(T, w)
+
+
+@pytest.mark.parametrize("d,N", [(1, 8), (2, 4)])
+def test_batched_weak_boundedness_splits_the_finest_level(d, N):
+    g = build_grid(d, N)
+    assert _WB_BATCH_ENTRIES >> (N * d) < g.level_count(N) // 2    # several batches
+    for T in (random_simple_shift(2, 31, g), *([hilbert_shift(g)] if d == 1 else [])):
+        _assert_matches_reference(T, random_a2_weight(3, 32, g))
+
+
+def test_weak_boundedness_suite_keeps_its_calibrated_maxima():
+    """Calibration's derived weak-boundedness suite reads the same i2 and
+    large-scale ratios as the cube-by-cube scan, bit for bit."""
+    for i in range(exp.WEAK_BOUNDEDNESS_COUNT):
+        T, w = exp.weak_boundedness_instance(i)
+        rep = weak_boundedness_from_t1_check(T, w)
+        i2, _, large, _, _ = _reference_weak_boundedness(T, w)
+        assert (rep.i2_worst, rep.largescale_worst) == (i2, large)
+
 
 def test_weak_boundedness_chain_holds_exactly():
     g = build_grid(1, 7)

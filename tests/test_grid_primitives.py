@@ -108,6 +108,21 @@ def test_pool_and_expand_are_adjoint(dn, steps, seed):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, np.abs(x).sum() * np.abs(y).max())
 
 
+@given(grids(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_pool_adds_children_in_its_stated_order(dn, seed):
+    """c0 + c1 at d=1 and (c00 + c01) + (c10 + c11) at d=2, children found by
+    `descendant_flat`; bitwise, signed zeros included."""
+    d, N = dn
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(1 << (N * d))
+    x[::3] = -0.0
+    kids = [x[descendant_flat(d, N - 1, N, np.arange(1 << ((N - 1) * d)), c)]
+            for c in range(1 << d)]
+    want = kids[0] + kids[1] if d == 1 else (kids[0] + kids[1]) + (kids[2] + kids[3])
+    assert pool(x, d).tobytes() == want.tobytes()
+
+
 @given(grids(max_n={1: 6, 2: 4}), st.data())
 @settings(max_examples=60, deadline=None)
 def test_descendant_flat_follows_child_chains_in_local_row_major_order(dn, data):
@@ -143,10 +158,4 @@ def test_batched_primitives_equal_the_column_stack(dn, steps, k, seed):
         batched = op(arr, d, steps)
         stacked = np.stack([op(arr[..., c], d, steps) for c in range(k)], axis=-1)
         assert batched.shape == stacked.shape
-        if op is pool and d == 2:
-            # numpy sums the four children of a d=2 cube in an order that
-            # depends on the array layout, so a batch may differ by rounding
-            bound = 8 * steps * np.finfo(float).eps * pool(np.abs(arr), d, steps)
-            assert (np.abs(batched - stacked) <= bound).all()
-        else:           # bitwise, signed zeros included
-            assert batched.tobytes() == stacked.tobytes()
+        assert batched.tobytes() == stacked.tobytes()   # bitwise, signed zeros included
