@@ -15,7 +15,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, GridError, GridFunction, build_grid
+from .grid import DyadicCube, DyadicGrid, GridError, GridFunction, build_grid, check_seed
 from .weights import Weight, WeightError, dual_weight, power_weight, random_a2_weight
 from .shifts import (
     ShiftError,
@@ -343,7 +343,7 @@ def weak_boundedness_instance(i: int, depth: int = WEAK_L1_DEPTH):
 def jn_epsilon_family(grid: DyadicGrid, tau: int, eps: float,
                       seed: int) -> ProfileFamily:
     """Small random sign multiples of a fixed profile shape on every cube."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, GridError))
     m = 1 << (tau * grid.d)
     shape = np.concatenate([np.ones(m // 2), -np.ones(m - m // 2)])
     profiles = {}
@@ -447,7 +447,7 @@ class ExperimentConfig:
         try:
             cfg.shift_kind = shift.get("kind", cfg.shift_kind)
             cfg.tau = int(shift.get("tau", cfg.tau))
-            cfg.shift_seed = int(shift.get("seed", cfg.shift_seed))
+            cfg.shift_seed = check_seed(shift.get("seed", cfg.shift_seed), ShiftError)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ShiftError(f"bad shift parameters: {exc}") from exc
         cfg.separated = _typed_field(shift, "separated", cfg.separated, ShiftError)
@@ -504,7 +504,7 @@ def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
         elif family == "power":
             a = float(spec["a"])
         elif family == "cascade":
-            n, seed = spec["n"], int(spec.get("seed", 0))
+            n, seed = spec["n"], check_seed(spec.get("seed", 0), WeightError)
             if isinstance(n, bool) or not isinstance(n, (int, float)):
                 raise TypeError(f"cascade target n must be a number, got {n!r}")
         elif family == "file":

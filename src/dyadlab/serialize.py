@@ -48,6 +48,19 @@ def _read_json(path: str) -> dict:
     return obj
 
 
+def _read_binary(path: str) -> np.ndarray:
+    """A little-endian float64 payload; a file that is not a whole number of
+    values is refused (NumPy would drop the trailing bytes)."""
+    try:
+        raw = np.fromfile(path, dtype="<f8")
+        size = os.path.getsize(path)
+    except OSError as exc:
+        raise FormatError(f"cannot read payload {path}: {exc}") from exc
+    if size != raw.nbytes:
+        raise FormatError(f"payload {path} holds {size} bytes, not a whole number of float64s")
+    return raw
+
+
 def save_grid_function(gf: GridFunction, base: str, fmt: str = "binary",
                        weight_meta: dict | None = None) -> str:
     """Write header `<base>.json` and payload `<base>.bin` or `<base>.csv`."""
@@ -88,16 +101,16 @@ def load_grid_function(header_path: str) -> GridFunction:
     if not isinstance(header["data"], str):
         raise FormatError("header field 'data' must be a file name")
     data_path = os.path.join(os.path.dirname(header_path) or ".", header["data"])
-    try:
-        if header["format"] == "binary-le":
-            vals = np.fromfile(data_path, dtype="<f8")
-        elif header["format"] == "csv":
+    if header["format"] == "binary-le":
+        vals = _read_binary(data_path)
+    elif header["format"] == "csv":
+        try:
             with open(data_path, "r", encoding="utf-8") as fh:
                 vals = np.array([float(line) for line in fh if line.strip()])
-        else:
-            raise FormatError(f"unknown format {header['format']!r}")
-    except (OSError, ValueError) as exc:
-        raise FormatError(f"cannot read payload {data_path}: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            raise FormatError(f"cannot read payload {data_path}: {exc}") from exc
+    else:
+        raise FormatError(f"unknown format {header['format']!r}")
     if vals.size != grid.cell_count:
         raise FormatError(
             f"payload holds {vals.size} values, grid needs {grid.cell_count}"
@@ -183,10 +196,7 @@ def load_shift(header_path: str) -> SimpleHaarShift:
     except (GridError, ValueError, TypeError) as exc:
         raise FormatError(f"bad shift parameters: {exc}") from exc
     data_path = os.path.join(os.path.dirname(header_path) or ".", str(header["data"]))
-    try:
-        raw = np.fromfile(data_path, dtype="<f8")
-    except OSError as exc:
-        raise FormatError(f"cannot read payload: {exc}") from exc
+    raw = _read_binary(data_path)
     g, gamma = {}, {}
     used = np.zeros(raw.size, dtype=bool)       # payload entries claimed by a block
     for level, profile, offset, shape in blocks:
@@ -206,6 +216,8 @@ def load_shift(header_path: str) -> SimpleHaarShift:
         (g if profile == "g" else gamma)[level] = arr.reshape(shape)
     if any(j not in g or j not in gamma for j in levels):
         raise FormatError("shift header lists a level without its g and gamma blocks")
+    if not used.all():
+        raise FormatError("shift payload holds values outside every block")
     try:
         return SimpleHaarShift(
             grid, tau, levels, g, gamma,

@@ -9,10 +9,11 @@ sqrt(|Q'||Q''|)/|Q|.  Application is matrix-free: one integral pyramid, one
 pairing pass per level, one expansion pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces
-(matrix-free Golub-Kahan-Lanczos bidiagonalization against a dense oracle
-that takes the largest singular value from the eigenproblem of the symmetric
-Gram matrix M^T M), the dyadic Calderon-Zygmund decomposition, and a weak-L1
-superlevel diagnostic.
+(matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
+certifies the same Krylov value on the dense matrix M with one Cholesky
+factorization of a shifted Gram matrix s^2 (1 + eps) I - M^T M, falling back
+to the symmetric eigensolver on M^T M when the certificate fails), the dyadic
+Calderon-Zygmund decomposition, and a weak-L1 superlevel diagnostic.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .grid import (
     GridFunction,
     _HAAR_SIGNS,
     assemble_levels,
+    check_seed,
     cube_view,
     expand,
     integral_pyramid,
@@ -345,7 +347,7 @@ def martingale_transform(signs, grid: DyadicGrid, separated: bool = False) -> Si
 
 def random_signs(grid: DyadicGrid, seed: int) -> dict:
     """Seeded +/-1 sign assignment for every cube (and pattern at d=2)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed, ShiftError))
     out = {}
     npat = len(_HAAR_SIGNS[grid.d])
     for j in range(grid.N):
@@ -367,6 +369,7 @@ def random_simple_shift(tau: int, seed: int, grid: DyadicGrid,
     if tau < 1:
         raise ShiftError("tau must be at least 1")
     levels = default_levels(grid, tau, separated)
+    seed = check_seed(seed, ShiftError)
     rng = np.random.default_rng(seed)
     m = 1 << (tau * grid.d)
     g, gamma = {}, {}
@@ -432,18 +435,34 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     `dense-svd` is the oracle for grids of at most 4096 cells; `auto` picks
     the oracle when it is available.
 
-    The oracle takes the largest singular value of the dense matrix M as the
-    square root of the top eigenvalue of the symmetric Gram matrix M^T M,
-    which LAPACK's symmetric eigensolver finds faster than an SVD of M finds
-    sigma_max.  M is released before the solve, and a top eigenvalue at or
-    below zero (M = 0, up to rounding) gives 0.0, never NaN.
+    The oracle certifies a Krylov value instead of solving an eigenproblem.
+    It forms the dense matrix M, runs the same Golub-Kahan-Lanczos loop with
+    dense products M x and M^T y (same `tol`, `max_iter` and `seed`), and
+    takes s = |M v| for the unit right Ritz vector v, a lower bound for |M|
+    read off M itself.  It then forms G = M^T M, releases M, and returns s
+    when a Cholesky factorization of s^2 (1 + eps) I - G succeeds, which
+    proves |M| <= s sqrt((1 + eps)(1 + eta)); see `_certifies` for eta and
+    eps = 2 eta (about 2.5e-10 at 1024 cells).  When the factorization fails,
+    or the Krylov loop raises `OperatorNormError`, it falls back to the
+    square root of the top eigenvalue of G from LAPACK's symmetric
+    eigensolver.  A wrong Krylov value therefore never passes, the dense
+    branch never raises `OperatorNormError`, and M = 0 (s = 0, which the
+    certificate rejects) gives +0.0 through the fallback, never NaN.
     """
     if method == "auto":
         method = "dense-svd" if T.grid.cell_count <= 4096 else "power-iteration"
     if method == "dense-svd":
         M = dense_matrix(T, sigma, mu)
+        try:
+            _, v = _golub_kahan(lambda x: M @ x, lambda y: M.T @ y, M.shape[1],
+                                tol, max_iter, seed)
+            s = float(np.linalg.norm(M @ v))
+        except OperatorNormError:
+            s = 0.0
         gram = M.T @ M
         del M
+        if _certifies(gram, s):
+            return s
         top = float(np.linalg.eigvalsh(gram)[-1])
         return math.sqrt(top) if top > 0.0 else 0.0
     if method != "power-iteration":
@@ -457,6 +476,54 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
         lambda w: a * T_adj.apply_values(b * w),
         grid.cell_count, tol=tol, max_iter=max_iter, seed=seed,
     )
+
+
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    ku = k * _UNIT_ROUNDOFF
+    return ku / (1.0 - ku)
+
+
+def _certifies(gram: np.ndarray, s: float) -> bool:
+    """Whether a Cholesky factorization proves |M| <= s sqrt((1+eps)(1+eta)),
+    given the computed Gram matrix G = fl(M^T M) of an n-column M.
+
+    Rounding enters in three places (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed.), and eta bounds all three relative to
+    t = s^2 (1 + eps):
+      - Gram: |fl(M^T M) - M^T M| <= gamma_n |M|^T |M|, of 2-norm at most
+        gamma_n |M|_F^2 <= gamma_n trace(G) / (1 - gamma_n);
+      - the shift: fl(t I - G) rounds only the diagonal, by at most u t;
+      - Cholesky (Thm 10.5): when it runs to completion on A = fl(t I - G),
+        R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R|, of 2-norm at most
+        gamma_{n+1} trace(A) / (1 - gamma_{n+1}), and trace(A) <= n t (1 + u).
+    Since R^T R is positive semidefinite, success gives |M|^2 <= t (1 + eta) with
+
+        eta = n gamma_{n+1} / (1 - n gamma_{n+1}) + u + gamma_n trace(G) / ((1 - gamma_n) s^2).
+
+    Conversely (Thm 10.7), to first order the factorization is sure to
+    succeed once the margin t - |M|^2 exceeds eta t, so eps = 2 eta leaves
+    half the margin for the Krylov value's own shortfall below |M|.  s <= 0
+    never certifies.
+    """
+    if not s > 0.0:
+        return False
+    n = gram.shape[0]
+    chol = n * _gamma(n + 1)
+    eta = (chol / (1.0 - chol) + _UNIT_ROUNDOFF
+           + _gamma(n) * float(np.trace(gram)) / ((1.0 - _gamma(n)) * s * s))
+    shifted = np.negative(gram)
+    shifted.flat[::n + 1] += s * s * (1.0 + 2.0 * eta)
+    try:
+        # LAPACK reads one triangle, and each triangle of fl(M^T M) meets the
+        # Gram bound; the transposed view is the one it reads without a copy
+        np.linalg.cholesky(shifted.T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
@@ -473,7 +540,13 @@ def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
     B_k holds the exact top singular value (0.0 when M kills the start).
     At most min(max_iter, n) steps run.
     """
-    rng = np.random.default_rng(seed)
+    return _golub_kahan(forward, backward, n, tol, max_iter, seed)[0]
+
+
+def _golub_kahan(forward, backward, n, tol, max_iter, seed):
+    """The loop of `power_iteration_norm`: the estimate s and the unit right
+    Ritz vector V_k q that goes with it."""
+    rng = np.random.default_rng(check_seed(seed, ShiftError))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     V, U, alphas, betas = [], [], [], []
@@ -484,24 +557,32 @@ def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
             u -= (x @ u) * x
         alpha = float(np.linalg.norm(u))
         alphas.append(alpha)
-        left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
+        left, s, right = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         est_prev, est = est, float(s[0])
-        if alpha == 0.0:
-            return est
         V.append(v)
+        if alpha == 0.0:
+            return est, _ritz_vector(V, right[0])
         U.append(u / alpha)
         p = backward(U[-1]) - alpha * v
         for x in V:
             p -= (x @ p) * x
         beta = float(np.linalg.norm(p))
         if beta * abs(left[-1, 0]) <= tol * est:
-            return est
+            return est, _ritz_vector(V, right[0])
         betas.append(beta)
         v = p / beta
     raise OperatorNormError(
         f"Golub-Kahan-Lanczos did not converge in {len(alphas)} steps",
         bracket=(est_prev, est),
     )
+
+
+def _ritz_vector(V, q):
+    """sum_i q_i V_i, normalized; one vector of workspace."""
+    x = q[0] * V[0]
+    for c, b in zip(q[1:], V[1:]):
+        x += c * b
+    return x / np.linalg.norm(x)
 
 
 # ---------------------------------------------------------------------------

@@ -312,3 +312,37 @@ def test_mistyped_weight_header_exit_two(tmp_path, capsys, key, value):
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm"],
+    ["char", "--family", "cascade"],
+    ["corona", "--family", "cascade"],
+    ["cz"],
+    ["lemmas"],
+    ["lemmas", "--shift", "hilbert"],       # the test function's own draw
+    ["test-conditions", "--family", "cascade", "--shift", "hilbert"],
+], ids=["norm", "char", "corona", "cz", "lemmas", "lemmas-hilbert", "test-conditions"])
+def test_negative_seed_exit_two(capsys, argv):
+    code = main(argv + ["--N", "4", "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True], ids=["negative", "fractional", "boolean"])
+@pytest.mark.parametrize("where", ["shift", "weight"])
+def test_sweep_config_seed_must_be_a_non_negative_integer(tmp_path, capsys, where, seed):
+    if where == "shift":
+        config = {**_SMALL_SWEEP, "shift": {"kind": "random", "tau": 1, "seed": seed}}
+    else:
+        config = {**_SMALL_SWEEP, "weights": [{"family": "cascade", "n": 1, "seed": seed}]}
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(config))
+    code = main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be a non-negative integer" in err
+    assert not (tmp_path / "out").exists()

@@ -1,10 +1,16 @@
 """Operator-level identities and the dense norm oracle against independent checks.
 
-The `dense-svd` norm takes the top singular value of the dense matrix M from
-the eigenproblem of M^T M.  It is checked against the full SVD of M, and
-against the same oracle on the adjoint, whose Gram matrix is M M^T.  The
-property tests cover the duality identities at d=1 and d=2: <Tf, g> =
-<f, T*g> for both shift classes, and the dual-weight involution.
+The `dense-svd` norm certifies a Krylov value: s = |M v| for the Ritz vector
+v of a Golub-Kahan-Lanczos run on the dense matrix M is a lower bound, and a
+Cholesky factorization of s^2 (1 + eps) I - M^T M proves the upper bound;
+when the factorization fails, or the Krylov run does not converge, the value
+comes from LAPACK's symmetric eigensolver on M^T M instead.  Both paths are
+checked against the full SVD of M, the certificate against a value below
+the norm, the fallback by counting eigensolver calls, and the fast path by
+the suite prefix that must certify without one.  The property tests cover
+the oracle on random grids and weight pairs, the duality identities at d=1
+and d=2 (<Tf, g> = <f, T*g> for both shift classes, and the same dense norm
+for T and its adjoint), and the dual-weight involution.
 """
 
 import math
@@ -18,6 +24,7 @@ from dyadlab import (
     DyadicCube,
     GenericHaarShift,
     GridFunction,
+    OperatorNormError,
     Weight,
     apply_shift,
     build_grid,
@@ -30,6 +37,7 @@ from dyadlab import (
     zero_shift,
 )
 import dyadlab.experiments as exp
+from dyadlab import shifts
 
 MAX_N = {1: 7, 2: 4}
 SEEDS = st.integers(0, 2**32 - 1)
@@ -70,6 +78,81 @@ def test_dense_norm_of_zero_shift_is_zero():
     norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
     assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
     assert _full_svd_norm(T, w, dual_weight(w)) == 0.0
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Counts the dense oracle's eigensolver fallbacks."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_certificate_refuses_a_value_below_the_norm():
+    T, sigma, mu = exp.two_weight_instance(3, depth=7)
+    M = dense_matrix(T, sigma, mu)
+    s = float(np.linalg.svd(M, compute_uv=False)[0])
+    gram = M.T @ M
+    assert shifts._certifies(gram, s)
+    assert not shifts._certifies(gram, s * (1.0 - 1e-6))
+    assert not shifts._certifies(gram, 0.0)
+
+
+def test_zero_shift_takes_the_eigensolver_fallback(eigvalsh_calls):
+    g = build_grid(1, 6)
+    w = random_a2_weight(1, 5, g)
+    norm = operator_norm(zero_shift(g, 2), w, dual_weight(w), method="dense-svd")
+    assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+    assert eigvalsh_calls == [(64, 64)]
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_unconverged_krylov_run_takes_the_fallback_and_never_raises(eigvalsh_calls, max_iter):
+    T, sigma, mu = exp.two_weight_instance(5, depth=7)
+    with pytest.raises(OperatorNormError):
+        operator_norm(T, sigma, mu, max_iter=max_iter)
+    norm = operator_norm(T, sigma, mu, method="dense-svd", max_iter=max_iter)
+    assert eigvalsh_calls == [(128, 128)]
+    assert norm == pytest.approx(_full_svd_norm(T, sigma, mu), rel=1e-12)
+
+
+def test_suite_prefix_certifies_without_the_eigensolver(eigvalsh_calls):
+    for i in range(24):
+        T, sigma, mu = exp.two_weight_instance(i)
+        assert operator_norm(T, sigma, mu, method="dense-svd") > 0.0
+    assert eigvalsh_calls == []
+
+
+@st.composite
+def dense_norm_cases(draw):
+    """A shift on a grid with d=1, N <= 7 or d=2, N <= 4 (random, zero, or
+    random with some cubes' terms zeroed, which leaves it rank-deficient),
+    and each side None, a cascade weight w, or its dual."""
+    grid = draw(grids())
+    seed = draw(SEEDS)
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(("random", "zero", "masked")))
+    T = zero_shift(grid, 1) if kind == "zero" else _random_simple(grid, rng)
+    if kind == "masked":
+        T = T.masked({j: rng.random(grid.level_count(j)) < 0.5 for j in T.levels})
+    w = random_a2_weight(draw(st.integers(0, 2)), seed, grid)
+    sides = st.sampled_from((None, w, dual_weight(w)))
+    return T, draw(sides), draw(sides)
+
+
+@given(dense_norm_cases())
+@settings(max_examples=80, deadline=None)
+def test_dense_norm_matches_full_svd_on_random_pairs(case):
+    T, sigma, mu = case
+    full = _full_svd_norm(T, sigma, mu)
+    assert operator_norm(T, sigma, mu, method="dense-svd") == pytest.approx(
+        full, rel=1e-12, abs=0.0)
 
 
 def _random_weight(grid, rng):

@@ -1,8 +1,11 @@
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import (
     GridError,
@@ -114,6 +117,24 @@ def test_truncated_payload_raises(tmp_path):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(FormatError):
         load_grid_function(header)
+
+
+@pytest.mark.parametrize("extra", [b"\x00" * 3, b"\x00" * 8])
+@pytest.mark.parametrize("kind", ["grid_function", "shift"])
+def test_payload_with_trailing_bytes_raises(tmp_path, kind, extra):
+    """A payload longer than its header says is refused: a partial float64
+    by its length, a whole one in a shift payload as a value outside every
+    block (a grid function's count check already catches it)."""
+    g = build_grid(1, 5)
+    if kind == "shift":
+        header, loader = save_shift(random_simple_shift(2, 3, g), str(tmp_path / "s")), load_shift
+    else:
+        header = save_grid_function(GridFunction.constant(g, 1.0), str(tmp_path / "f"))
+        loader = load_grid_function
+    path = tmp_path / json.loads(open(header).read())["data"]
+    path.write_bytes(path.read_bytes() + extra)
+    with pytest.raises(FormatError):
+        loader(header)
 
 
 _SHIFT_HEADER_KEYS = ("d", "N", "tau", "levels", "blocks", "data")
@@ -258,3 +279,55 @@ def test_loader_header_fuzz_raises_only_library_errors(tmp_path):
                     escaped.append((loader.__name__, where, key, value, type(exc).__name__))
     assert mutations == 310
     assert escaped == []
+
+
+_PAYLOAD_CASES = {
+    "grid-function-binary": (load_grid_function, lambda g, base: save_grid_function(
+        GridFunction(g, np.linspace(-1.0, 2.0, g.cell_count)), base)),
+    "grid-function-csv": (load_grid_function, lambda g, base: save_grid_function(
+        GridFunction(g, np.linspace(-1.0, 2.0, g.cell_count)), base, fmt="csv")),
+    "weight-binary": (load_weight, lambda g, base: save_weight(power_weight(0.5, g), base)),
+    "weight-csv": (load_weight, lambda g, base: save_weight(power_weight(0.5, g), base,
+                                                            fmt="csv")),
+    "shift": (load_shift, lambda g, base: save_shift(random_simple_shift(2, 3, g), base)),
+}
+
+# one byte edit: replace the byte at a position, insert one before it, or
+# delete it; the position wraps around the payload's length
+_BYTE_EDITS = st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                        st.integers(0, 2**16), st.integers(0, 255))
+
+
+def _edit_bytes(data: bytes, edits) -> bytes:
+    for kind, pos, byte in edits:
+        pos %= max(len(data), 1)
+        if kind == "replace" and data:
+            data = data[:pos] + bytes([byte]) + data[pos + 1:]
+        elif kind == "insert":
+            data = data[:pos] + bytes([byte]) + data[pos:]
+        elif kind == "delete":
+            data = data[:pos] + data[pos + 1:]
+    return data
+
+
+@pytest.mark.parametrize("case", list(_PAYLOAD_CASES))
+@given(edits=st.lists(_BYTE_EDITS, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_loader_payload_fuzz_raises_only_library_errors(case, edits):
+    """Byte edits of a valid payload: the loaders may refuse it, but only with
+    the library's own error types, and a binary payload whose length changed
+    is always refused (it no longer holds the values its header describes)."""
+    loader, save = _PAYLOAD_CASES[case]
+    with tempfile.TemporaryDirectory() as tmp:
+        header = save(build_grid(1, 4), os.path.join(tmp, "p"))
+        payload = os.path.join(tmp, json.loads(open(header).read())["data"])
+        with open(payload, "rb") as fh:
+            original = fh.read()
+        mutated = _edit_bytes(original, edits)
+        with open(payload, "wb") as fh:
+            fh.write(mutated)
+        try:
+            loader(header)
+        except _LIBRARY_ERRORS:
+            return
+        assert "csv" in case or len(mutated) == len(original)

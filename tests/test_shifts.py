@@ -11,6 +11,7 @@ from dyadlab import (
     OperatorNormError,
     ShiftError,
     SimpleHaarShift,
+    WeightError,
     adjoint,
     apply_shift,
     build_grid,
@@ -297,6 +298,18 @@ def test_krylov_bases_stay_orthonormal_over_hundreds_of_steps():
     assert est == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
     for basis in (np.array(V), np.array(U)):
         assert np.abs(basis @ basis.T - np.eye(len(basis))).max() < 1e-12
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None])
+def test_seeds_must_be_non_negative_integers(seed):
+    g = build_grid(1, 4)
+    for draw in (lambda: random_simple_shift(2, seed, g), lambda: random_signs(g, seed),
+                 lambda: operator_norm(hilbert_shift(g), seed=seed)):
+        with pytest.raises(ShiftError, match="seed must be a non-negative integer"):
+            draw()
+    with pytest.raises(WeightError, match="seed must be a non-negative integer"):
+        random_a2_weight(1, seed, g)
+    assert type(random_simple_shift(2, np.int64(3), g).meta["seed"]) is int
 
 
 def test_operator_norm_methods_and_errors():
