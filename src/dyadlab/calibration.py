@@ -30,10 +30,6 @@ def load_calibration() -> dict:
     return obj
 
 
-def constant(name: str):
-    return load_calibration()["constants"][name]
-
-
 def compute_calibration(verbose: bool = True) -> dict:
     """Run every pinned suite and collect the observed constants."""
     from . import experiments as exp

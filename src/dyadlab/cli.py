@@ -99,10 +99,7 @@ def cmd_norm(args) -> int:
     grid = build_grid(args.d, args.N)
     cfg, T = _flag_shift(args, grid)
     wid, w = _resolve_weight(args, grid)
-    sigma, mu = (None, None) if args.family == "constant" and args.weight_file is None \
-        else (w, dual_weight(w))
-    if args.lebesgue:
-        sigma, mu = None, None
+    sigma, mu = (None, None) if args.lebesgue else (w, dual_weight(w))
     try:
         value = operator_norm(T, sigma, mu, method=args.method)
     except OperatorNormError as exc:
@@ -320,11 +317,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _add_out_flag(p):
+    p.add_argument("--out", default=None, help="output file or directory")
+
+
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="one seed for every random draw of the command: the random "
                         "shift, the cascade weight and lemmas' test function alike")
-    p.add_argument("--out", default=None, help="output file or directory")
+    _add_out_flag(p)
 
 
 def _add_grid_flags(p, default_n=10):
@@ -401,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("sweep", help="weight sweep: norms, constants, CSV emission")
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.add_argument("--format", dest="fmt", default=None, choices=("csv", "json"))
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_sweep)

@@ -18,7 +18,6 @@ relative to a stopping cube.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +26,10 @@ from .grid import (
     DyadicCube,
     DyadicGrid,
     GridError,
-    assemble_levels,
     descendant_flat,
+    expand,
     integral_pyramid,
+    level_argmax,
     pool,
 )
 from .weights import Weight
@@ -316,43 +316,36 @@ class PackingReport:
 
 def packing_check(corona: CoronaDecomposition) -> PackingReport:
     """Max over stopping L of |union of immediate stopping descendants| / |L|,
-    and of ||sum of indicators of stopping cubes inside L||_2 / |L|^(1/2)."""
-    grid = corona.grid
-    stops = corona.stopping_cubes()
-    # depth function: number of stopping cubes containing each cell
-    depth = assemble_levels({j: corona.stopping.mask(j).astype(np.float64)
-                             for j in corona.stopping.levels()}, grid.d, grid.N)
-    depth_pyr = integral_pyramid(depth * grid.cell_volume, grid.d, grid.N)
-    depth2_pyr = integral_pyramid(depth * depth * grid.cell_volume, grid.d, grid.N)
+    and of ||sum of indicators of stopping cubes inside L||_2 / |L|^(1/2).
 
-    child_ratio, child_wit = 0.0, None
-    overlap_ratio, overlap_wit = 0.0, None
-    for L in stops:
-        kids = corona.stopping_children(L)
-        ratio = sum(k.volume for k in kids) / L.volume
-        if ratio > child_ratio or child_wit is None:
-            child_ratio, child_wit = ratio, L
-        above = _stopping_depth_above(corona, L)
+    count[j] is the number of stopping cubes containing each level-j cube and
+    depth the same per cell: the cells of L with depth > count(L) make up the
+    union of its stopping descendants, and count(L) - 1 stops lie above L."""
+    grid, stopping = corona.grid, corona.stopping
+    d, N, vol = grid.d, grid.N, grid.cell_volume
+    counts, depth, prev = {}, None, None
+    for j in stopping.levels():
+        here = stopping.masks[j].astype(np.float64)
+        depth = here if depth is None else expand(depth, d, j - prev) + here
+        counts[j], prev = depth, j
+    depth = expand(depth, d, N - prev)
+    depth_pyr = integral_pyramid(depth * vol, d, N)
+    depth2_pyr = integral_pyramid(depth * depth * vol, d, N)
+
+    child_rows, overlap_rows = [], []
+    for j, count in counts.items():
+        flats = np.nonzero(stopping.masks[j])[0]
+        vol_j = 2.0 ** (-j * d)
+        covered = pool((depth > expand(count, d, N - j)) * vol, d, N - j)[flats]
+        above = count[flats] - 1.0
         # ||sum 1_{L' subset L}||_2^2 = int_L (depth - above)^2
-        sq = (
-            depth2_pyr[L.level][L.flat]
-            - 2.0 * above * depth_pyr[L.level][L.flat]
-            + above * above * L.volume
-        )
-        oratio = math.sqrt(max(sq, 0.0) / L.volume)
-        if oratio > overlap_ratio or overlap_wit is None:
-            overlap_ratio, overlap_wit = oratio, L
+        sq = (depth2_pyr[j][flats] - 2.0 * above * depth_pyr[j][flats]
+              + above * above * vol_j)
+        child_rows.append((j, covered / vol_j, flats))
+        overlap_rows.append((j, np.sqrt(np.maximum(sq, 0.0) / vol_j), flats))
+    child_ratio, child_wit = level_argmax(grid, child_rows)
+    overlap_ratio, overlap_wit = level_argmax(grid, overlap_rows)
     return PackingReport(child_ratio, overlap_ratio, child_wit, overlap_wit)
-
-
-def _stopping_depth_above(corona: CoronaDecomposition, L: DyadicCube) -> int:
-    """Number of stopping cubes strictly containing L."""
-    count = 0
-    cur = corona.stopping_parent(L)
-    while cur is not None:
-        count += 1
-        cur = corona.stopping_parent(cur)
-    return count
 
 
 def carleson_sum(corona: CoronaDecomposition, cube: DyadicCube) -> float:
@@ -376,13 +369,8 @@ def carleson_check(corona: CoronaDecomposition,
     w = corona.measure
     a2 = w.a2_characteristic()
     arrays = corona.carleson_arrays()
-    worst, wit = 0.0, None
-    for j in range(grid.N + 1):
-        bound = constant * a2 * w.sums[j]
-        ratio = arrays[j] / bound
-        k = int(np.argmax(ratio))
-        if ratio[k] > worst or wit is None:
-            worst, wit = float(ratio[k]), grid.cube(j, k)
+    worst, wit = level_argmax(grid, ((j, arrays[j] / (constant * a2 * w.sums[j]), None)
+                                     for j in range(grid.N + 1)))
     return CarlesonReport(worst, constant, a2, wit)
 
 

@@ -36,6 +36,7 @@ from .grid import (
     descendant_flat,
     expand,
     integral_pyramid,
+    level_argmax,
     pool,
     scatter_subcells,
     subcell_matrix,
@@ -227,14 +228,9 @@ class _IndicatorScan:
 
 
 def _t1_constant(scan: _IndicatorScan):
-    grid = scan.grid
-    best, wit = 0.0, None
-    for j in range(grid.N + 1):
-        num = scan.localized_norm_sq(j)
-        ratio = num / scan.sigma_sums[j]
-        k = int(np.argmax(ratio))
-        if ratio[k] > best or wit is None:
-            best, wit = float(ratio[k]), grid.cube(j, k)
+    best, wit = level_argmax(scan.grid, (
+        (j, scan.localized_norm_sq(j) / scan.sigma_sums[j], None)
+        for j in range(scan.grid.N + 1)))
     return math.sqrt(max(best, 0.0)), wit
 
 
@@ -414,17 +410,16 @@ def bold_h(cubes: CubeSet, T: SimpleHaarShift, w: Weight,
     d, N = grid.d, grid.N
     fields = T.output_fields(_masked_coefficients(T, w, cubes))
     dual_cells = w.dual_sums[N]
-    best, wit = 0.0, None
-    for j, s in suffix_sweep(fields, d, N, T.tau):
-        cand_mask = cubes.mask(j) if restrict_sup else np.ones(grid.level_count(j), bool)
-        if not cand_mask.any():
-            continue
-        norms = pool(s * s * dual_cells, d, N - j)
-        ratio = np.where(cand_mask, norms / w.sums[j], -np.inf)
-        k = int(np.argmax(ratio))
-        if ratio[k] > best or wit is None:
-            best, wit = float(max(ratio[k], 0.0)), grid.cube(j, k)
-    return BoldHReport(math.sqrt(best), wit, restrict_sup)
+
+    def rows():
+        for j, s in suffix_sweep(fields, d, N, T.tau):
+            flats = np.nonzero(cubes.mask(j))[0] if restrict_sup else None
+            if flats is None or flats.size:
+                ratio = pool(s * s * dual_cells, d, N - j) / w.sums[j]
+                yield j, (ratio if flats is None else ratio[flats]), flats
+
+    best, wit = level_argmax(grid, rows())
+    return BoldHReport(math.sqrt(max(best, 0.0)), wit, restrict_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -538,20 +533,18 @@ def jn_check(family: ProfileFamily, t_values=tuple(range(1, 11))) -> JNReport:
     d, N, tau = grid.d, grid.N, family.tau
     vol = grid.cell_volume
     fields = {j + tau: scatter_subcells(family.profiles[j], d, tau) for j in family.levels}
-    hyp_worst, hyp_wit = 0.0, None
+    hyp_rows = []
     conc_worst = {t: 0.0 for t in t_values}
     for j, suffix in suffix_sweep(fields, d, N, tau):
         absval = np.abs(suffix)
         over = pool((absval > 1.0).astype(np.float64) * vol, d, N - j)
         bound = (2.0 ** (-tau * d - 1)) * (2.0 ** (-j * d))
-        ratio = over / bound
-        k = int(np.argmax(ratio))
-        if ratio[k] > hyp_worst or hyp_wit is None:
-            hyp_worst, hyp_wit = float(ratio[k]), grid.cube(j, k)
+        hyp_rows.append((j, over / bound, None))
         for t in t_values:
             over_t = pool((absval > 2.0 * tau * t).astype(np.float64) * vol, d, N - j)
             bound_t = tau * (2.0 ** (-t + 1)) * (2.0 ** (-j * d))
             conc_worst[t] = max(conc_worst[t], float((over_t / bound_t).max()))
+    hyp_worst, hyp_wit = level_argmax(grid, hyp_rows)
     hyp_ok = hyp_worst <= 1.0 + 1e-12
     if not hyp_ok:
         return JNReport(False, hyp_worst, hyp_wit, None, None, tuple(t_values))

@@ -540,11 +540,12 @@ def _sweep_row(args) -> SweepRow:
     wid, w = build_config_weight(spec, grid)
     wi = dual_weight(w)
     a2 = w.a2_characteristic()
-    norm = operator_norm(T, w, wi, method=cfg.norm_method)
-    c_wb = c_t1 = c_tstar1 = 0.0
     if cfg.with_testing:
-        rep = testing_constants(T, w, wi, norm_method="power-iteration")
-        c_wb, c_t1, c_tstar1 = rep.c_wb, rep.c_t1, rep.c_tstar1
+        rep = testing_constants(T, w, wi, norm_method=cfg.norm_method)
+        norm, c_wb, c_t1, c_tstar1 = rep.full_norm, rep.c_wb, rep.c_t1, rep.c_tstar1
+    else:
+        norm = operator_norm(T, w, wi, method=cfg.norm_method)
+        c_wb = c_t1 = c_tstar1 = 0.0
     stopping_count, carleson_max = 0, 0.0
     if cfg.with_corona:
         from .corona import carleson_check

@@ -8,7 +8,8 @@ operations: a level-j array holds one value per dyadic cube of level j, in
 row-major order over the index vectors, and the toolkit moves data between
 levels (pooling children into parents, expanding parents onto descendants,
 grouping descendants under an ancestor).  These index rules, with descendant
-numbering, ancestor lookup and the tensor Haar sign table, live only here.
+numbering, ancestor lookup and the tensor Haar sign table, live only here, and
+so does the witness rule of a cube supremum (`level_argmax`).
 """
 
 from __future__ import annotations
@@ -329,6 +330,24 @@ def suffix_sweep(fields: dict, d: int, N: int, tau: int):
         if j + tau in fields:
             s = s + expand(fields[j + tau], d, N - (j + tau))
         yield j, s
+
+
+def level_argmax(grid: DyadicGrid, rows) -> tuple[float, DyadicCube | None]:
+    """Supremum of cube values with its witness: the first cube, in level then
+    index order, that attains the maximum; (-inf, None) when nothing is scanned.
+
+    `rows` yields (level, values, flats), one level at a time in ascending
+    order; `flats` is None when `values` covers the whole level, else the
+    ascending flat indices of the cubes that `values` holds.
+    """
+    best, where = -np.inf, None
+    for j, values, flats in rows:
+        if len(values) == 0:
+            continue
+        k = int(np.argmax(values))
+        if values[k] > best:
+            best, where = float(values[k]), (j, k if flats is None else int(flats[k]))
+    return best, None if where is None else grid.cube(*where)
 
 
 def assemble_levels(pieces: dict, d: int, N: int) -> np.ndarray | None:

@@ -323,24 +323,18 @@ def martingale_transform(signs, grid: DyadicGrid, separated: bool = False) -> Si
     levels = default_levels(grid, tau, separated)
     sign_table = _HAAR_SIGNS[grid.d]
     npat = sign_table.shape[0]
-    g, gamma = {}, {}
-    for j in levels:
-        count = grid.level_count(j)
-        scale = 2.0 ** (j * grid.d / 2.0)
-        base = np.tile(sign_table[:, None, :] * scale, (1, count, 1))
-        eps = np.ones((npat, count))
-        for key, val in signs.items():
-            cube, pat = key if isinstance(key, tuple) else (key, None)
-            if cube.level != j:
-                continue
-            if val not in (-1, 1):
-                raise ShiftError("signs must be -1 or +1")
-            if pat is None:
-                eps[:, cube.flat] = val
-            else:
-                eps[pat, cube.flat] = val
-        g[j] = base
-        gamma[j] = base * eps[:, :, None]
+    eps = {j: np.ones((npat, grid.level_count(j))) for j in levels}
+    for key, val in signs.items():
+        cube, pat = key if isinstance(key, tuple) else (key, None)
+        block = eps.get(cube.level)
+        if block is None:
+            continue
+        if val not in (-1, 1):
+            raise ShiftError("signs must be -1 or +1")
+        block[slice(None) if pat is None else pat, cube.flat] = val
+    g = {j: np.tile(sign_table[:, None, :] * 2.0 ** (j * grid.d / 2.0),
+                    (1, grid.level_count(j), 1)) for j in levels}
+    gamma = {j: g[j] * eps[j][:, :, None] for j in levels}
     return SimpleHaarShift(grid, tau, levels, g, gamma, separated=separated,
                            meta={"kind": "martingale"})
 
@@ -594,23 +588,25 @@ class CZDecomposition:
     """Dyadic splitting f = g + sum_Q b_Q at height lam.
 
     Bad cubes are the maximal ones where the average of |f| exceeds lam; each
-    bad part is the mean-zero localization (f - avg_Q f) 1_Q, and the good
-    part equals f off the bad cubes and the cube average on them.
+    bad part is the mean-zero localization (f - g) 1_Q = (f - avg_Q f) 1_Q,
+    and the good part equals f off the bad cubes and the cube average on them.
     """
 
     source: GridFunction
     lam: float
     good: GridFunction
     bad_cubes: list[DyadicCube]
-    _bad_local: dict = field(repr=False, default_factory=dict)
+    _bad_keys: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._bad_keys = frozenset((c.level, c.flat) for c in self.bad_cubes)
 
     def bad_part(self, cube: DyadicCube) -> GridFunction:
-        key = (cube.level, cube.flat)
-        if key not in self._bad_local:
+        if (cube.level, cube.flat) not in self._bad_keys:
             raise ShiftError(f"{cube!r} is not a bad cube of this decomposition")
         vals = np.zeros(self.source.grid.cell_count)
-        view = cube_view(vals, cube)
-        view[...] = self._bad_local[key].reshape(view.shape)
+        cube_view(vals, cube)[...] = (cube_view(self.source.values, cube)
+                                      - cube_view(self.good.values, cube))
         return GridFunction(self.source.grid, vals)
 
     def bad_measure(self) -> float:
@@ -620,30 +616,29 @@ class CZDecomposition:
 def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
     """Dyadic Calderon-Zygmund decomposition of f at height lam > 0.
 
-    When lam exceeds the root average of |f|, the good part is bounded by
-    2^d lam and the bad cubes satisfy sum |Q| <= ||f||_1 / lam with constant 1.
+    One pass per level, coarse to fine.  When lam exceeds the root average
+    of |f|, the good part is bounded by 2^d lam and the bad cubes satisfy
+    sum |Q| <= ||f||_1 / lam with constant 1.
     """
     if lam <= 0:
         raise ShiftError("height lam must be positive")
     grid = f.grid
-    abs_pyr = integral_pyramid(np.abs(f.values) * grid.cell_volume, grid.d, grid.N)
+    d, N = grid.d, grid.N
+    abs_pyr = integral_pyramid(np.abs(f.values) * grid.cell_volume, d, N)
     sgn_pyr = f.pyramid()
-    good_vals = f.values.copy()
-    bad_cubes, bad_local = [], {}
+    good = f.values
+    bad_cubes = []
     alive = np.ones(1, dtype=bool)
-    for j in range(grid.N + 1):
-        dens = abs_pyr[j] * (2.0 ** (j * grid.d))
-        is_bad = alive & (dens > lam)
-        for flat in np.nonzero(is_bad)[0]:
-            cube = grid.cube(j, int(flat))
-            avg = sgn_pyr[j][flat] / cube.volume
-            local = cube.cell_values(f.values) - avg
-            bad_cubes.append(cube)
-            bad_local[(j, int(flat))] = local
-            cube_view(good_vals, cube)[...] = avg
-        if j < grid.N:
-            alive = expand(alive & ~is_bad, grid.d, 1)
-    return CZDecomposition(f, lam, GridFunction(grid, good_vals), bad_cubes, bad_local)
+    for j in range(N + 1):
+        is_bad = alive & (abs_pyr[j] * (2.0 ** (j * d)) > lam)
+        flats = np.nonzero(is_bad)[0]
+        if flats.size:
+            bad_cubes.extend(grid.cube(j, int(k)) for k in flats)
+            avg = sgn_pyr[j] / 2.0 ** (-j * d)
+            good = np.where(expand(is_bad, d, N - j), expand(avg, d, N - j), good)
+        if j < N:
+            alive = expand(alive & ~is_bad, d, 1)
+    return CZDecomposition(f, lam, GridFunction(grid, good), bad_cubes)
 
 
 def weak_l1_ratio(T, f: GridFunction) -> float:

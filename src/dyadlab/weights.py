@@ -29,6 +29,7 @@ from .grid import (
     GridFunction,
     check_seed,
     integral_pyramid,
+    level_argmax,
     scatter_subcells,
     subcell_matrix,
 )
@@ -168,16 +169,14 @@ def two_weight_a2(alpha: Weight, beta: Weight) -> ApReport:
 
 
 def _ap_scan(g: DyadicGrid, p: float, sums, other) -> ApReport:
-    """Max over all cubes of (sums(Q)/|Q|) * (other(Q)/|Q|)^(p-1), first
-    attaining cube in level then index order as witness."""
-    best, best_level, best_flat = -np.inf, 0, 0
-    for j in range(g.N + 1):
-        inv_vol = 2.0 ** (j * g.d)
-        prod = (sums[j] * inv_vol) * (other[j] * inv_vol) ** (p - 1.0)
-        k = int(np.argmax(prod))
-        if prod[k] > best:
-            best, best_level, best_flat = float(prod[k]), j, k
-    return ApReport(p, best, g.cube(best_level, best_flat))
+    """Max over all cubes of (sums(Q)/|Q|) * (other(Q)/|Q|)^(p-1), with the
+    witness of `grid.level_argmax`."""
+    def rows():
+        for j in range(g.N + 1):
+            inv_vol = 2.0 ** (j * g.d)
+            yield j, (sums[j] * inv_vol) * (other[j] * inv_vol) ** (p - 1.0), None
+
+    return ApReport(p, *level_argmax(g, rows()))
 
 
 def power_weight(a: float, grid: DyadicGrid) -> Weight:

@@ -196,6 +196,38 @@ def test_sweep_json_format(tmp_path, capsys):
 _SMALL_SWEEP = {"grid": {"d": 1, "N": 4}, "weights": [{"family": "power", "a": 0.5}]}
 
 
+@pytest.mark.parametrize("with_testing", [False, True])
+def test_sweep_row_computes_its_norm_once(monkeypatch, with_testing):
+    """With testing on, the row's norm is the testing report's full norm."""
+    import dyadlab.estimates
+    import dyadlab.experiments as exp
+
+    calls, real = [], exp.operator_norm
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return real(*args, **kwargs)
+
+    monkeypatch.delenv("DYADLAB_WORKERS", raising=False)     # rows in this process
+    monkeypatch.setattr(exp, "operator_norm", counted)
+    monkeypatch.setattr(dyadlab.estimates, "operator_norm", counted)
+    cfg = ExperimentConfig.from_dict({**_SMALL_SWEEP, "norm_method": "dense-svd",
+                                      "with_testing": with_testing})
+    (row,) = exp.run_sweep(cfg)
+    assert calls == ["dense-svd"]
+    assert row.norm > 0.0
+
+
+def test_sweep_refuses_seed_flag(tmp_path):
+    """A sweep draws its seeds from the config alone; --seed is not a sweep flag."""
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(_SMALL_SWEEP))
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--seed", "5"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text", [
     "{{{",
     json.dumps({"shift": {"kind": "nope"}}),

@@ -24,6 +24,7 @@ from dyadlab import (
     random_a2_weight,
 )
 from dyadlab.corona import STOPPING_FACTOR
+from dyadlab.grid import assemble_levels, integral_pyramid
 import dyadlab.experiments as exp
 
 
@@ -51,6 +52,59 @@ def reference_stopping_set(w):
 
     scan(0, 0, w.density(g.root()))
     return stops
+
+
+def _stopping_depth_above(corona, L):
+    """Number of stopping cubes strictly containing L, up the parent chain."""
+    count = 0
+    cur = corona.stopping_parent(L)
+    while cur is not None:
+        count += 1
+        cur = corona.stopping_parent(cur)
+    return count
+
+
+def _reference_packing(corona):
+    """`packing_check` stop by stop: children from the stopping forest, the
+    stops above L from the parent chain, witnesses in level then index order."""
+    grid = corona.grid
+    depth = assemble_levels({j: corona.stopping.mask(j).astype(np.float64)
+                             for j in corona.stopping.levels()}, grid.d, grid.N)
+    depth_pyr = integral_pyramid(depth * grid.cell_volume, grid.d, grid.N)
+    depth2_pyr = integral_pyramid(depth * depth * grid.cell_volume, grid.d, grid.N)
+    child_ratio, child_wit = 0.0, None
+    overlap_ratio, overlap_wit = 0.0, None
+    for L in corona.stopping_cubes():
+        ratio = sum(k.volume for k in corona.stopping_children(L)) / L.volume
+        if ratio > child_ratio or child_wit is None:
+            child_ratio, child_wit = ratio, L
+        above = _stopping_depth_above(corona, L)
+        sq = (depth2_pyr[L.level][L.flat] - 2.0 * above * depth_pyr[L.level][L.flat]
+              + above * above * L.volume)
+        oratio = math.sqrt(max(sq, 0.0) / L.volume)
+        if oratio > overlap_ratio or overlap_wit is None:
+            overlap_ratio, overlap_wit = oratio, L
+    return child_ratio, overlap_ratio, child_wit, overlap_wit
+
+
+@given(st.sampled_from(((1, 4), (1, 7), (1, 10), (2, 3), (2, 5))), st.integers(0, 5),
+       st.integers(0, 10**6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_packing_check_is_bitwise_the_stop_by_stop_oracle(shape, n, seed, data):
+    """Full coronas and class coronas (tops below the root, restricted
+    stopping levels) of cascade weights: ratios bit for bit, same witnesses."""
+    d, N = shape
+    w = random_a2_weight(n, seed, build_grid(d, N))
+    levels = data.draw(st.none() | st.lists(st.integers(0, N), min_size=1, unique=True))
+    coronas = [exp.corona_for(w)]
+    coronas += [exp.class_corona(w, cls, levels)[1]
+                for cls in qn_partition(w, levels=levels).classes.values()]
+    for corona in coronas:
+        pk = packing_check(corona)
+        want = _reference_packing(corona)
+        assert [x.hex() for x in (pk.child_union_ratio, pk.overlap_ratio)] == \
+            [x.hex() for x in want[:2]]
+        assert (pk.child_witness, pk.overlap_witness) == want[2:]
 
 
 def test_lebesgue_corona_is_trivial():

@@ -4,8 +4,9 @@ Each primitive is checked against a computation that does not use it: level
 arrays are carried to the finest level by indexing with `ancestor_map`
 instead of `expand`, cube cells are addressed through
 `corona._extent_indices` instead of reshaped blocks, descendant numbering is
-checked against `DyadicCube.child` chains, and batched calls against the
-column-by-column stack of 1-D calls.
+checked against `DyadicCube.child` chains, batched calls against the
+column-by-column stack of 1-D calls, and `level_argmax` against a sort of
+every scanned (level, flat, value) triple.
 """
 
 import numpy as np
@@ -20,6 +21,7 @@ from dyadlab.grid import (
     cube_view,
     descendant_flat,
     expand,
+    level_argmax,
     pool,
     scatter_subcells,
     subcell_matrix,
@@ -159,3 +161,43 @@ def test_batched_primitives_equal_the_column_stack(dn, steps, k, seed):
         stacked = np.stack([op(arr[..., c], d, steps) for c in range(k)], axis=-1)
         assert batched.shape == stacked.shape
         assert batched.tobytes() == stacked.tobytes()   # bitwise, signed zeros included
+
+
+@given(grids(max_n={1: 5, 2: 3}), st.integers(0, 2**32 - 1), st.data())
+@settings(max_examples=80, deadline=None)
+def test_level_argmax_witness_is_the_first_maximal_cube(dn, seed, data):
+    """Small integer values force ties within and across levels; subset rows
+    carry their flat indices."""
+    d, N = dn
+    grid = build_grid(d, N)
+    rng = np.random.default_rng(seed)
+    rows, triples = [], []
+    for j in sorted(data.draw(st.sets(st.integers(0, N)))):
+        vals = rng.integers(-2, 3, size=grid.level_count(j)).astype(np.float64)
+        if data.draw(st.booleans()):
+            flats = np.flatnonzero(rng.random(vals.size) < 0.5)
+            rows.append((j, vals[flats], flats))
+        else:
+            flats = np.arange(vals.size)
+            rows.append((j, vals, None))
+        triples += [(j, int(k), vals[k]) for k in flats]
+    best, wit = level_argmax(grid, rows)
+    if not triples:
+        assert best == -np.inf and wit is None
+        return
+    top = max(v for _, _, v in triples)
+    j, k, _ = min((j, k, v) for j, k, v in triples if v == top)
+    assert best == top and (wit.level, wit.flat) == (j, k)
+
+
+def test_level_argmax_ties_and_empty_scans():
+    grid = build_grid(2, 2)
+    ones = np.ones(4)
+    assert level_argmax(grid, []) == (-np.inf, None)
+    assert level_argmax(grid, [(1, np.zeros(0), np.zeros(0, int))]) == (-np.inf, None)
+    # a tie across levels goes to the coarser level, within a level to the lower index
+    best, wit = level_argmax(grid, [(1, ones, None),
+                                    (2, np.array([1.0, 2.0, 2.0]), np.array([3, 5, 9]))])
+    assert best == 2.0 and (wit.level, wit.flat) == (2, 5)
+    best, wit = level_argmax(grid, [(0, np.ones(1), None), (1, ones, None)])
+    assert best == 1.0 and (wit.level, wit.flat) == (0, 0)

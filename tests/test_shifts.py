@@ -29,6 +29,7 @@ from dyadlab import (
     weak_l1_ratio,
     zero_shift,
 )
+from dyadlab.grid import _HAAR_SIGNS, cube_view, expand, integral_pyramid
 from dyadlab.shifts import default_levels, power_iteration_norm
 
 
@@ -104,6 +105,56 @@ def test_martingale_d2_multi_term():
     T = martingale_transform(random_signs(g, 5), g)
     assert T.terms_at(0) == 3
     assert operator_norm(T, method="dense-svd") == pytest.approx(1.0, abs=1e-10)
+
+
+def _reference_martingale_profiles(signs, grid, separated):
+    """The sign table built level by level, rescanning every key per level."""
+    sign_table = _HAAR_SIGNS[grid.d]
+    npat = sign_table.shape[0]
+    g, gamma = {}, {}
+    for j in default_levels(grid, 1, separated):
+        count = grid.level_count(j)
+        base = np.tile(sign_table[:, None, :] * 2.0 ** (j * grid.d / 2.0), (1, count, 1))
+        eps = np.ones((npat, count))
+        for key, val in signs.items():
+            cube, pat = key if isinstance(key, tuple) else (key, None)
+            if cube.level != j:
+                continue
+            if val not in (-1, 1):
+                raise ShiftError("signs must be -1 or +1")
+            if pat is None:
+                eps[:, cube.flat] = val
+            else:
+                eps[pat, cube.flat] = val
+        g[j], gamma[j] = base, base * eps[:, :, None]
+    return g, gamma
+
+
+@given(st.sampled_from(((1, 3), (1, 6), (1, 9), (2, 2), (2, 4))), st.booleans(),
+       st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_martingale_profiles_are_bitwise_the_per_level_scan(shape, separated, seed, keep):
+    """Full and partial sign dicts, keys on levels outside the family included."""
+    d, N = shape
+    grid = build_grid(d, N)
+    rng = np.random.default_rng(seed)
+    signs = {k: v for k, v in random_signs(grid, seed).items() if rng.random() < keep}
+    signs[grid.cube(N, int(rng.integers(grid.cell_count)))] = 0    # off the family: skipped
+    T = martingale_transform(signs, grid, separated=separated)
+    g, gamma = _reference_martingale_profiles(signs, grid, separated)
+    assert T.levels == tuple(g)
+    for j in T.levels:
+        assert T.g[j].tobytes() == g[j].tobytes()
+        assert T.gamma[j].tobytes() == gamma[j].tobytes()
+
+
+def test_martingale_rejects_bad_signs_on_family_levels_only():
+    grid = build_grid(1, 4)
+    with pytest.raises(ShiftError, match="signs must be -1 or"):
+        martingale_transform({grid.cube(2, 1): 0}, grid)
+    # the finest level is not a family level, so its key is skipped
+    T = martingale_transform({grid.cube(4, 3): 0}, grid)
+    assert 4 not in T.levels
 
 
 def test_random_shift_profile_invariants():
@@ -356,6 +407,52 @@ def test_scale_block_orthogonality():
 
 
 # -- Calderon-Zygmund decomposition -----------------------------------------
+
+def _reference_cz(f, lam):
+    """The CZ decomposition bad cube by bad cube: (good values, bad cubes,
+    bad part of each bad cube as a full cell array)."""
+    grid = f.grid
+    abs_pyr = integral_pyramid(np.abs(f.values) * grid.cell_volume, grid.d, grid.N)
+    sgn_pyr = f.pyramid()
+    good = f.values.copy()
+    bad_cubes, bad_parts = [], []
+    alive = np.ones(1, dtype=bool)
+    for j in range(grid.N + 1):
+        is_bad = alive & (abs_pyr[j] * (2.0 ** (j * grid.d)) > lam)
+        for flat in np.nonzero(is_bad)[0]:
+            cube = grid.cube(j, int(flat))
+            avg = sgn_pyr[j][flat] / cube.volume
+            part = np.zeros(grid.cell_count)
+            view = cube_view(part, cube)
+            view[...] = (cube.cell_values(f.values) - avg).reshape(view.shape)
+            bad_cubes.append(cube)
+            bad_parts.append(part)
+            cube_view(good, cube)[...] = avg
+        if j < grid.N:
+            alive = expand(alive & ~is_bad, grid.d, 1)
+    return good, bad_cubes, bad_parts
+
+
+@given(st.sampled_from(((1, 2), (1, 6), (1, 10), (2, 2), (2, 4), (2, 6))),
+       st.integers(0, 2**32 - 1), st.sampled_from((0.25, 1.0, 1.5, 2.0, 3.0, 8.0, 40.0)),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_cz_decompose_is_bitwise_the_cube_by_cube_oracle(shape, seed, lam, signed):
+    d, N = shape
+    grid = build_grid(d, N)
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.cell_count) ** 2
+    if signed:
+        vals *= np.sign(rng.standard_normal(grid.cell_count))
+    f = GridFunction(grid, vals)
+    f = f * (1.0 / f.l1_norm())
+    cz = cz_decompose(f, lam)
+    good, bad_cubes, bad_parts = _reference_cz(f, lam)
+    assert cz.good.values.tobytes() == good.tobytes()
+    assert cz.bad_cubes == bad_cubes
+    for cube, part in zip(bad_cubes, bad_parts):
+        assert cz.bad_part(cube).values.tobytes() == part.tobytes()
+
 
 def test_cz_no_bad_cubes_for_flat_function():
     g = build_grid(1, 6)
