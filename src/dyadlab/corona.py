@@ -19,6 +19,7 @@ relative to a stopping cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,7 +27,10 @@ from .grid import (
     DyadicCube,
     DyadicGrid,
     GridError,
+    ancestor_flat,
+    check_cube,
     descendant_flat,
+    flat_to_index,
     expand,
     integral_pyramid,
     level_argmax,
@@ -73,6 +77,7 @@ class CubeSet:
     def all_under(cls, grid: DyadicGrid, top: DyadicCube,
                   levels=None) -> "CubeSet":
         """All cubes contained in `top`, optionally restricted to given levels."""
+        check_cube(grid, top)
         allowed = range(top.level, grid.N + 1) if levels is None else levels
         masks = {}
         for j in allowed:
@@ -93,6 +98,7 @@ class CubeSet:
         return sorted(self.masks)
 
     def contains(self, cube: DyadicCube) -> bool:
+        check_cube(self.grid, cube)
         m = self.masks.get(cube.level)
         return bool(m is not None and m[cube.flat])
 
@@ -100,11 +106,9 @@ class CubeSet:
         return int(sum(m.sum() for m in self.masks.values()))
 
     def cubes(self) -> list[DyadicCube]:
-        out = []
-        for j in self.levels():
-            for flat in np.nonzero(self.masks[j])[0]:
-                out.append(self.grid.cube(j, int(flat)))
-        return out
+        cube = self.grid.cube
+        return [cube(j, flat) for j in self.levels()
+                for flat in np.flatnonzero(self.masks[j]).tolist()]
 
     def intersect(self, other: "CubeSet") -> "CubeSet":
         masks = {}
@@ -114,6 +118,7 @@ class CubeSet:
         return CubeSet(self.grid, masks)
 
     def restrict_under(self, top: DyadicCube) -> "CubeSet":
+        check_cube(self.grid, top)
         masks = {}
         for j, m in self.masks.items():
             if j < top.level:
@@ -131,12 +136,30 @@ def _extent_indices(grid: DyadicGrid, top: DyadicCube, level: int):
                            np.arange(1 << ((level - top.level) * grid.d)))
 
 
+class StoppingForest(NamedTuple):
+    """The stops of a corona in level then index order, as parallel arrays.
+
+    A stop's `key` is level * cells + flat (ascending here), `parent` holds
+    the position of its stopping parent (-1 for the top) and `depth` the
+    number of stops above it, so stops of one depth are disjoint.
+    """
+
+    level: np.ndarray
+    flat: np.ndarray
+    key: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+    mass: np.ndarray
+    density: np.ndarray
+
+
 class CoronaDecomposition:
     """Stopping forest over a cube family with the minimal-ancestor assignment.
 
     `anchor_level[j]` / `anchor_flat[j]` give, for every level-j cube under the
     top, the address of its minimal stopping ancestor (the cube itself when it
-    is stopping); entries outside the top are -1.
+    is stopping); entries outside the top are -1.  The stopping forest is read
+    from them: a stop's stopping parent is the anchor of its parent cube.
     """
 
     def __init__(self, measure: Weight, family: CubeSet, top: DyadicCube,
@@ -148,6 +171,7 @@ class CoronaDecomposition:
         self.anchor_level = anchor_level
         self.anchor_flat = anchor_flat
         self._carleson = None
+        self._forest_cache = None
 
     @property
     def grid(self) -> DyadicGrid:
@@ -157,6 +181,7 @@ class CoronaDecomposition:
         return self.stopping.cubes()
 
     def lambda_of(self, cube: DyadicCube) -> DyadicCube:
+        check_cube(self.grid, cube)
         lev = int(self.anchor_level[cube.level][cube.flat])
         if lev < 0:
             raise CoronaStructureError(f"{cube!r} lies outside the top cube")
@@ -164,17 +189,22 @@ class CoronaDecomposition:
 
     def corona_of(self, stopping_cube: DyadicCube) -> CubeSet:
         """Family cubes whose minimal stopping ancestor is the given cube."""
-        masks = {}
-        for j in self.family.levels():
-            if j < stopping_cube.level:
-                continue
-            sel = (
-                self.family.masks[j]
-                & (self.anchor_level[j] == stopping_cube.level)
-                & (self.anchor_flat[j] == stopping_cube.flat)
-            )
-            masks[j] = sel
-        return CubeSet(self.grid, masks)
+        key = self._key(check_cube(self.grid, stopping_cube).level, stopping_cube.flat)
+        return CubeSet(self.grid, {j: self._fiber_keys(j) == key for j in self.family.levels()})
+
+    def fibers(self) -> list[tuple[DyadicCube, CubeSet]]:
+        """(L, corona_of(L)) for every stop L with a nonempty fiber, in level
+        then index order."""
+        keys = {j: self._fiber_keys(j) for j in self.family.levels()}
+        held = np.unique(np.concatenate([[-1], *keys.values()]))[1:]     # drop the -1
+        cells = self.grid.cell_count
+        return [(self.grid.cube(k // cells, k % cells),
+                 CubeSet(self.grid, {j: q == k for j, q in keys.items()})) for k in held.tolist()]
+
+    def fiber_positions(self, level: int) -> np.ndarray:
+        """Per level-j cube, the forest position of the stop whose fiber
+        (`corona_of`) holds it; -1 for cubes outside the family."""
+        return _search(self._forest().key, self._fiber_keys(level))
 
     def stopping_parent(self, cube: DyadicCube) -> DyadicCube | None:
         """The next stopping cube strictly above a stopping cube."""
@@ -184,29 +214,63 @@ class CoronaDecomposition:
 
     def stopping_children(self, cube: DyadicCube) -> list[DyadicCube]:
         """Immediate (maximal) stopping descendants of a stopping cube."""
-        return self._forest().get((cube.level, cube.flat), [])
+        p = self._position(check_cube(self.grid, cube))
+        return [] if p < 0 else self._cubes(np.flatnonzero(self._forest().parent == p))
 
     def stopping_descendants(self, cube: DyadicCube) -> list[DyadicCube]:
         """All stopping cubes strictly inside a stopping cube."""
-        out = []
-        frontier = list(self.stopping_children(cube))
-        while frontier:
-            c = frontier.pop()
-            out.append(c)
-            frontier.extend(self.stopping_children(c))
-        return sorted(out, key=lambda c: (c.level, c.flat))
+        if self._position(check_cube(self.grid, cube)) < 0:
+            return []
+        return self._cubes(np.flatnonzero(self.stops_under(cube)
+                                          & (self._forest().level > cube.level)))
 
-    def _forest(self):
-        if not hasattr(self, "_forest_cache"):
-            forest = {}
-            for c in self.stopping_cubes():
-                parent = self.stopping_parent(c)
-                if parent is not None:
-                    forest.setdefault((parent.level, parent.flat), []).append(c)
-            for v in forest.values():
-                v.sort(key=lambda c: (c.level, c.flat))
-            self._forest_cache = forest
+    def stops_under(self, cube: DyadicCube) -> np.ndarray:
+        """Mask over the forest of the stops contained in `cube`, itself included."""
+        level, flat = self._forest()[:2]
+        out = level >= cube.level
+        out[out] = ancestor_flat(self.grid.d, level[out], cube.level, flat[out]) == cube.flat
+        return out
+
+    def _forest(self) -> StoppingForest:
+        if self._forest_cache is None:
+            grid, sums = self.grid, self.measure.sums
+            levels = self.stopping.levels()
+            flats = [np.flatnonzero(self.stopping.masks[j]) for j in levels]
+            level = np.repeat(levels, [f.size for f in flats])
+            flat = np.concatenate(flats)
+            key = self._key(level, flat)
+            # a stop's stopping parent is the anchor of its parent cube; the
+            # first level holds only the top
+            ups = [(j - 1, ancestor_flat(grid.d, j, j - 1, f))
+                   for j, f in zip(levels[1:], flats[1:])]
+            parent = _search(key, np.concatenate([[-1]] + [self._key(
+                self.anchor_level[j][u], self.anchor_flat[j][u]) for j, u in ups]))
+            depth, above = np.zeros(flat.size, dtype=np.int64), parent
+            while (above >= 0).any():
+                depth += above >= 0
+                above = np.where(above >= 0, parent[above], -1)
+            mass = np.concatenate([sums[j][f] for j, f in zip(levels, flats)])
+            # Weight.density: the mass over the exact volume 2^(-level d)
+            self._forest_cache = StoppingForest(level, flat, key, parent, depth, mass,
+                                                mass / np.ldexp(1.0, -level * grid.d))
         return self._forest_cache
+
+    def _key(self, level, flat):
+        return level * self.grid.cell_count + flat
+
+    def _fiber_keys(self, level: int) -> np.ndarray:
+        """The key of each level-j family cube's anchor; -1 off the family."""
+        return np.where(self.family.mask(level),
+                        self._key(self.anchor_level[level], self.anchor_flat[level]), -1)
+
+    def _position(self, cube: DyadicCube) -> int:
+        """The forest position of a cube, -1 when it is not a stop."""
+        return int(_search(self._forest().key, self._key(cube.level, cube.flat)))
+
+    def _cubes(self, positions) -> list[DyadicCube]:
+        forest, cube = self._forest(), self.grid.cube
+        return [cube(j, f) for j, f in zip(forest.level[positions].tolist(),
+                                           forest.flat[positions].tolist())]
 
     def density(self, cube: DyadicCube) -> float:
         return self.measure.density(cube)
@@ -226,20 +290,27 @@ class CoronaDecomposition:
 
     def export(self) -> dict:
         """JSON-ready stopping forest with densities."""
-        def node(c):
-            return {
-                "cube": c.address(),
-                "density": self.density(c),
-                "mass": self.measure.mass(c),
-                "children": [node(ch) for ch in self.stopping_children(c)],
-            }
-
+        forest = self._forest()
+        nodes = [{"cube": {"level": j, "index": list(flat_to_index(self.grid.d, j, f))},
+                  "density": dens, "mass": mass, "children": []}
+                 for j, f, dens, mass in zip(forest.level.tolist(), forest.flat.tolist(),
+                                             forest.density.tolist(), forest.mass.tolist())]
+        # children of a stop follow it in level then index order
+        for node, p in zip(nodes, forest.parent.tolist()):
+            if p >= 0:
+                nodes[p]["children"].append(node)
         return {
             "top": self.top.address(),
             "stopping_count": self.stopping.count(),
             "family_count": self.family.count(),
-            "forest": node(self.top),
+            "forest": nodes[0],
         }
+
+
+def _search(keys: np.ndarray, want) -> np.ndarray:
+    """Positions of `want` in the ascending `keys`; -1 where it is absent."""
+    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+    return np.where(keys[pos] == want, pos, -1)
 
 
 def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
@@ -257,6 +328,9 @@ def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
     restricted scans should pair with families on the same sublattice.
     """
     grid = mu.grid
+    check_cube(grid, top)
+    if family.grid != grid:
+        raise GridError("family and measure live on different grids")
     if family.count():
         inside = family.intersect(CubeSet.all_under(grid, top))
         if inside.count() != family.count():
@@ -380,14 +454,13 @@ def descendant_mass_drop(corona: CoronaDecomposition) -> float:
     w = corona.measure
     a2 = w.a2_characteristic()
     factor = 1.0 - (9.0 / 16.0) / a2
-    worst = 0.0
-    for L in corona.stopping_cubes():
-        kids = corona.stopping_children(L)
-        covered = sum(w.mass(k) for k in kids)
-        bound = factor * w.mass(L)
-        if bound > 0:
-            worst = max(worst, covered / bound)
-    return worst
+    forest = corona._forest()
+    kids = forest.parent >= 0
+    # bincount adds each stop's children one by one in level then index order
+    covered = np.bincount(forest.parent[kids], weights=forest.mass[kids],
+                          minlength=forest.flat.size)
+    bound = factor * forest.mass
+    return float(np.append(0.0, covered[bound > 0] / bound[bound > 0]).max())
 
 
 def corona_invariant_violation(corona: CoronaDecomposition) -> float:
@@ -398,29 +471,17 @@ def corona_invariant_violation(corona: CoronaDecomposition) -> float:
     """
     worst = 0.0
     # four-fold cap inside coronas
+    forest = corona._forest()
     for j in corona.family.levels():
-        mask = corona.family.masks[j]
-        idx = np.nonzero(mask)[0]
-        if idx.size == 0:
-            continue
-        dens_here = corona.measure.sums[j][idx] * (2.0 ** (j * corona.grid.d))
-        anchors_lev = corona.anchor_level[j][idx]
-        anchors_flat = corona.anchor_flat[j][idx]
-        for lev in np.unique(anchors_lev):
-            sel = anchors_lev == lev
-            anchor_dens = corona.measure.sums[int(lev)][anchors_flat[sel]] * (
-                2.0 ** (int(lev) * corona.grid.d)
-            )
-            worst = max(
-                worst, float((dens_here[sel] - STOPPING_FACTOR * anchor_dens).max())
-            )
+        pos = corona.fiber_positions(j)
+        held = pos >= 0
+        gap = (corona.measure.sums[j][held] * (2.0 ** (j * corona.grid.d))
+               - STOPPING_FACTOR * forest.density[pos[held]])
+        worst = max(worst, float(gap.max()))
     # strict four-fold growth downward along the stopping forest
-    for L in corona.stopping_cubes():
-        parent = corona.stopping_parent(L)
-        if parent is not None:
-            gap = STOPPING_FACTOR * corona.density(parent) - corona.density(L)
-            worst = max(worst, float(gap) if gap >= 0 else 0.0)
-    return worst
+    kids = forest.parent >= 0
+    gap = STOPPING_FACTOR * forest.density[forest.parent[kids]] - forest.density[kids]
+    return max(worst, float(np.append(0.0, gap).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .grid import (
     GridFunction,
     ancestor_map,
     assemble_levels,
-    cube_view,
+    check_cube,
     descendant_flat,
     expand,
     integral_pyramid,
@@ -443,41 +443,71 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     integrals of |H_L| against |H_L'| for nested stopping pairs.  Requires a
     scale-separated setup so H_L is single-valued on each strict stopping
     descendant; a violation raises CoronaStructureError.
+
+    H_L is `h_functional(L, corona.corona_of(L), T, w)`: T's output fields,
+    computed once, masked to L's fiber and assembled.  Stops of one forest
+    depth are disjoint, so one assembly per depth holds all of their H_L.  A
+    term is the pair (L, L), and every term sums the same cells in the same
+    order as a stop-by-stop loop; A and B add the terms up in that loop's order.
     """
-    grid = T.grid
-    dual_cells = w.dual_sums[grid.N]
-    stops = [L for L in corona.stopping_cubes() if Q0.contains(L)]
-    h_local = {}
-    for L in stops:
-        h = h_functional(L, corona.corona_of(L), T, w)
-        h_local[(L.level, L.flat)] = np.abs(L.cell_values(h.values))
-    a_part = 0.0
-    for L in stops:
-        vals = h_local[(L.level, L.flat)]
-        a_part += float((vals ** 2 * L.cell_values(dual_cells)).sum())
-    b_part = 0.0
-    worst_dev = 0.0
-    for L in stops:
-        vals_l = h_local[(L.level, L.flat)]
-        scale = max(1.0, float(vals_l.max()) if vals_l.size else 1.0)
-        full_l = np.zeros(grid.cell_count)
-        view = cube_view(full_l, L)
-        view[...] = vals_l.reshape(view.shape)
-        for Lp in corona.stopping_descendants(L):
-            if not Q0.contains(Lp):
-                continue
-            seg = Lp.cell_values(full_l)
-            dev = float(seg.max() - seg.min()) if seg.size else 0.0
-            worst_dev = max(worst_dev, dev)
-            if dev > tol * scale:
-                raise CoronaStructureError(
-                    "H is not single-valued on a stopping descendant; "
-                    "build the decomposition on a scale-separated family"
-                )
-            b_part += float(
-                (seg * h_local[(Lp.level, Lp.flat)] * Lp.cell_values(dual_cells)).sum()
-            )
-    return ABSplitReport(a_part, b_part, len(stops), worst_dev)
+    d, N, tau = T.grid.d, T.grid.N, T.tau
+    inside = corona.stops_under(check_cube(corona.grid, Q0))
+    stops = np.flatnonzero(inside)
+    if not stops.size:
+        return ABSplitReport(0.0, 0.0, 0, 0.0)
+    forest = corona._forest()
+    level, flat, depth = forest.level, forest.flat, forest.depth
+    fields = T.output_fields(T.pairing_coefficients(w.sums))
+    # depth of the stop whose fiber holds each family cube; -1 off Q0 (the
+    # appended entry, read by position -1) and outside the family
+    stop_depth = np.append(np.where(inside, depth, -1), -1)
+    fiber_depth = {a: stop_depth[corona.fiber_positions(a)] for a in T.levels}
+    h = []
+    for k in range(int(depth[stops].max()) + 1):
+        out = assemble_levels({a + tau: np.where(expand(fiber_depth[a] == k, d, tau),
+                                                 fields[a + tau], 0.0)
+                               for a in T.levels if (fiber_depth[a] == k).any()}, d, N)
+        h.append(np.zeros(T.grid.cell_count) if out is None else np.abs(out))
+    h = np.stack(h, axis=1)
+
+    # pairs (L, L'): every stop L' in Q0 with itself and each stopping ancestor in Q0
+    upper, lower = [stops], [stops]
+    up, low = forest.parent[stops], stops
+    while low.size:
+        keep = up >= 0
+        keep[keep] = inside[up[keep]]
+        up, low = up[keep], low[keep]
+        upper.append(up)
+        lower.append(low)
+        up = forest.parent[up]
+    upper, lower = np.concatenate(upper), np.concatenate(lower)
+    terms, dev, peak = (np.zeros(upper.size) for _ in range(3))
+    for j in np.unique(level[lower]).tolist():
+        i = np.flatnonzero(level[lower] == j)
+        f, cells = flat[lower[i]], subcell_matrix(h, d, N - j)   # cells of L', local row-major
+        seg = cells[f, :, depth[upper[i]]]
+        terms[i] = (seg * cells[f, :, depth[lower[i]]]
+                    * subcell_matrix(w.dual_sums[N], d, N - j)[f]).sum(axis=1)
+        peak[i] = seg.max(axis=1)
+        dev[i] = peak[i] - seg.min(axis=1)
+    own = upper == lower
+    scale = np.ones(level.size)
+    scale[lower[own]] = np.maximum(1.0, peak[own])
+    dev[own] = 0.0
+    if (dev > tol * scale[upper]).any():
+        raise CoronaStructureError(
+            "H is not single-valued on a stopping descendant; "
+            "build the decomposition on a scale-separated family"
+        )
+    order = np.lexsort((lower, upper))
+    return ABSplitReport(_sequential_sum(terms[order][own[order]]),
+                         _sequential_sum(terms[order][~own[order]]), int(stops.size),
+                         float(dev.max()))
+
+
+def _sequential_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum 0.0 + v0 + v1 + ..., the order of a `+=` loop."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 # ---------------------------------------------------------------------------

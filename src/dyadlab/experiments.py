@@ -155,10 +155,7 @@ def class_coronas(w: Weight, T: SimpleHaarShift) -> tuple[list, list]:
     for n in qn.n_values():
         q0, corona = class_corona(w, qn.classes[n], T.levels)
         coronas.append((n, qn.classes[n], q0, corona))
-        for L in corona.stopping_cubes():
-            fiber = corona.corona_of(L)
-            if fiber.count() > 0:
-                cases.append((n, q0, corona, L, fiber))
+        cases += [(n, q0, corona, L, fiber) for L, fiber in corona.fibers()]
     return coronas, cases
 
 

@@ -79,7 +79,7 @@ class DyadicGrid:
 
     def cube(self, level: int, index) -> "DyadicCube":
         if isinstance(index, int):
-            index = flat_to_index(self.d, level, index)
+            return DyadicCube(self, level, flat_to_index(self.d, level, index))
         return DyadicCube(self, level, tuple(int(i) for i in index))
 
     def cubes(self, level: int | None = None):
@@ -88,6 +88,14 @@ class DyadicGrid:
         for j in levels:
             for flat in range(self.level_count(j)):
                 yield DyadicCube(self, j, flat_to_index(self.d, j, flat))
+
+
+def check_cube(grid: DyadicGrid, cube: "DyadicCube") -> "DyadicCube":
+    """`cube` itself; raises GridError unless it is a cube of `grid`."""
+    if cube.grid != grid:
+        raise GridError(f"{cube!r} is a cube of the d={cube.grid.d}, N={cube.grid.N} "
+                        f"grid, not of the d={grid.d}, N={grid.N} grid")
+    return cube
 
 
 def build_grid(d: int, N: int) -> DyadicGrid:
@@ -281,13 +289,17 @@ def ancestor_map(d: int, j_from: int, j_to: int) -> np.ndarray:
     """Flat index of the level-j_to ancestor for every level-j_from cube."""
     if j_to > j_from:
         raise GridError("ancestor level must not exceed descendant level")
+    return ancestor_flat(d, j_from, j_to, np.arange(1 << (j_from * d)))
+
+
+def ancestor_flat(d: int, j_from, j_to: int, flat) -> np.ndarray:
+    """Flat level-j_to index of the ancestor of each level-j_from cube `flat`
+    (j_from >= j_to); `j_from` and `flat` broadcast."""
     t = j_from - j_to
-    n = 1 << (j_from * d)
-    idx = np.arange(n)
     if d == 1:
-        return idx >> t
+        return flat >> t
     m = 1 << j_from
-    i0, i1 = idx // m, idx % m
+    i0, i1 = flat // m, flat % m
     return (i0 >> t) * (1 << j_to) + (i1 >> t)
 
 

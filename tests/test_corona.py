@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,23 +9,30 @@ from hypothesis import strategies as st
 from dyadlab import (
     CoronaStructureError,
     CubeSet,
+    DyadicCube,
     GridError,
     GridFunction,
+    SimpleHaarShift,
     Weight,
     build_corona,
     build_grid,
     carleson_check,
     carleson_sum,
+    corona_ab_split,
     corona_invariant_violation,
     descendant_mass_drop,
     dual_weight,
+    h_functional,
+    martingale_transform,
     packing_check,
     pn_alpha,
     qn_partition,
     random_a2_weight,
+    random_signs,
+    random_simple_shift,
 )
 from dyadlab.corona import STOPPING_FACTOR
-from dyadlab.grid import assemble_levels, integral_pyramid
+from dyadlab.grid import assemble_levels, cube_view, integral_pyramid
 import dyadlab.experiments as exp
 
 
@@ -34,23 +42,25 @@ def spike_weight(grid, k, M):
     return Weight(GridFunction(grid, vals))
 
 
-def reference_stopping_set(w):
-    """Independent greedy construction by per-cube recursion."""
+def reference_stopping_set(w, top=None, levels=None):
+    """Independent greedy construction by per-cube recursion, from `top` (the
+    root by default) with stops allowed only on `levels` (all by default)."""
     g = w.grid
-    stops = {(0, 0)}
+    top = g.root() if top is None else top
+    stops = {(top.level, top.flat)}
 
     def scan(level, flat, gov_dens):
         if level == g.N:
             return
         for child in g.cube(level, flat).children():
             d = w.density(child)
-            if d > STOPPING_FACTOR * gov_dens:
+            if (levels is None or child.level in levels) and d > STOPPING_FACTOR * gov_dens:
                 stops.add((child.level, child.flat))
                 scan(child.level, child.flat, d)
             else:
                 scan(child.level, child.flat, gov_dens)
 
-    scan(0, 0, w.density(g.root()))
+    scan(top.level, top.flat, w.density(top))
     return stops
 
 
@@ -363,3 +373,328 @@ def test_class_corona_q0_is_the_first_listed_cube(shape, n, seed, data):
         assert corona.stopping.masks.keys() == oracle.stopping.masks.keys()
         for j, mask in oracle.stopping.masks.items():
             assert np.array_equal(corona.stopping.masks[j], mask)
+
+
+# -- the stopping forest against the stop-by-stop code it replaced ---------------
+
+
+def _reference_forest(corona):
+    """The stopping forest stop by stop: each stop hangs under `lambda_of` of
+    its parent cube; children in level then index order."""
+    forest = {}
+    for c in corona.stopping_cubes():
+        if c.level != corona.top.level:
+            parent = corona.lambda_of(c.parent())
+            forest.setdefault((parent.level, parent.flat), []).append(c)
+    for v in forest.values():
+        v.sort(key=lambda c: (c.level, c.flat))
+    return forest
+
+
+def _reference_parent(corona, forest, L):
+    for key, kids in forest.items():
+        if L in kids:
+            return corona.grid.cube(*key)
+    return None
+
+
+def _reference_descendants(forest, L):
+    out, frontier = [], list(forest.get((L.level, L.flat), []))
+    while frontier:
+        c = frontier.pop()
+        out.append(c)
+        frontier.extend(forest.get((c.level, c.flat), []))
+    return sorted(out, key=lambda c: (c.level, c.flat))
+
+
+def _reference_export(corona, forest):
+    def node(c):
+        return {"cube": c.address(), "density": corona.density(c),
+                "mass": corona.measure.mass(c),
+                "children": [node(ch) for ch in forest.get((c.level, c.flat), [])]}
+
+    return {"top": corona.top.address(), "stopping_count": corona.stopping.count(),
+            "family_count": corona.family.count(), "forest": node(corona.top)}
+
+
+def _reference_invariant_violation(corona, forest):
+    worst = 0.0
+    for j in corona.family.levels():
+        idx = np.nonzero(corona.family.masks[j])[0]
+        if idx.size == 0:
+            continue
+        dens_here = corona.measure.sums[j][idx] * (2.0 ** (j * corona.grid.d))
+        anchors_lev = corona.anchor_level[j][idx]
+        anchors_flat = corona.anchor_flat[j][idx]
+        for lev in np.unique(anchors_lev):
+            sel = anchors_lev == lev
+            anchor_dens = corona.measure.sums[int(lev)][anchors_flat[sel]] * (
+                2.0 ** (int(lev) * corona.grid.d))
+            worst = max(worst, float((dens_here[sel] - STOPPING_FACTOR * anchor_dens).max()))
+    for L in corona.stopping_cubes():
+        parent = _reference_parent(corona, forest, L)
+        if parent is not None:
+            gap = STOPPING_FACTOR * corona.density(parent) - corona.density(L)
+            worst = max(worst, float(gap) if gap >= 0 else 0.0)
+    return worst
+
+
+def _reference_mass_drop(corona, forest):
+    w = corona.measure
+    factor = 1.0 - (9.0 / 16.0) / w.a2_characteristic()
+    worst = 0.0
+    for L in corona.stopping_cubes():
+        covered = sum(w.mass(k) for k in forest.get((L.level, L.flat), []))
+        bound = factor * w.mass(L)
+        if bound > 0:
+            worst = max(worst, covered / bound)
+    return worst
+
+
+def _reference_ab_split(Q0, corona, T, w, forest, tol=1e-12):
+    """The A/B split stop by stop: one `h_functional` per stop, nested pairs
+    from the forest walk.  Returns (a, b, stopping count, deviation)."""
+    grid = T.grid
+    dual_cells = w.dual_sums[grid.N]
+    stops = [L for L in corona.stopping_cubes() if Q0.contains(L)]
+    h_local = {}
+    for L in stops:
+        h = h_functional(L, corona.corona_of(L), T, w)
+        h_local[(L.level, L.flat)] = np.abs(L.cell_values(h.values))
+    a_part = 0.0
+    for L in stops:
+        vals = h_local[(L.level, L.flat)]
+        a_part += float((vals ** 2 * L.cell_values(dual_cells)).sum())
+    b_part, worst_dev = 0.0, 0.0
+    for L in stops:
+        vals_l = h_local[(L.level, L.flat)]
+        scale = max(1.0, float(vals_l.max()))
+        full_l = np.zeros(grid.cell_count)
+        view = cube_view(full_l, L)
+        view[...] = vals_l.reshape(view.shape)
+        for Lp in _reference_descendants(forest, L):
+            seg = Lp.cell_values(full_l)
+            dev = float(seg.max() - seg.min())
+            worst_dev = max(worst_dev, dev)
+            if dev > tol * scale:
+                raise CoronaStructureError("H is not single-valued on a stopping descendant")
+            b_part += float(
+                (seg * h_local[(Lp.level, Lp.flat)] * Lp.cell_values(dual_cells)).sum())
+    return a_part, b_part, len(stops), worst_dev
+
+
+def _coronas(w, levels):
+    """The full corona (stops and family on `levels`) and every class corona."""
+    g = w.grid
+    full = build_corona(w, CubeSet.all_under(g, g.root(), levels=levels), g.root(),
+                        stopping_levels=levels)
+    return [full] + [exp.class_corona(w, cls, levels)[1]
+                     for cls in qn_partition(w, levels=levels).classes.values()]
+
+
+_FOREST_SHAPES = ((1, 4), (1, 8), (1, 12), (2, 3), (2, 5), (2, 6))
+
+
+@given(st.sampled_from(_FOREST_SHAPES), st.integers(0, 5), st.integers(0, 10**6),
+       st.booleans(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_forest_queries_are_bitwise_the_stop_by_stop_walk(shape, n, seed, dual, data):
+    """Children, descendants, `export()`, `corona_invariant_violation` and
+    `descendant_mass_drop` read from the anchor arrays equal the `lambda_of`
+    walk bit for bit, on full and class coronas."""
+    d, N = shape
+    w = random_a2_weight(n, seed, build_grid(d, N))
+    w = dual_weight(w) if dual else w
+    levels = data.draw(st.none() | st.lists(st.integers(0, N), min_size=1, unique=True))
+    for corona in _coronas(w, levels):
+        forest = _reference_forest(corona)
+        for L in corona.stopping_cubes():
+            assert corona.stopping_children(L) == forest.get((L.level, L.flat), [])
+            assert corona.stopping_descendants(L) == _reference_descendants(forest, L)
+        assert json.dumps(corona.export()) == json.dumps(_reference_export(corona, forest))
+        assert corona_invariant_violation(corona).hex() == \
+            _reference_invariant_violation(corona, forest).hex()
+        assert descendant_mass_drop(corona).hex() == _reference_mass_drop(corona, forest).hex()
+
+
+def _two_term_shift(tau, seed, grid, separated):
+    """Two random simple shifts stacked as the two terms of one shift."""
+    T1 = random_simple_shift(tau, seed, grid, separated=separated)
+    T2 = random_simple_shift(tau, seed + 1, grid, separated=separated)
+    stack = {j: np.concatenate((T1.g[j], T2.g[j])) for j in T1.levels}
+    gamma = {j: np.concatenate((T1.gamma[j], T2.gamma[j])) for j in T1.levels}
+    return SimpleHaarShift(grid, tau, T1.levels, stack, gamma, separated=separated)
+
+
+def _assert_ab_split_matches_oracle(Q0, corona, T, w):
+    """Both sides raise CoronaStructureError, or agree bit for bit."""
+    try:
+        want = _reference_ab_split(Q0, corona, T, w, _reference_forest(corona))
+    except CoronaStructureError:
+        with pytest.raises(CoronaStructureError):
+            corona_ab_split(Q0, 0, corona, T, w)
+        return False
+    rep = corona_ab_split(Q0, 0, corona, T, w)
+    got = (rep.a_part, rep.b_part, rep.stopping_count, rep.single_value_dev)
+    assert got[2] == want[2]
+    assert [x.hex() for x in got[::3] + got[1:2]] == [x.hex() for x in want[::3] + want[1:2]]
+    return True
+
+
+@given(st.sampled_from(_FOREST_SHAPES), st.integers(0, 5), st.integers(0, 10**6),
+       st.integers(1, 3), st.sampled_from(("random", "two-term", "martingale")),
+       st.booleans(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_ab_split_is_bitwise_the_stop_by_stop_oracle(shape, n, seed, tau, kind, dual, data):
+    """Full and class coronas on the levels of a scale-separated shift, with
+    one- and multi-term shifts and Q0 the top, the root or a deeper stop."""
+    d, N = shape
+    g = build_grid(d, N)
+    tau = min(tau, N)
+    if kind == "martingale":
+        T = martingale_transform(random_signs(g, seed), g, separated=True)
+    elif kind == "two-term":
+        T = _two_term_shift(tau, seed, g, True)
+    else:
+        T = random_simple_shift(tau, seed, g, separated=True)
+    w = random_a2_weight(n, seed + 7, g)
+    w = dual_weight(w) if dual else w
+    for corona in _coronas(w, T.levels):
+        stops = corona.stopping_cubes()
+        Q0 = data.draw(st.sampled_from([corona.top, g.root(), stops[-1]]))
+        _assert_ab_split_matches_oracle(Q0, corona, T, w)
+
+
+def test_ab_split_agrees_with_the_oracle_on_cascade_coronas():
+    """The calibration path, class coronas of cascade indices at N=12, and
+    the full coronas on the shift's levels (up to 35 stops, depth 2), with
+    every stop as Q0 on one index."""
+    compared = 0
+    for i in (0, 4, 5, 13):
+        w, T = exp.cascade_weight(i), exp.essence_shift(i)
+        full = exp.corona_for(w, stopping_levels=T.levels)
+        for q0, corona in [(full.top, full)] + [(q0, c) for _n, _cls, q0, c
+                                                in exp.class_coronas(w, T)[0]]:
+            compared += _assert_ab_split_matches_oracle(q0, corona, T, w)
+            if i == 5:
+                for L in corona.stopping_cubes():
+                    _assert_ab_split_matches_oracle(L, corona, T, w)
+    assert compared >= 10
+
+
+def test_ab_split_non_separated_shift_raises_on_both_sides():
+    """The fiber cube one level above a stop breaks single-valuedness: the
+    oracle and the split both refuse it; a separated shift agrees bitwise."""
+    g = build_grid(1, 6)
+    vals = np.ones(g.cell_count)
+    vals[0] += 32.0
+    w = Weight(GridFunction(g, vals))
+    corona = build_corona(w, CubeSet.from_cubes(g, [g.cube(3, 0)]), g.root())
+    for T in (random_simple_shift(2, 77, g), _two_term_shift(2, 77, g, False)):
+        assert not _assert_ab_split_matches_oracle(g.root(), corona, T, w)
+    # d=2: the fiber cube (1, 0) sees the stop (2, 0) through tau=2 subcells
+    g = build_grid(2, 4)
+    vals = np.ones(g.cell_count)
+    vals[0] += 1000.0
+    w = Weight(GridFunction(g, vals))
+    corona = build_corona(w, CubeSet.from_cubes(g, [g.cube(1, 0)]), g.root())
+    assert {(c.level, c.flat) for c in corona.stopping_cubes()} == {(0, 0), (2, 0), (4, 0)}
+    assert not _assert_ab_split_matches_oracle(g.root(), corona, _two_term_shift(2, 77, g, False), w)
+
+
+def test_ab_split_and_export_build_no_cube_per_stop(monkeypatch):
+    """At most one DyadicCube (through `DyadicGrid.cube` or directly) per stop
+    in `corona_ab_split` and `export()`: a per-cube walk fails here."""
+    built = []
+    post_init = DyadicCube.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    for i in (2, 9):
+        w, T = exp.cascade_weight(i), exp.essence_shift(i)
+        coronas = [exp.corona_for(w, stopping_levels=T.levels)]
+        coronas += [c for _n, _cls, _q0, c in exp.class_coronas(w, T)[0]]
+        for corona in coronas:
+            stops = corona.stopping.count()
+            monkeypatch.setattr(DyadicCube, "__post_init__", counting)
+            built.clear()
+            corona_ab_split(corona.top, 0, corona, T, w)
+            ab_cubes = len(built)
+            built.clear()
+            corona.export()
+            export_cubes = len(built)
+            monkeypatch.setattr(DyadicCube, "__post_init__", post_init)
+            assert ab_cubes <= stops and export_cubes <= stops, (ab_cubes, export_cubes, stops)
+
+
+# -- corona invariants on random cascades -------------------------------------
+
+
+@given(st.sampled_from(((1, 5), (1, 8), (1, 11), (2, 3), (2, 5))), st.integers(0, 5),
+       st.integers(0, 10**6), st.booleans(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, data):
+    """On full and class coronas of a cascade weight or its dual: no density
+    violation, a more than four-fold density step from each stop's stopping
+    parent, fibers that partition the family, and every anchor the minimal
+    stop of an independent per-cube greedy scan."""
+    d, N = shape
+    g = build_grid(d, N)
+    w = random_a2_weight(n, seed, g)
+    w = dual_weight(w) if dual else w
+    levels = data.draw(st.none() | st.lists(st.integers(0, N), min_size=1, unique=True))
+    for corona in _coronas(w, levels):
+        top = corona.top
+        assert corona_invariant_violation(corona) == 0.0
+        for L in corona.stopping_cubes():
+            parent = corona.stopping_parent(L)
+            if parent is not None:
+                assert corona.density(L) > STOPPING_FACTOR * corona.density(parent)
+        union = {j: np.zeros(g.level_count(j), dtype=int) for j in range(N + 1)}
+        for L in corona.stopping_cubes():
+            for j, m in corona.corona_of(L).masks.items():
+                union[j] += m
+        for j in range(N + 1):
+            assert np.array_equal(union[j], corona.family.mask(j).astype(int))
+        stops = reference_stopping_set(w, top, levels)
+        assert {(c.level, c.flat) for c in corona.stopping_cubes()} == stops
+        for j in range(N + 1):
+            for f in range(g.level_count(j)):
+                cube = g.cube(j, f)
+                want = (-1, -1)
+                if top.contains(cube):
+                    want = max((lev, cube.ancestor_at(lev).flat) for lev in range(top.level, j + 1)
+                               if (lev, cube.ancestor_at(lev).flat) in stops)
+                assert (corona.anchor_level[j][f], corona.anchor_flat[j][f]) == want
+
+
+# -- one grid check for cubes from another grid ---------------------------------
+
+
+def test_cubes_from_another_grid_raise_grid_error():
+    g6, g8 = build_grid(1, 6), build_grid(1, 8)
+    w6 = random_a2_weight(2, 5, g6)
+    foreign = g8.cube(3, 7)
+    cs = CubeSet.all_under(g6, g6.root())
+    with pytest.raises(GridError):
+        cs.contains(foreign)
+    with pytest.raises(GridError):
+        cs.restrict_under(g8.cube(3, 5))
+    with pytest.raises(GridError):
+        CubeSet.all_under(g6, g8.cube(3, 5))
+    with pytest.raises(GridError):
+        build_corona(w6, CubeSet.empty(g6), g8.cube(3, 5))
+    with pytest.raises(GridError):
+        build_corona(w6, CubeSet.empty(g8), g6.root())
+    corona = exp.corona_for(w6)
+    for call in (corona.lambda_of, corona.corona_of, corona.stopping_children,
+                 corona.stopping_descendants, corona.stopping_parent):
+        with pytest.raises(GridError):
+            call(foreign)
+    T = random_simple_shift(1, 3, g6, separated=True)
+    with pytest.raises(GridError):
+        corona_ab_split(foreign, 0, corona, T, w6)
+    # a cube of an equal grid is a cube of this grid
+    assert cs.contains(build_grid(1, 6).cube(3, 7))
