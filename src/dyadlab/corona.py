@@ -81,18 +81,14 @@ class CubeSet:
         allowed = range(top.level, grid.N + 1) if levels is None else levels
         masks = {}
         for j in allowed:
-            if j < top.level:
-                continue
-            mask = np.zeros(grid.level_count(j), dtype=bool)
-            mask[_extent_indices(grid, top, j)] = True
-            masks[j] = mask
+            if j >= top.level:
+                masks[j] = np.zeros(grid.level_count(j), dtype=bool)
+                masks[j][_extent_indices(grid, top, j)] = True
         return cls(grid, masks)
 
     def mask(self, level: int) -> np.ndarray:
         m = self.masks.get(level)
-        if m is None:
-            return np.zeros(self.grid.level_count(level), dtype=bool)
-        return m
+        return np.zeros(self.grid.level_count(level), dtype=bool) if m is None else m
 
     def levels(self) -> list[int]:
         return sorted(self.masks)
@@ -110,23 +106,14 @@ class CubeSet:
         return [cube(j, flat) for j in self.levels()
                 for flat in np.flatnonzero(self.masks[j]).tolist()]
 
-    def intersect(self, other: "CubeSet") -> "CubeSet":
-        masks = {}
-        for j in self.masks:
-            if j in other.masks:
-                masks[j] = self.masks[j] & other.masks[j]
-        return CubeSet(self.grid, masks)
-
     def restrict_under(self, top: DyadicCube) -> "CubeSet":
         check_cube(self.grid, top)
         masks = {}
         for j, m in self.masks.items():
-            if j < top.level:
-                continue
-            keep = np.zeros_like(m)
-            idx = _extent_indices(self.grid, top, j)
-            keep[idx] = m[idx]
-            masks[j] = keep
+            if j >= top.level:
+                idx = _extent_indices(self.grid, top, j)
+                masks[j] = np.zeros_like(m)
+                masks[j][idx] = m[idx]
         return CubeSet(self.grid, masks)
 
 
@@ -331,9 +318,9 @@ def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
     check_cube(grid, top)
     if family.grid != grid:
         raise GridError("family and measure live on different grids")
-    if family.count():
-        inside = family.intersect(CubeSet.all_under(grid, top))
-        if inside.count() != family.count():
+    for j, m in family.masks.items():
+        if j < top.level or (ancestor_flat(grid.d, j, top.level, np.flatnonzero(m))
+                             != top.flat).any():
             raise GridError("family must be contained in the top cube")
     dens = [mu.sums[j] * (2.0 ** (j * grid.d)) for j in range(grid.N + 1)]
     allowed = set(range(grid.N + 1)) if stopping_levels is None else set(stopping_levels)

@@ -3,8 +3,11 @@ functionals, corona splits, and distributional checks.
 
 The central object is the localized partial sum H(Q0, F) = sum over family
 cubes Q inside Q0 of <w, g_Q> gamma_Q, whose weighted norms drive every bound
-here.  All scans share one trick: per-level "suffix" cell arrays accumulate
-the output fields of all family levels at or below a level j, so quantities
+here.  Every H follows one rule: T's output fields at full pairing with w, once
+per call (`_full_fields`; `h_functionals` shares them across many Q0 and cube
+sets), zeroed level by level off the kept family cubes (`_restricted`).
+All scans share one trick: per-level "suffix" cell arrays accumulate the
+output fields of all family levels at or below a level j, so quantities
 indexed by every cube of the grid cost O(N 2^(Nd)) in total instead of one
 operator application per cube.  Indicator testing (the T1-style constants)
 additionally corrects the suffix field by the few ancestor profiles that see
@@ -378,48 +381,65 @@ def paraproduct_identity(f: GridFunction, T: SimpleHaarShift, sigma: Weight | No
 # localized partial sums H and their suprema
 # ---------------------------------------------------------------------------
 
-def _masked_coefficients(T: SimpleHaarShift, w: Weight, cubes: CubeSet):
-    coeffs = T.pairing_coefficients(w.sums)
-    return {a: coeffs[a] * cubes.mask(a)[None, :] for a in T.levels}
+def _full_fields(T: SimpleHaarShift, w: Weight, *cube_sets: CubeSet):
+    """T's pairing coefficients with w and their output fields over every
+    family cube; w is checked by `_measure`'s rule, and a cube set from
+    another grid than T's raises GridError."""
+    if any(c.grid != T.grid for c in cube_sets):
+        raise GridError("shift and cube set live on different grids")
+    coeffs = T.pairing_coefficients(_measure(T.grid, w).sums)
+    return coeffs, T.output_fields(coeffs)
+
+
+def _restricted(T: SimpleHaarShift, fields: dict, keep) -> dict:
+    """The one restriction rule for a partial sum H: the `_full_fields` fields
+    zeroed off the level-a family cubes where `keep(a)` is false, on the
+    levels that keep any.  Kept cells carry the full fields' own bits."""
+    d, tau = T.grid.d, T.tau
+    return {a + tau: np.where(expand(m, d, tau), fields[a + tau], 0.0)
+            for a in T.levels if (m := keep(a)).any()}
+
+
+def _h_cells(T: SimpleHaarShift, fields: dict, keep) -> np.ndarray:
+    """Cell values of the partial sum H over the cubes `keep` selects."""
+    out = assemble_levels(_restricted(T, fields, keep), T.grid.d, T.grid.N)
+    return np.zeros(T.grid.cell_count) if out is None else out
 
 
 def h_functional(Q0: DyadicCube, cubes: CubeSet, T: SimpleHaarShift,
                  w: Weight) -> GridFunction:
     """Partial sum of <w, g_Q> gamma_Q over family cubes in `cubes` inside Q0."""
-    grid = T.grid
-    masked = _masked_coefficients(T, w, cubes.restrict_under(Q0))
-    out = assemble_levels(T.output_fields(masked), grid.d, grid.N)
-    return GridFunction.zeros(grid) if out is None else GridFunction(grid, out)
+    return h_functionals([(Q0, cubes)], T, w)[0]
+
+
+def h_functionals(pairs, T: SimpleHaarShift, w: Weight) -> list[GridFunction]:
+    """`h_functional` of each (Q0, cubes) pair, from T's fields computed once."""
+    pairs = list(pairs)
+    _, fields = _full_fields(T, w, *(cubes for _, cubes in pairs))
+    return [GridFunction(T.grid, _h_cells(T, fields, cubes.restrict_under(Q0).mask))
+            for Q0, cubes in pairs]
 
 
 @dataclass(frozen=True)
 class BoldHReport:
     value: float
     witness: DyadicCube | None
-    restricted: bool
 
 
-def bold_h(cubes: CubeSet, T: SimpleHaarShift, w: Weight,
-           restrict_sup: bool = True) -> BoldHReport:
-    """sup over Q0 of ||H(Q0, cubes)||_{L2(w^{-1})} / w(Q0)^(1/2).
-
-    The supremum ranges over Q0 in `cubes` (the useful normalization) unless
-    `restrict_sup` is disabled, in which case every cube competes.
-    """
-    grid = T.grid
-    d, N = grid.d, grid.N
-    fields = T.output_fields(_masked_coefficients(T, w, cubes))
+def bold_h(cubes: CubeSet, T: SimpleHaarShift, w: Weight) -> BoldHReport:
+    """sup over Q0 in `cubes` of ||H(Q0, cubes)||_{L2(w^{-1})} / w(Q0)^(1/2)."""
+    d, N = T.grid.d, T.grid.N
+    _, fields = _full_fields(T, w, cubes)
     dual_cells = w.dual_sums[N]
 
     def rows():
-        for j, s in suffix_sweep(fields, d, N, T.tau):
-            flats = np.nonzero(cubes.mask(j))[0] if restrict_sup else None
-            if flats is None or flats.size:
-                ratio = pool(s * s * dual_cells, d, N - j) / w.sums[j]
-                yield j, (ratio if flats is None else ratio[flats]), flats
+        for j, s in suffix_sweep(_restricted(T, fields, cubes.mask), d, N, T.tau):
+            flats = np.flatnonzero(cubes.mask(j))
+            if flats.size:
+                yield j, (pool(s * s * dual_cells, d, N - j) / w.sums[j])[flats], flats
 
-    best, wit = level_argmax(grid, rows())
-    return BoldHReport(math.sqrt(max(best, 0.0)), wit, restrict_sup)
+    best, wit = level_argmax(T.grid, rows())
+    return BoldHReport(math.sqrt(max(best, 0.0)), wit)
 
 
 # ---------------------------------------------------------------------------
@@ -445,30 +465,26 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     descendant; a violation raises CoronaStructureError.
 
     H_L is `h_functional(L, corona.corona_of(L), T, w)`: T's output fields,
-    computed once, masked to L's fiber and assembled.  Stops of one forest
+    computed once, restricted to L's fiber and assembled.  Stops of one forest
     depth are disjoint, so one assembly per depth holds all of their H_L.  A
     term is the pair (L, L), and every term sums the same cells in the same
     order as a stop-by-stop loop; A and B add the terms up in that loop's order.
     """
-    d, N, tau = T.grid.d, T.grid.N, T.tau
-    inside = corona.stops_under(check_cube(corona.grid, Q0))
+    d, N = T.grid.d, T.grid.N
+    inside = corona.stops_under(check_cube(corona.grid, check_cube(T.grid, Q0)))
+    w = _measure(T.grid, w)
     stops = np.flatnonzero(inside)
     if not stops.size:
         return ABSplitReport(0.0, 0.0, 0, 0.0)
+    _, fields = _full_fields(T, w)
     forest = corona._forest()
     level, flat, depth = forest.level, forest.flat, forest.depth
-    fields = T.output_fields(T.pairing_coefficients(w.sums))
     # depth of the stop whose fiber holds each family cube; -1 off Q0 (the
     # appended entry, read by position -1) and outside the family
     stop_depth = np.append(np.where(inside, depth, -1), -1)
     fiber_depth = {a: stop_depth[corona.fiber_positions(a)] for a in T.levels}
-    h = []
-    for k in range(int(depth[stops].max()) + 1):
-        out = assemble_levels({a + tau: np.where(expand(fiber_depth[a] == k, d, tau),
-                                                 fields[a + tau], 0.0)
-                               for a in T.levels if (fiber_depth[a] == k).any()}, d, N)
-        h.append(np.zeros(T.grid.cell_count) if out is None else np.abs(out))
-    h = np.stack(h, axis=1)
+    h = np.stack([np.abs(_h_cells(T, fields, lambda a: fiber_depth[a] == k))
+                  for k in range(int(depth[stops].max()) + 1)], axis=1)
 
     # pairs (L, L'): every stop L' in Q0 with itself and each stopping ancestor in Q0
     upper, lower = [stops], [stops]
@@ -639,10 +655,10 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
     """
     grid = T.grid
     d, N = grid.d, grid.N
+    coeffs, fields = _full_fields(T, w, cubes)
     dens_l = w.density(L)
     dual_cells = w.dual_sums[N]
-    h = h_functional(L, cubes, T, w)
-    local = np.abs(L.cell_values(h.values))
+    local = np.abs(L.cell_values(_h_cells(T, fields, cubes.restrict_under(L).mask)))
     local_dual = L.cell_values(dual_cells)
     vol = grid.cell_volume
 
@@ -658,7 +674,6 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
                                    float(local_dual.sum()), k_constant * dens_l)
 
     strata = pn_alpha(L, cubes, w)
-    coeffs = _masked_coefficients(T, w, cubes)
     seven_worst, window_worst, weak_worst = 0.0, 0.0, 0.0
     for alpha in strata.alpha_values():
         members = strata.classes[alpha]
@@ -666,8 +681,7 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
         for a in members.levels():
             if a not in T.g:
                 continue
-            sel = members.masks[a]
-            idx = np.nonzero(sel)[0]
+            idx = np.flatnonzero(members.masks[a])
             if idx.size == 0:
                 continue
             dens_q = w.sums[a][idx] * (2.0 ** (a * d))
@@ -677,8 +691,7 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
             seven_worst = max(seven_worst, float((term_peak / dens_q).max()))
             window_worst = max(window_worst, float((dens_q / band_cap).max()))
         # weak-type ratio of the class partial sums below each class member
-        masked = {a: coeffs[a] * members.mask(a)[None, :] for a in T.levels}
-        for j, s in suffix_sweep(T.output_fields(masked), d, N, T.tau):
+        for j, s in suffix_sweep(_restricted(T, fields, members.mask), d, N, T.tau):
             sel = members.mask(j)
             if not sel.any():
                 continue
@@ -746,6 +759,7 @@ def weak_boundedness_from_t1_check(T: SimpleHaarShift, w: Weight) -> WbFromT1Rep
     """
     grid = T.grid
     d, N, tau = grid.d, grid.N, T.tau
+    w = _measure(grid, w)
     a2 = w.a2_characteristic()
     dual_cells = w.dual_sums[N]
     batch = max(1, _WB_BATCH_ENTRIES >> (N * d))

@@ -26,7 +26,7 @@ from .shifts import (
 )
 from .partition import ShellPartition, partition_operator_norm, partition_power_weight
 from .corona import CoronaDecomposition, CubeSet, build_corona, qn_partition
-from .estimates import ProfileFamily, fit_slope, h_functional, jn_check, testing_constants
+from .estimates import ProfileFamily, fit_slope, h_functionals, jn_check, testing_constants
 from .serialize import FormatError, load_weight
 
 WORKERS_ENV = "DYADLAB_WORKERS"
@@ -169,11 +169,11 @@ def essence_cases(weight_index: int, depth: int = CASCADE_DEPTH):
 
 def essence_distributions(w: Weight, T: SimpleHaarShift, cases) -> list[dict]:
     """Raw per-case data for threshold scans: sorted |H|/density values with
-    the matching dual-cell masses, plus case totals."""
+    the matching dual-cell masses, plus case totals; T's fields are computed once."""
     dual_cells = w.dual_sums[w.grid.N]
+    cases = list(cases)
     data = []
-    for *_, L, fiber in cases:
-        h = h_functional(L, fiber, T, w)
+    for (*_, L, _), h in zip(cases, h_functionals((c[-2:] for c in cases), T, w)):
         u = np.abs(L.cell_values(h.values)) / w.density(L)
         duals = L.cell_values(dual_cells)
         order = np.argsort(u)[::-1]
@@ -185,12 +185,6 @@ def essence_distributions(w: Weight, T: SimpleHaarShift, cases) -> list[dict]:
             "dual_total": float(duals.sum()),
         })
     return data
-
-
-def collect_essence_distributions(weight_indices, depth: int = CASCADE_DEPTH):
-    """`essence_distributions` of every listed cascade weight, in order."""
-    return [row for i in weight_indices
-            for row in essence_distributions(*essence_cases(i, depth))]
 
 
 def essence_aggregate_masses(data, k_constant: float,

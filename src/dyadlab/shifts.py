@@ -277,7 +277,7 @@ def apply_shift(T, f: GridFunction, sigma: Weight | None = None) -> GridFunction
     """T(sigma f) as an exact finite sum; sigma=None applies T to f itself."""
     if f.grid != T.grid:
         raise GridError("grid mismatch between shift and argument")
-    vals = f.values if sigma is None else f.values * sigma.values
+    vals = f.values if sigma is None else f.values * _measure(T.grid, sigma).values
     return GridFunction(T.grid, T.apply_values(vals))
 
 

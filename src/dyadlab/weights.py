@@ -123,8 +123,10 @@ def _measure(grid: DyadicGrid, w: Weight | None) -> Weight:
     """w itself, or Lebesgue measure as the constant-one Weight when w is None.
 
     The one rule for a measure argument of None, shared by `shifts` and
-    `estimates`.
+    `estimates`; a Weight of another grid raises GridError.
     """
+    if w is not None and w.grid != grid:
+        raise GridError("measure lives on another grid")
     return Weight(np.ones(grid.cell_count), grid) if w is None else w
 
 

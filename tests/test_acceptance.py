@@ -240,7 +240,8 @@ def test_criterion_8_john_nirenberg():
 
 def test_criterion_9_essence_decay():
     k = CAL["essence"]["k"]
-    data = exp.collect_essence_distributions(range(exp.CASCADE_COUNT))
+    data = [row for i in range(exp.CASCADE_COUNT)
+            for row in exp.essence_distributions(*exp.essence_cases(i))]
     leb, dua = exp.essence_aggregate_masses(data, k)
     slope_leb = exp.fit_slope(exp.ESSENCE_T_VALUES, leb)
     slope_dua = exp.fit_slope(exp.ESSENCE_T_VALUES, dua)

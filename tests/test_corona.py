@@ -230,11 +230,22 @@ def test_carleson_bound_on_cascades():
 
 
 def test_family_containment_enforced():
-    g = build_grid(1, 6)
-    w = random_a2_weight(1, 3, g)
-    outside = CubeSet.from_cubes(g, [g.cube(1, 1)])
-    with pytest.raises(GridError):
-        build_corona(w, outside, g.cube(1, 0))
+    """A family cube beside the top at the top's own level, finer and outside
+    it, or coarser than it is refused at d=1 and d=2, alone or next to a cube
+    under the top; a family under the top is accepted."""
+    for d, N, top, sibling, outside, coarser, under in (
+            (1, 6, (1, 0), (1, 1), (4, 9), (0, 0), (4, 3)),
+            (2, 4, (1, 2), (1, 1), (2, 1), (0, 0), (3, 50))):
+        g = build_grid(d, N)
+        w = random_a2_weight(1, 3, g)
+        top = g.cube(*top)
+        for bad in (sibling, outside, coarser):
+            assert not top.contains(g.cube(*bad))
+            for family in ([g.cube(*bad)], [g.cube(*under), g.cube(*bad)]):
+                with pytest.raises(GridError, match="contained in the top cube"):
+                    build_corona(w, CubeSet.from_cubes(g, family), top)
+        assert top.contains(g.cube(*under))
+        assert build_corona(w, CubeSet.from_cubes(g, [g.cube(*under)]), top).family.count() == 1
 
 
 def test_empty_family_keeps_top():

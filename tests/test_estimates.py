@@ -18,6 +18,7 @@ from dyadlab import (
     dual_weight,
     essence_check,
     h_functional,
+    h_functionals,
     hilbert_shift,
     jn_check,
     martingale_transform,
@@ -32,8 +33,11 @@ from dyadlab import (
     weak_boundedness_from_t1_check,
     zero_shift,
 )
-from dyadlab.estimates import _WB_BATCH_ENTRIES, DistributionCurve, ProfileFamily
-from dyadlab.grid import integral_pyramid
+from dyadlab.corona import pn_alpha
+from dyadlab.estimates import _WB_BATCH_ENTRIES, DistributionCurve, EssenceReport, ProfileFamily
+from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
+                          subcell_matrix, suffix_sweep)
+from dyadlab.shifts import apply_shift
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.experiments as exp
 
@@ -212,8 +216,6 @@ def test_bold_h_matches_direct_scan():
         h = h_functional(q0, cls, T, w)
         best = max(best, l2_norm(h, dual_weight(w)) / math.sqrt(w.mass(q0)))
     assert rep.value == pytest.approx(best, rel=1e-12)
-    unres = bold_h(cls, T, w, restrict_sup=False)
-    assert unres.value >= rep.value - 1e-12
 
 
 # -- corona split -----------------------------------------------------------------
@@ -358,6 +360,197 @@ def test_distribution_curve_slope_and_monotonicity():
     assert flat.log_slope() is None
     assert not DistributionCurve("x", (1, 2), (0.1, 0.2), 1.0, 1.0).is_monotone()
 
+
+
+# -- one restriction rule for H: bitwise against the masked-coefficient code ---------
+
+def _old_masked(T, w, cubes):
+    """Pairing coefficients zeroed off `cubes`, before the fields are formed."""
+    coeffs = T.pairing_coefficients(w.sums)
+    return {a: coeffs[a] * cubes.mask(a)[None, :] for a in T.levels}
+
+
+def _old_h(Q0, cubes, T, w):
+    g = T.grid
+    out = assemble_levels(T.output_fields(_old_masked(T, w, cubes.restrict_under(Q0))),
+                          g.d, g.N)
+    return np.zeros(g.cell_count) if out is None else out
+
+
+def _old_bold_h(cubes, T, w):
+    """(value, witness) of the supremum over Q0 in `cubes`."""
+    g = T.grid
+    d, N = g.d, g.N
+    rows = []
+    for j, s in suffix_sweep(T.output_fields(_old_masked(T, w, cubes)), d, N, T.tau):
+        flats = np.nonzero(cubes.mask(j))[0]
+        if flats.size:
+            rows.append((j, (pool(s * s * w.dual_sums[N], d, N - j) / w.sums[j])[flats],
+                         flats))
+    best, wit = level_argmax(g, rows)
+    return math.sqrt(max(best, 0.0)), wit
+
+
+def _old_essence_check(L, cubes, T, w, k_constant, t_values=tuple(range(1, 9))):
+    g = T.grid
+    d, N, vol = g.d, g.N, g.cell_volume
+    dens_l = w.density(L)
+    local = np.abs(L.cell_values(_old_h(L, cubes, T, w)))
+    local_dual = L.cell_values(w.dual_sums[N])
+    leb, dual = [], []
+    for t in t_values:
+        sel = local > k_constant * t * dens_l
+        leb.append(float(sel.sum()) * vol)
+        dual.append(float(local_dual[sel].sum()))
+    strata = pn_alpha(L, cubes, w)
+    coeffs = _old_masked(T, w, cubes)
+    seven, window, weak_worst = 0.0, 0.0, 0.0
+    for alpha in strata.alpha_values():
+        members = strata.classes[alpha]
+        for a in members.levels():
+            idx = np.nonzero(members.masks[a])[0]
+            if a not in T.g or idx.size == 0:
+                continue
+            dens_q = w.sums[a][idx] * (2.0 ** (a * d))
+            sup_gamma = np.abs(T.gamma[a][:, idx, :]).max(axis=-1)
+            term_peak = (np.abs(coeffs[a][:, idx]) * sup_gamma).max(axis=0)
+            seven = max(seven, float((term_peak / dens_q).max()))
+            window = max(window, float((dens_q / (4.0 * (2.0 ** (-alpha)) * dens_l)).max()))
+        masked = {a: coeffs[a] * members.mask(a)[None, :] for a in T.levels}
+        for j, s in suffix_sweep(T.output_fields(masked), d, N, T.tau):
+            sel = members.mask(j)
+            if not sel.any():
+                continue
+            rows = np.sort(np.abs(subcell_matrix(s, d, N - j)), axis=1)[:, ::-1]
+            weak = (rows * np.arange(1, rows.shape[1] + 1)[None, :]).max(axis=1) * vol
+            denom = (2.0 ** (-alpha)) * dens_l * (2.0 ** (-j * d))
+            weak_worst = max(weak_worst, float((weak[sel] / denom).max()))
+    scale = k_constant * dens_l
+    return EssenceReport(
+        DistributionCurve("lebesgue", tuple(t_values), tuple(leb), L.volume, scale),
+        DistributionCurve("dual", tuple(t_values), tuple(dual), float(local_dual.sum()), scale),
+        seven, window, weak_worst, k_constant, tuple(strata.alpha_values()))
+
+
+def _old_essence_distributions(w, T, cases):
+    rows = []
+    for *_, L, fiber in cases:
+        u = np.abs(L.cell_values(_old_h(L, fiber, T, w))) / w.density(L)
+        duals = L.cell_values(w.dual_sums[w.grid.N])
+        order = np.argsort(u)[::-1]
+        rows.append({"u_sorted": u[order], "dual_cum": np.cumsum(duals[order]),
+                     "cell_volume": w.grid.cell_volume, "lebesgue_total": L.volume,
+                     "dual_total": float(duals.sum())})
+    return rows
+
+
+def _assert_rows_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        for key in a:
+            if isinstance(a[key], np.ndarray):
+                assert a[key].tobytes() == b[key].tobytes(), key
+            else:
+                assert float(a[key]).hex() == float(b[key]).hex(), key
+
+
+def _partial_sum_shift(kind, tau, seed, g, separated):
+    """One-term random shift, or the martingale transform (three terms at d=2)."""
+    if kind == "martingale":
+        return martingale_transform(random_signs(g, seed), g, separated=separated)
+    return random_simple_shift(tau, seed, g, separated=separated)
+
+
+@given(st.sampled_from(((1, 4), (1, 7), (1, 10), (2, 3), (2, 5))), st.integers(0, 5),
+       st.integers(0, 10**6), st.integers(1, 3), st.sampled_from(("random", "martingale")),
+       st.booleans(), st.sampled_from((0.0, 0.1, 0.5, 1.0)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_partial_sums_are_bitwise_the_masked_coefficient_code(shape, n, seed, tau, kind,
+                                                              separated, density, data):
+    """H, bold H, the essence check and the essence rows, on random cube sets
+    and Q0, equal the code that masked the coefficients, sign bits included."""
+    d, N = shape
+    g = build_grid(d, N)
+    T = _partial_sum_shift(kind, min(tau, N), seed, g, separated)
+    w = random_a2_weight(n, seed + 7, g)
+    rng = np.random.default_rng(seed)
+    cubes = CubeSet(g, {j: rng.random(g.level_count(j)) < density for j in range(N + 1)})
+    j0 = data.draw(st.integers(0, N))
+    Q0 = g.cube(j0, data.draw(st.integers(0, g.level_count(j0) - 1)))
+    assert h_functional(Q0, cubes, T, w).values.tobytes() == _old_h(Q0, cubes, T, w).tobytes()
+    rep, (value, witness) = bold_h(cubes, T, w), _old_bold_h(cubes, T, w)
+    assert (rep.value.hex(), rep.witness) == (value.hex(), witness)
+    assert repr(essence_check(Q0, cubes, T, w, k_constant=0.2)) == \
+        repr(_old_essence_check(Q0, cubes, T, w, k_constant=0.2))
+    cases = [(0, Q0, None, Q0, cubes), (0, g.root(), None, g.root(), cubes)]
+    _assert_rows_bitwise(exp.essence_distributions(w, T, cases),
+                         _old_essence_distributions(w, T, cases))
+    assert [h.values.tobytes() for h in h_functionals([(Q0, cubes), (g.root(), cubes)], T, w)] \
+        == [_old_h(q, cubes, T, w).tobytes() for q in (Q0, g.root())]
+
+
+def test_essence_rows_are_bitwise_the_per_case_code_on_the_cascade_prefix():
+    """Cascade indices 0-23 at N=12: every row of the suite's first 111 cases."""
+    count = 0
+    for i in range(24):
+        w, T, cases = exp.essence_cases(i)
+        _assert_rows_bitwise(exp.essence_distributions(w, T, cases),
+                             _old_essence_distributions(w, T, cases))
+        count += len(cases)
+    assert count == 111
+
+
+def test_essence_check_is_the_masked_coefficient_code_on_class_fibers():
+    """CLI-style fibers: the deepest Q_n class corona's first stops, d=1 and d=2."""
+    checked = 0
+    for d, N, tau in ((1, 8, 2), (1, 10, 2), (2, 5, 1), (2, 6, 2)):
+        g = build_grid(d, N)
+        for seed in (1, 2):
+            w = random_a2_weight(3, seed, g)
+            T = random_simple_shift(tau, seed, g, separated=True)
+            qn = qn_partition(w, levels=T.levels)
+            corona = exp.class_corona(w, qn.classes[max(qn.n_values())], T.levels)[1]
+            for L in corona.stopping_cubes()[:4]:
+                fiber = corona.corona_of(L)
+                assert repr(essence_check(L, fiber, T, w, k_constant=0.15)) == \
+                    repr(_old_essence_check(L, fiber, T, w, k_constant=0.15))
+                checked += 1
+    assert checked >= 16
+
+
+# -- weights and cube sets from another grid ---------------------------------------
+
+def _foreign_grid_calls():
+    g8, g10 = build_grid(1, 8), build_grid(1, 10)
+    T8 = random_simple_shift(2, 3, g8, separated=True)
+    w8, w10 = random_a2_weight(2, 5, g8), random_a2_weight(2, 5, g10)
+    fam8 = CubeSet.all_under(g8, g8.root(), levels=T8.levels)
+    fam10 = CubeSet.all_under(g10, g10.root(), levels=T8.levels)
+    corona8 = build_corona(w8, fam8, g8.root(), stopping_levels=T8.levels)
+    f8 = GridFunction.constant(g8, 1.0)
+    return {
+        "h_functional": lambda: h_functional(g8.root(), fam8, T8, w10),
+        "h_functionals-cubes": lambda: h_functionals(
+            [(g8.root(), fam8), (g10.root(), fam10)], T8, w8),
+        "bold_h-weight": lambda: bold_h(fam8, T8, w10),
+        "bold_h-cubes": lambda: bold_h(fam10, T8, w8),
+        "essence_check": lambda: essence_check(g8.root(), fam8, T8, w10, k_constant=0.2),
+        "corona_ab_split": lambda: corona_ab_split(g8.root(), 0, corona8, T8, w10),
+        "corona_ab_split-no-stops": lambda: corona_ab_split(g8.cube(8, 0), 0, corona8, T8, w10),
+        "testing_constants": lambda: eval_testing_constants(T8, w10, None),
+        "operator_norm": lambda: operator_norm(T8, w10, None),
+        "weak_boundedness": lambda: weak_boundedness_from_t1_check(T8, w10),
+        "apply_shift": lambda: apply_shift(T8, f8, w10),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_foreign_grid_calls()))
+def test_weight_or_cubes_from_another_grid_raise_grid_error(entry):
+    """d=1 level sizes do not depend on N, so an N=10 weight or cube set fits
+    an N=8 shift's coarse levels; each entry point refuses it."""
+    with pytest.raises(GridError):
+        _foreign_grid_calls()[entry]()
 
 # -- derived weak boundedness and sufficiency -----------------------------------------
 
