@@ -331,19 +331,6 @@ def weak_boundedness_instance(i: int, depth: int = WEAK_L1_DEPTH):
 # John-Nirenberg family suite
 # ---------------------------------------------------------------------------
 
-def jn_epsilon_family(grid: DyadicGrid, tau: int, eps: float,
-                      seed: int) -> ProfileFamily:
-    """Small random sign multiples of a fixed profile shape on every cube."""
-    rng = np.random.default_rng(check_seed(seed, GridError))
-    m = 1 << (tau * grid.d)
-    shape = np.concatenate([np.ones(m // 2), -np.ones(m - m // 2)])
-    profiles = {}
-    for j in range(0, grid.N - tau + 1):
-        signs = rng.integers(0, 2, size=(grid.level_count(j), 1)) * 2.0 - 1.0
-        profiles[j] = eps * signs * shape[None, :]
-    return ProfileFamily(grid, tau, profiles)
-
-
 def jn_boundary_family(i: int, depth: int = JN_DEPTH) -> ProfileFamily:
     """Random bounded family rescaled onto the level-set hypothesis boundary.
 

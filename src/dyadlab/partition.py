@@ -66,15 +66,6 @@ class ShellPartition:
     def cell_count(self) -> int:
         return (1 << self.depth) + self.shell_count * SHELL_CELLS
 
-    def cell_levels(self) -> np.ndarray:
-        """Dyadic level of every cell (its length is 2^-level), left to right."""
-        shells = np.arange(self.refinement - 1, self.depth - 1, -1) + 1 + SHELL_LEVELS
-        return np.concatenate([
-            [self.refinement],
-            np.repeat(shells, SHELL_CELLS),
-            np.full((1 << self.depth) - 1, self.depth),
-        ]).astype(np.int64)
-
     # -- cell-array layout -------------------------------------------------
 
     def _split(self, x):

@@ -10,10 +10,13 @@ pairing pass per level, one expansion pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces
 (matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
-certifies the same Krylov value on the dense matrix M with one Cholesky
-factorization of a shifted Gram matrix s^2 (1 + eps) I - M^T M, falling back
-to the symmetric eigensolver on M^T M when the certificate fails), the dyadic
-Calderon-Zygmund decomposition, and a weak-L1 superlevel diagnostic.
+certifies the same Krylov value s with one Cholesky factorization of
+s^2 (1 + eps) I - H: H is K x K, from the factors M = C G^T of a simple
+shift with K = terms x family cubes <= n/2 (eps' at most 6e-9 on the
+two-weight suite), or else M^T M of the n x n matrix M (eps about 2.5e-10
+at 1024 cells), with the symmetric eigensolver on M^T M when both fail),
+the dyadic Calderon-Zygmund decomposition, and a weak-L1 superlevel
+diagnostic.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .grid import (
     GridError,
     GridFunction,
     _HAAR_SIGNS,
+    ancestor_map,
     assemble_levels,
     check_seed,
     cube_view,
@@ -116,9 +120,6 @@ class SimpleHaarShift:
         self.separated = bool(separated)
         self.meta = dict(meta or {})
 
-    def terms_at(self, level: int) -> int:
-        return self.g[level].shape[0]
-
     def adjoint(self) -> "SimpleHaarShift":
         """Swap g and gamma per cube; the exact Lebesgue adjoint."""
         return SimpleHaarShift(
@@ -140,14 +141,6 @@ class SimpleHaarShift:
             gamma[j] = self.gamma[j] * keep[None, :, None]
         return SimpleHaarShift(self.grid, self.tau, self.levels, g, gamma,
                                separated=self.separated, meta=self.meta, validate=False)
-
-    def restricted_to_levels(self, levels) -> "SimpleHaarShift":
-        levels = tuple(sorted(set(levels) & set(self.levels)))
-        return SimpleHaarShift(
-            self.grid, self.tau, levels,
-            {j: self.g[j] for j in levels}, {j: self.gamma[j] for j in levels},
-            separated=self.separated, meta=self.meta, validate=False,
-        )
 
     # -- application -------------------------------------------------------
 
@@ -400,6 +393,7 @@ def zero_shift(grid: DyadicGrid, tau: int = 1) -> SimpleHaarShift:
 # ---------------------------------------------------------------------------
 
 _POWER_SEED = 0x0D7AD1C
+_DENSE_CELLS = 4096
 
 
 def _measure_scalings(grid, sigma, mu):
@@ -413,7 +407,7 @@ def _measure_scalings(grid, sigma, mu):
 def dense_matrix(T, sigma: Weight | None = None, mu: Weight | None = None) -> np.ndarray:
     """Dense matrix of f -> T(sigma f) between the scaled coordinates of
     L2(sigma) and L2(mu); its largest singular value is the operator norm."""
-    if T.grid.cell_count > 4096:
+    if T.grid.cell_count > _DENSE_CELLS:
         raise ShiftError("dense matrix limited to grids with at most 4096 cells")
     a, b = _measure_scalings(T.grid, sigma, mu)
     return b[:, None] * T.apply_values(np.diag(a))
@@ -429,23 +423,29 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     `dense-svd` is the oracle for grids of at most 4096 cells; `auto` picks
     the oracle when it is available.
 
-    The oracle certifies a Krylov value instead of solving an eigenproblem.
-    It forms the dense matrix M, runs the same Golub-Kahan-Lanczos loop with
-    dense products M x and M^T y (same `tol`, `max_iter` and `seed`), and
-    takes s = |M v| for the unit right Ritz vector v, a lower bound for |M|
-    read off M itself.  It then forms G = M^T M, releases M, and returns s
-    when a Cholesky factorization of s^2 (1 + eps) I - G succeeds, which
-    proves |M| <= s sqrt((1 + eps)(1 + eta)); see `_certifies` for eta and
-    eps = 2 eta (about 2.5e-10 at 1024 cells).  When the factorization fails,
-    or the Krylov loop raises `OperatorNormError`, it falls back to the
-    square root of the top eigenvalue of G from LAPACK's symmetric
+    The oracle certifies a Krylov value s = |M v| (v the unit right Ritz
+    vector of the same loop, same `tol`, `max_iter` and `seed`; M the n x n
+    matrix of `dense_matrix`) with one Cholesky factorization (`_certifies`).
+    A `SimpleHaarShift` with K = terms x family cubes <= n/2 first takes the
+    factored route: the loop runs through M = C G^T (`_low_rank_factors`)
+    and the certificate is K x K (`_factored_gram`; eps' at most 6e-9 on the
+    two-weight suite); M is never formed.  Other shifts, and a factored
+    route that fails (G^T G not positive definite, the loop raising
+    `OperatorNormError`, the certificate refusing), take the n x n route:
+    the loop on M, then M^T M with the bound of `_gram_error` (eps about
+    2.5e-10 at 1024 cells), and when that fails too, or the loop raises, the
+    square root of the top eigenvalue of M^T M from LAPACK's symmetric
     eigensolver.  A wrong Krylov value therefore never passes, the dense
     branch never raises `OperatorNormError`, and M = 0 (s = 0, which the
     certificate rejects) gives +0.0 through the fallback, never NaN.
     """
     if method == "auto":
-        method = "dense-svd" if T.grid.cell_count <= 4096 else "power-iteration"
+        method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
     if method == "dense-svd":
+        factors = _low_rank_factors(T, sigma, mu)
+        s = None if factors is None else _factored_norm(*factors, tol, max_iter, seed)
+        if s is not None:
+            return s
         M = dense_matrix(T, sigma, mu)
         try:
             _, v = _golub_kahan(lambda x: M @ x, lambda y: M.T @ y, M.shape[1],
@@ -455,7 +455,7 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
             s = 0.0
         gram = M.T @ M
         del M
-        if _certifies(gram, s):
+        if _certifies(gram, s, _gram_error(gram)):
             return s
         top = float(np.linalg.eigvalsh(gram)[-1])
         return math.sqrt(top) if top > 0.0 else 0.0
@@ -472,6 +472,80 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     )
 
 
+def _low_rank_factors(T, sigma, mu):
+    """n x K factors C = diag(b) Gamma and G = diag(a |cell|) G0 of M = C G^T
+    (a, b as in `dense_matrix`), one column per (level, term, cube) holding
+    the expanded profiles on the cube's cells; None unless T is simple with
+    K <= n/2 and n within the dense limit."""
+    grid, tau = T.grid, T.tau
+    n, d, N = grid.cell_count, grid.d, grid.N
+    if not isinstance(T, SimpleHaarShift) or n > _DENSE_CELLS:
+        return None
+    K = sum(T.g[j].shape[0] * grid.level_count(j) for j in T.levels)
+    if not 0 < K <= n // 2:
+        return None
+    a, b = _measure_scalings(grid, sigma, mu)
+    C, G = np.zeros((n, K)), np.zeros((n, K))
+    rows, col = np.arange(n)[:, None], 0
+    for j in T.levels:
+        terms, count = T.g[j].shape[:2]
+        cols = col + count * np.arange(terms) + ancestor_map(d, N, j)[:, None]
+        for F, prof in ((C, T.gamma[j]), (G, T.g[j])):
+            F[rows, cols] = expand(scatter_subcells(prof.transpose(1, 2, 0), d, tau),
+                                   d, N - j - tau)
+        col += terms * count
+    return C * b[:, None], G * (a * grid.cell_volume)[:, None]
+
+
+def _factored_norm(C, G, tol, max_iter, seed):
+    """s = |C G^T v| from the Krylov loop run through the factors, when
+    `_certifies` accepts it with `_factored_gram`'s H and err; else None."""
+    try:
+        H, err = _factored_gram(C, G)
+        _, v = _golub_kahan(lambda x: C @ (G.T @ x), lambda y: G @ (C.T @ y),
+                            C.shape[0], tol, max_iter, seed)
+    except (np.linalg.LinAlgError, OperatorNormError):
+        return None
+    s = float(np.linalg.norm(C @ (G.T @ v)))
+    return s if _certifies(H, s, err) else None
+
+
+def _factored_gram(C, G):
+    """H^ = fl(L^T (C^T C) L) with G^T G = L L^T, and err with |C G^T|^2 <=
+    lambda_max(H^) + err; LinAlgError when G^T G is not positive definite.
+
+    Hats are computed values (Higham, as in `_certifies`); each bound is
+    entrywise with a symmetric right side, so it holds on the triangle
+    LAPACK reads.  The rounding errors:
+      - two n-term Gram products: P^ = C^T C + E1, fl(G^T G) = G^T G + E2,
+        |E1| <= gamma_n |C|^T |C|, |E2| <= gamma_n |G|^T |G|;
+      - Cholesky (Thm 10.5): L^ L^T = fl(G^T G) + E3, |E3| <= gamma_{K+1} |L^| |L^T|;
+      - two K-term congruence products: W^ = P^ L^ + E4, H^ = L^T W^ + E5,
+        |E4| <= gamma_K |P^| |L^|, |E5| <= gamma_K |L^T| |W^|, where
+        |P^| <= (1 + gamma_n) |C|^T |C| and |W^| <= (1 + gamma_K) |P^| |L^|.
+    A nonnegative symmetric B has |B|_2 <= |B 1|_inf, which bounds |C|_2^2,
+    ||G|^T |G||_2 and ||L^||_2^2 by c2 = |(|C|^T |C|) 1|_inf, g2 (likewise)
+    and l2 = |(|L^| |L^T|) 1|_inf.  In lambda_max(M M^T) = lambda_max(C G^T G C^T):
+      - G^T G = L^ L^T - E2 - E3 adds at most c2 (gamma_n g2 + gamma_{K+1} l2)
+        to lambda_max(L^T C^T C L^);
+      - L^T C^T C L^ = H^ - L^T E1 L^ - L^T E4 - E5, the last three bounded
+        by (gamma_n + gamma_K (2 + gamma_K)(1 + gamma_n)) |L^T| |C|^T |C| |L^|,
+        of 2-norm at most that factor times c2 l2.
+    err is their sum over (1 - gamma_{n+K})^3: each of c2, g2, l2 is a computed
+    sum of nonnegative terms, at most 1 / (1 - gamma_{n+K}) times its value,
+    and the third factor covers forming err.  Nothing is inverted, so err
+    does not grow with the condition of G^T G.
+    """
+    n, K = C.shape
+    L = np.linalg.cholesky(G.T @ G)
+    H = L.T @ ((C.T @ C) @ L)
+    c2, g2, l2 = (float((A.T @ A.sum(axis=1)).max()) for A in map(np.abs, (C, G, L.T)))
+    gn, gk = _gamma(n), _gamma(K)
+    err = (c2 * (gn * g2 + (_gamma(K + 1) + gn + gk * (2.0 + gk) * (1.0 + gn)) * l2)
+           / (1.0 - _gamma(n + K)) ** 3)
+    return H, err
+
+
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 
 
@@ -481,39 +555,42 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _certifies(gram: np.ndarray, s: float) -> bool:
-    """Whether a Cholesky factorization proves |M| <= s sqrt((1+eps)(1+eta)),
-    given the computed Gram matrix G = fl(M^T M) of an n-column M.
+def _gram_error(gram: np.ndarray) -> float:
+    """err of `_certifies` for G = fl(M^T M), M with n rows: |G - M^T M| <=
+    gamma_n |M|^T |M|, of 2-norm at most gamma_n trace(G) / (1 - gamma_n)."""
+    return _gamma(len(gram)) * float(np.trace(gram)) / (1.0 - _gamma(len(gram)))
 
-    Rounding enters in three places (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed.), and eta bounds all three relative to
-    t = s^2 (1 + eps):
-      - Gram: |fl(M^T M) - M^T M| <= gamma_n |M|^T |M|, of 2-norm at most
-        gamma_n |M|_F^2 <= gamma_n trace(G) / (1 - gamma_n);
-      - the shift: fl(t I - G) rounds only the diagonal, by at most u t;
-      - Cholesky (Thm 10.5): when it runs to completion on A = fl(t I - G),
-        R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R|, of 2-norm at most
-        gamma_{n+1} trace(A) / (1 - gamma_{n+1}), and trace(A) <= n t (1 + u).
+
+def _certifies(H: np.ndarray, s: float, err: float) -> bool:
+    """Whether a Cholesky factorization proves |M| <= s sqrt((1+eps)(1+eta)),
+    given a computed k x k matrix H with |M|^2 <= lambda_max(H) + err.
+
+    Rounding enters twice more (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed.), relative to t = s^2 (1 + eps):
+      - the shift: fl(t I - H) rounds only the diagonal, by at most u t when
+        0 <= H_ii <= t (a negative diagonal entry refuses);
+      - Cholesky (Thm 10.5): when it runs to completion on A = fl(t I - H),
+        R^T R = A + dA with |dA| <= gamma_{k+1} |R^T| |R|, of 2-norm at most
+        gamma_{k+1} trace(A) / (1 - gamma_{k+1}), and trace(A) <= k t (1 + u).
     Since R^T R is positive semidefinite, success gives |M|^2 <= t (1 + eta) with
 
-        eta = n gamma_{n+1} / (1 - n gamma_{n+1}) + u + gamma_n trace(G) / ((1 - gamma_n) s^2).
+        eta = k gamma_{k+1} / (1 - k gamma_{k+1}) + u + err / s^2.
 
     Conversely (Thm 10.7), to first order the factorization is sure to
     succeed once the margin t - |M|^2 exceeds eta t, so eps = 2 eta leaves
     half the margin for the Krylov value's own shortfall below |M|.  s <= 0
     never certifies.
     """
-    if not s > 0.0:
+    if not s > 0.0 or np.diagonal(H).min() < 0.0:
         return False
-    n = gram.shape[0]
-    chol = n * _gamma(n + 1)
-    eta = (chol / (1.0 - chol) + _UNIT_ROUNDOFF
-           + _gamma(n) * float(np.trace(gram)) / ((1.0 - _gamma(n)) * s * s))
-    shifted = np.negative(gram)
-    shifted.flat[::n + 1] += s * s * (1.0 + 2.0 * eta)
+    k = H.shape[0]
+    chol = k * _gamma(k + 1)
+    eta = chol / (1.0 - chol) + _UNIT_ROUNDOFF + err / (s * s)
+    shifted = np.negative(H)
+    shifted.flat[::k + 1] += s * s * (1.0 + 2.0 * eta)
     try:
-        # LAPACK reads one triangle, and each triangle of fl(M^T M) meets the
-        # Gram bound; the transposed view is the one it reads without a copy
+        # LAPACK reads one triangle, and each triangle of H meets the bound
+        # behind err; the transposed view is the one it reads without a copy
         np.linalg.cholesky(shifted.T)
     except np.linalg.LinAlgError:
         return False

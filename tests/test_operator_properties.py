@@ -1,16 +1,21 @@
 """Operator-level identities and the dense norm oracle against independent checks.
 
-The `dense-svd` norm certifies a Krylov value: s = |M v| for the Ritz vector
-v of a Golub-Kahan-Lanczos run on the dense matrix M is a lower bound, and a
-Cholesky factorization of s^2 (1 + eps) I - M^T M proves the upper bound;
-when the factorization fails, or the Krylov run does not converge, the value
-comes from LAPACK's symmetric eigensolver on M^T M instead.  Both paths are
-checked against the full SVD of M, the certificate against a value below
-the norm, the fallback by counting eigensolver calls, and the fast path by
-the suite prefix that must certify without one.  The property tests cover
-the oracle on random grids and weight pairs, the duality identities at d=1
-and d=2 (<Tf, g> = <f, T*g> for both shift classes, and the same dense norm
-for T and its adjoint), and the dual-weight involution.
+The `dense-svd` norm certifies a Krylov value s, a lower bound for |M|, with
+one Cholesky factorization of s^2 (1 + eps) I - H.  A simple shift whose
+column count K (terms x family cubes) is at most n/2 takes the factored
+route: M = C G^T, the Krylov loop runs through the factors, and H =
+L^T (C^T C) L (G^T G = L L^T) is K x K, with eps' from the rounding bounds
+of `shifts._factored_gram`.  Other shifts (tau=1 at d=1, generic shifts,
+the d=2 martingale transform) and a factored route that does not certify (G^T G
+singular, an unconverged Krylov run, a refused certificate) take the n x n
+route on H = M^T M, and when that fails too, LAPACK's symmetric
+eigensolver.  Both routes are checked against the full SVD of M, both
+certificates against a value below the norm, the route by counting
+`dense_matrix`, `apply_values` and eigensolver calls, and the fast paths by
+the suite prefix, which must certify without a fallback.  The property tests
+cover the oracle on random grids and weight pairs, the duality identities at
+d=1 and d=2 (<Tf, g> = <f, T*g> for both shift classes, and the same dense
+norm for T and its adjoint), and the dual-weight involution.
 """
 
 import math
@@ -25,14 +30,17 @@ from dyadlab import (
     GenericHaarShift,
     GridFunction,
     OperatorNormError,
+    SimpleHaarShift,
     Weight,
     apply_shift,
     build_grid,
     dense_matrix,
     dual_weight,
     inner_product,
+    martingale_transform,
     operator_norm,
     random_a2_weight,
+    random_signs,
     random_simple_shift,
     zero_shift,
 )
@@ -99,9 +107,19 @@ def test_certificate_refuses_a_value_below_the_norm():
     M = dense_matrix(T, sigma, mu)
     s = float(np.linalg.svd(M, compute_uv=False)[0])
     gram = M.T @ M
-    assert shifts._certifies(gram, s)
-    assert not shifts._certifies(gram, s * (1.0 - 1e-6))
-    assert not shifts._certifies(gram, 0.0)
+    err = shifts._gram_error(gram)
+    assert shifts._certifies(gram, s, err)
+    assert not shifts._certifies(gram, s * (1.0 - 1e-6), err)
+    assert not shifts._certifies(gram, 0.0, err)
+    # the factored certificate on a tau=2 instance: K = 63 columns, n = 128
+    T, sigma, mu = exp.two_weight_instance(4, depth=7)
+    s = _full_svd_norm(T, sigma, mu)
+    C, G = shifts._low_rank_factors(T, sigma, mu)
+    H, err = shifts._factored_gram(C, G)
+    assert H.shape == (63, 63)
+    assert shifts._certifies(H, s, err)
+    assert not shifts._certifies(H, s * (1.0 - 1e-6), err)
+    assert not shifts._certifies(H, 0.0, err)
 
 
 def test_zero_shift_takes_the_eigensolver_fallback(eigvalsh_calls):
@@ -122,11 +140,61 @@ def test_unconverged_krylov_run_takes_the_fallback_and_never_raises(eigvalsh_cal
     assert norm == pytest.approx(_full_svd_norm(T, sigma, mu), rel=1e-12)
 
 
-def test_suite_prefix_certifies_without_the_eigensolver(eigvalsh_calls):
+@pytest.fixture
+def dense_builds(monkeypatch):
+    """Counts the n x n route's builds of M: `dense_matrix` calls and the
+    simple-shift applications behind them."""
+    calls = {"dense_matrix": 0, "apply_values": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(shifts, "dense_matrix", counting("dense_matrix", shifts.dense_matrix))
+    monkeypatch.setattr(SimpleHaarShift, "apply_values",
+                        counting("apply_values", SimpleHaarShift.apply_values))
+    return calls
+
+
+def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_calls):
+    """tau=1 rows take the n x n route; tau >= 2 rows never build M, and their
+    factored value is the full SVD's to 1e-13."""
     for i in range(24):
         T, sigma, mu = exp.two_weight_instance(i)
-        assert operator_norm(T, sigma, mu, method="dense-svd") > 0.0
+        dense_builds.update(dense_matrix=0, apply_values=0)
+        norm = operator_norm(T, sigma, mu, method="dense-svd")
+        if T.tau == 1:      # K = n - 1 columns: the n x n route
+            assert dense_builds == {"dense_matrix": 1, "apply_values": 1}
+            continue
+        assert dense_builds == {"dense_matrix": 0, "apply_values": 0}
+        full = _full_svd_norm(T, sigma, mu)
+        assert abs(norm - full) <= 1e-13 * full
     assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked"])
+def test_the_n_by_n_route_builds_m_once(case, dense_builds):
+    """Shifts with K > n/2 skip the factored route; a zero or masked tau=2
+    shift (K = 31 <= 32) enters it and falls through on a singular G^T G."""
+    grid = build_grid(1, 6) if case != "martingale_d2" else build_grid(2, 3)
+    w = random_a2_weight(1, 5, grid)
+    if case == "generic":
+        T = _random_generic(grid, np.random.default_rng(7), count=40)
+    elif case == "martingale_d2":       # three terms per cube: K = n - 1
+        T = martingale_transform(random_signs(grid, 5), grid)
+    elif case == "zero":                # G^T G = 0
+        T = zero_shift(grid, 2)
+    else:                               # zeroed cubes leave G^T G singular
+        rng = np.random.default_rng(3)
+        T = random_simple_shift(2, 11, grid).masked(
+            {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
+    factored = shifts._low_rank_factors(T, w, dual_weight(w)) is not None
+    assert factored == (case in ("zero", "masked"))
+    norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
+    assert dense_builds["dense_matrix"] == 1
+    assert norm == pytest.approx(_full_svd_norm(T, w, dual_weight(w)), rel=1e-12, abs=0.0)
 
 
 @st.composite
