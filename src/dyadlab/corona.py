@@ -65,15 +65,6 @@ class CubeSet:
         return cls(grid, {})
 
     @classmethod
-    def from_cubes(cls, grid: DyadicGrid, cubes) -> "CubeSet":
-        masks = {}
-        for c in cubes:
-            masks.setdefault(c.level, np.zeros(grid.level_count(c.level), dtype=bool))[
-                c.flat
-            ] = True
-        return cls(grid, masks)
-
-    @classmethod
     def all_under(cls, grid: DyadicGrid, top: DyadicCube,
                   levels=None) -> "CubeSet":
         """All cubes contained in `top`, optionally restricted to given levels."""
@@ -167,13 +158,6 @@ class CoronaDecomposition:
     def stopping_cubes(self) -> list[DyadicCube]:
         return self.stopping.cubes()
 
-    def lambda_of(self, cube: DyadicCube) -> DyadicCube:
-        check_cube(self.grid, cube)
-        lev = int(self.anchor_level[cube.level][cube.flat])
-        if lev < 0:
-            raise CoronaStructureError(f"{cube!r} lies outside the top cube")
-        return self.grid.cube(lev, int(self.anchor_flat[cube.level][cube.flat]))
-
     def corona_of(self, stopping_cube: DyadicCube) -> CubeSet:
         """Family cubes whose minimal stopping ancestor is the given cube."""
         key = self._key(check_cube(self.grid, stopping_cube).level, stopping_cube.flat)
@@ -192,24 +176,6 @@ class CoronaDecomposition:
         """Per level-j cube, the forest position of the stop whose fiber
         (`corona_of`) holds it; -1 for cubes outside the family."""
         return _search(self._forest().key, self._fiber_keys(level))
-
-    def stopping_parent(self, cube: DyadicCube) -> DyadicCube | None:
-        """The next stopping cube strictly above a stopping cube."""
-        if cube.level == self.top.level:
-            return None
-        return self.lambda_of(cube.parent())
-
-    def stopping_children(self, cube: DyadicCube) -> list[DyadicCube]:
-        """Immediate (maximal) stopping descendants of a stopping cube."""
-        p = self._position(check_cube(self.grid, cube))
-        return [] if p < 0 else self._cubes(np.flatnonzero(self._forest().parent == p))
-
-    def stopping_descendants(self, cube: DyadicCube) -> list[DyadicCube]:
-        """All stopping cubes strictly inside a stopping cube."""
-        if self._position(check_cube(self.grid, cube)) < 0:
-            return []
-        return self._cubes(np.flatnonzero(self.stops_under(cube)
-                                          & (self._forest().level > cube.level)))
 
     def stops_under(self, cube: DyadicCube) -> np.ndarray:
         """Mask over the forest of the stops contained in `cube`, itself included."""
@@ -249,15 +215,6 @@ class CoronaDecomposition:
         """The key of each level-j family cube's anchor; -1 off the family."""
         return np.where(self.family.mask(level),
                         self._key(self.anchor_level[level], self.anchor_flat[level]), -1)
-
-    def _position(self, cube: DyadicCube) -> int:
-        """The forest position of a cube, -1 when it is not a stop."""
-        return int(_search(self._forest().key, self._key(cube.level, cube.flat)))
-
-    def _cubes(self, positions) -> list[DyadicCube]:
-        forest, cube = self._forest(), self.grid.cube
-        return [cube(j, f) for j, f in zip(forest.level[positions].tolist(),
-                                           forest.flat[positions].tolist())]
 
     def density(self, cube: DyadicCube) -> float:
         return self.measure.density(cube)
@@ -526,12 +483,6 @@ class PnAlphaPartition:
 
     def alpha_values(self) -> list[int]:
         return sorted(self.classes)
-
-    def alpha_of(self, cube: DyadicCube) -> int:
-        for a, cs in self.classes.items():
-            if cs.contains(cube):
-                return a
-        raise KeyError(f"{cube!r} not classified")
 
 
 def pn_alpha(L: DyadicCube, cubes: CubeSet, w: Weight) -> PnAlphaPartition:

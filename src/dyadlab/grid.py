@@ -70,10 +70,6 @@ class DyadicGrid:
             raise GridError(f"level {level} out of range [0, {self.N}]")
         return 1 << (level * self.d)
 
-    @property
-    def total_cube_count(self) -> int:
-        return sum(self.level_count(j) for j in range(self.N + 1))
-
     def root(self) -> "DyadicCube":
         return DyadicCube(self, 0, (0,) * self.d)
 
@@ -154,9 +150,6 @@ class DyadicCube:
         if t < 0 or self.level - t < 0:
             raise GridError(f"cube at level {self.level} has no {t}-fold parent")
         return DyadicCube(self.grid, self.level - t, tuple(k >> t for k in self.index))
-
-    def ancestor_at(self, level: int) -> "DyadicCube":
-        return self.parent(self.level - level)
 
     def child(self, local: int) -> "DyadicCube":
         d = self.grid.d

@@ -12,17 +12,21 @@ The module also provides operator norms between weighted L^2 spaces
 (matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
 certifies the same Krylov value s with one Cholesky factorization of
 s^2 (1 + eps) I - H: H is K x K, from the factors M = C G^T of a simple
-shift with K = terms x family cubes <= n/2 (eps' at most 6e-9 on the
-two-weight suite), or else M^T M of the n x n matrix M (eps about 2.5e-10
-at 1024 cells), with the symmetric eigensolver on M^T M when both fail),
-the dyadic Calderon-Zygmund decomposition, and a weak-L1 superlevel
-diagnostic.
+shift with K = terms x family cubes <= n/2, or else M^T M of the n x n
+matrix M (eps about 2.5e-10 at 1024 cells), with the symmetric eigensolver
+on M^T M when both fail), the dyadic Calderon-Zygmund decomposition, and a
+weak-L1 superlevel diagnostic.  The factors are row-sparse, one value per
+cell and (level, term), so the Krylov products are gathers and bincounts
+and the Gram matrices come from per-level pooled products; each Gram entry
+still sums at most n products, so eps' keeps its gamma_n bound (at most
+6e-9 on the two-weight suite).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +40,10 @@ from .grid import (
     assemble_levels,
     check_seed,
     cube_view,
+    descendant_flat,
     expand,
     integral_pyramid,
+    pool,
     scatter_subcells,
     subcell_matrix,
 )
@@ -127,20 +133,6 @@ class SimpleHaarShift:
             separated=self.separated, meta={**self.meta, "adjoint": True},
             validate=False,
         )
-
-    def masked(self, level_masks: dict[int, np.ndarray]) -> "SimpleHaarShift":
-        """Zero out the terms of cubes excluded by per-level boolean masks."""
-        g, gamma = {}, {}
-        for j in self.levels:
-            mask = level_masks.get(j)
-            if mask is None:
-                keep = np.zeros(self.grid.level_count(j), dtype=bool)
-            else:
-                keep = np.asarray(mask, dtype=bool)
-            g[j] = self.g[j] * keep[None, :, None]
-            gamma[j] = self.gamma[j] * keep[None, :, None]
-        return SimpleHaarShift(self.grid, self.tau, self.levels, g, gamma,
-                               separated=self.separated, meta=self.meta, validate=False)
 
     # -- application -------------------------------------------------------
 
@@ -427,11 +419,14 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     vector of the same loop, same `tol`, `max_iter` and `seed`; M the n x n
     matrix of `dense_matrix`) with one Cholesky factorization (`_certifies`).
     A `SimpleHaarShift` with K = terms x family cubes <= n/2 first takes the
-    factored route: the loop runs through M = C G^T (`_low_rank_factors`)
-    and the certificate is K x K (`_factored_gram`; eps' at most 6e-9 on the
-    two-weight suite); M is never formed.  Other shifts, and a factored
-    route that fails (G^T G not positive definite, the loop raising
-    `OperatorNormError`, the certificate refusing), take the n x n route:
+    factored route: the loop runs through M = C G^T, whose row-sparse n x K
+    factors (`_low_rank_factors`) hold one value per cell and (level, term),
+    by one gather and one bincount per product, and the certificate is K x K
+    (`_factored_gram`, on Gram matrices pooled level by level; eps' at most
+    6e-9 on the two-weight suite); no n x K or n x n array is formed.
+    Other shifts, and a factored route that fails (G^T G not positive
+    definite, the loop raising `OperatorNormError`, the certificate
+    refusing), take the n x n route:
     the loop on M, then M^T M with the bound of `_gram_error` (eps about
     2.5e-10 at 1024 cells), and when that fails too, or the loop raises, the
     square root of the top eigenvalue of M^T M from LAPACK's symmetric
@@ -443,7 +438,7 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
         method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
     if method == "dense-svd":
         factors = _low_rank_factors(T, sigma, mu)
-        s = None if factors is None else _factored_norm(*factors, tol, max_iter, seed)
+        s = None if factors is None else _factored_norm(factors, tol, max_iter, seed)
         if s is not None:
             return s
         M = dense_matrix(T, sigma, mu)
@@ -472,11 +467,23 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     )
 
 
+class _RowSparse(NamedTuple):
+    """Row-sparse n x K factors of M = C G^T: cell i holds C[i] and G[i] in
+    columns cols[i], one slot per (family level, term), by ascending level."""
+    C: np.ndarray
+    G: np.ndarray
+    cols: np.ndarray
+    level: np.ndarray
+    K: int
+    grid: DyadicGrid
+
+
 def _low_rank_factors(T, sigma, mu):
-    """n x K factors C = diag(b) Gamma and G = diag(a |cell|) G0 of M = C G^T
-    (a, b as in `dense_matrix`), one column per (level, term, cube) holding
-    the expanded profiles on the cube's cells; None unless T is simple with
-    K <= n/2 and n within the dense limit."""
+    """C = diag(b) Gamma and G = diag(a |cell|) G0 with M = C G^T (a, b as in
+    `dense_matrix`), one column per (level, term, cube), numbered col +
+    count * term + cube, holding the expanded profile on the cube's cells.
+    A cell lies in one cube per level, so only its (level, term) slots are
+    stored; None unless T is simple, K <= n/2 and n within the dense limit."""
     grid, tau = T.grid, T.tau
     n, d, N = grid.cell_count, grid.d, grid.N
     if not isinstance(T, SimpleHaarShift) or n > _DENSE_CELLS:
@@ -485,47 +492,82 @@ def _low_rank_factors(T, sigma, mu):
     if not 0 < K <= n // 2:
         return None
     a, b = _measure_scalings(grid, sigma, mu)
-    C, G = np.zeros((n, K)), np.zeros((n, K))
-    rows, col = np.arange(n)[:, None], 0
+    C, G, cols, level, col = [], [], [], [], 0
     for j in T.levels:
         terms, count = T.g[j].shape[:2]
-        cols = col + count * np.arange(terms) + ancestor_map(d, N, j)[:, None]
+        cols.append(col + count * np.arange(terms) + ancestor_map(d, N, j)[:, None])
+        level += [j] * terms
         for F, prof in ((C, T.gamma[j]), (G, T.g[j])):
-            F[rows, cols] = expand(scatter_subcells(prof.transpose(1, 2, 0), d, tau),
-                                   d, N - j - tau)
+            F.append(expand(scatter_subcells(prof.transpose(1, 2, 0), d, tau), d, N - j - tau))
         col += terms * count
-    return C * b[:, None], G * (a * grid.cell_volume)[:, None]
+    return _RowSparse(np.hstack(C) * b[:, None], np.hstack(G) * (a * grid.cell_volume)[:, None],
+                      np.hstack(cols), np.array(level), K, grid)
 
 
-def _factored_norm(C, G, tol, max_iter, seed):
+def _factor_products(f):
+    """x -> C (G^T x) and y -> G (C^T y): one bincount, then one gather."""
+    flat = f.cols.ravel()
+
+    def through(A, B):
+        return lambda x: np.einsum("ij,ij->i", A, np.bincount(
+            flat, weights=(B * x[:, None]).ravel(), minlength=f.K)[f.cols])
+    return through(f.C, f.G), through(f.G, f.C)
+
+
+def _factored_norm(f, tol, max_iter, seed):
     """s = |C G^T v| from the Krylov loop run through the factors, when
     `_certifies` accepts it with `_factored_gram`'s H and err; else None."""
+    forward, backward = _factor_products(f)
     try:
-        H, err = _factored_gram(C, G)
-        _, v = _golub_kahan(lambda x: C @ (G.T @ x), lambda y: G @ (C.T @ y),
-                            C.shape[0], tol, max_iter, seed)
+        H, err = _factored_gram(f)
+        _, v = _golub_kahan(forward, backward, len(f.cols), tol, max_iter, seed)
     except (np.linalg.LinAlgError, OperatorNormError):
         return None
-    s = float(np.linalg.norm(C @ (G.T @ v)))
+    s = float(np.linalg.norm(forward(v)))
     return s if _certifies(H, s, err) else None
 
 
-def _factored_gram(C, G):
+def _factor_grams(f):
+    """C^T C and G^T G, stacked.  For slots p, q at levels j <= k the entry
+    sums F_p F_q over q's cube, so it is pool(F_j F_k, d, N - k) there: one
+    pool per level k, for both factors and all slots of level <= k, and one
+    scatter (entry and mirror) at the columns held on each level-k cube's
+    first cell.  The rest stay exact zeros, and each entry sums <= n products."""
+    K, d, N = f.K, f.grid.d, f.grid.N
+    both = np.stack((f.C, f.G), axis=1)
+    vals, rows, cols = [], [], []
+    for k in np.unique(f.level).tolist():
+        start, stop = np.searchsorted(f.level, (k, k + 1))
+        block = pool(both[:, :, :stop, None] * both[:, :, None, start:stop], d, N - k)
+        vals.append(np.moveaxis(block, 1, 0).reshape(2, -1))
+        first = f.cols[descendant_flat(d, k, N, np.arange(1 << (k * d)), 0)]
+        r, c = np.broadcast_arrays(first[:, :stop, None], first[:, None, start:stop])
+        rows.append(r.ravel())
+        cols.append(c.ravel())
+    vals, rows, cols = (np.concatenate(x, axis=-1) for x in (vals, rows, cols))
+    grams = np.zeros((2, K, K))
+    grams[:, rows, cols] = grams[:, cols, rows] = vals
+    return grams
+
+
+def _factored_gram(f):
     """H^ = fl(L^T (C^T C) L) with G^T G = L L^T, and err with |C G^T|^2 <=
     lambda_max(H^) + err; LinAlgError when G^T G is not positive definite.
 
     Hats are computed values (Higham, as in `_certifies`); each bound is
     entrywise with a symmetric right side, so it holds on the triangle
     LAPACK reads.  The rounding errors:
-      - two n-term Gram products: P^ = C^T C + E1, fl(G^T G) = G^T G + E2,
-        |E1| <= gamma_n |C|^T |C|, |E2| <= gamma_n |G|^T |G|;
+      - two Gram matrices (`_factor_grams`): P^ = C^T C + E1, fl(G^T G) =
+        G^T G + E2, |E1| <= gamma_n |C|^T |C|, |E2| <= gamma_n |G|^T |G|,
+        since each entry is a sum of at most n products in some order;
       - Cholesky (Thm 10.5): L^ L^T = fl(G^T G) + E3, |E3| <= gamma_{K+1} |L^| |L^T|;
       - two K-term congruence products: W^ = P^ L^ + E4, H^ = L^T W^ + E5,
         |E4| <= gamma_K |P^| |L^|, |E5| <= gamma_K |L^T| |W^|, where
         |P^| <= (1 + gamma_n) |C|^T |C| and |W^| <= (1 + gamma_K) |P^| |L^|.
     A nonnegative symmetric B has |B|_2 <= |B 1|_inf, which bounds |C|_2^2,
-    ||G|^T |G||_2 and ||L^||_2^2 by c2 = |(|C|^T |C|) 1|_inf, g2 (likewise)
-    and l2 = |(|L^| |L^T|) 1|_inf.  In lambda_max(M M^T) = lambda_max(C G^T G C^T):
+    ||G|^T |G||_2 and ||L^||_2^2 by c2 = |(|C|^T |C|) 1|_inf, g2 (likewise;
+    both read the row-sparse values) and l2 = |(|L^| |L^T|) 1|_inf.  In
+    lambda_max(M M^T) = lambda_max(C G^T G C^T):
       - G^T G = L^ L^T - E2 - E3 adds at most c2 (gamma_n g2 + gamma_{K+1} l2)
         to lambda_max(L^T C^T C L^);
       - L^T C^T C L^ = H^ - L^T E1 L^ - L^T E4 - E5, the last three bounded
@@ -536,10 +578,14 @@ def _factored_gram(C, G):
     and the third factor covers forming err.  Nothing is inverted, so err
     does not grow with the condition of G^T G.
     """
-    n, K = C.shape
-    L = np.linalg.cholesky(G.T @ G)
-    H = L.T @ ((C.T @ C) @ L)
-    c2, g2, l2 = (float((A.T @ A.sum(axis=1)).max()) for A in map(np.abs, (C, G, L.T)))
+    n, K = len(f.cols), f.K
+    CtC, GtG = _factor_grams(f)
+    L = np.linalg.cholesky(GtG)
+    H = L.T @ (CtC @ L)
+    Lt = np.abs(L.T)
+    c2, g2 = (float(np.bincount(f.cols.ravel(), (A * A.sum(axis=1)[:, None]).ravel()).max())
+              for A in map(np.abs, (f.C, f.G)))
+    l2 = float((Lt.T @ Lt.sum(axis=1)).max())
     gn, gk = _gamma(n), _gamma(K)
     err = (c2 * (gn * g2 + (_gamma(K + 1) + gn + gk * (2.0 + gk) * (1.0 + gn)) * l2)
            / (1.0 - _gamma(n + K)) ** 3)
@@ -691,14 +737,14 @@ class CZDecomposition:
 
 
 def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
-    """Dyadic Calderon-Zygmund decomposition of f at height lam > 0.
+    """Dyadic Calderon-Zygmund decomposition of f at a finite height lam > 0.
 
     One pass per level, coarse to fine.  When lam exceeds the root average
     of |f|, the good part is bounded by 2^d lam and the bad cubes satisfy
     sum |Q| <= ||f||_1 / lam with constant 1.
     """
-    if lam <= 0:
-        raise ShiftError("height lam must be positive")
+    if not 0.0 < lam < math.inf:       # NaN fails too
+        raise ShiftError(f"height lam must be finite and positive, got {lam}")
     grid = f.grid
     d, N = grid.d, grid.N
     abs_pyr = integral_pyramid(np.abs(f.values) * grid.cell_volume, d, N)

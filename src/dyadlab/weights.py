@@ -152,8 +152,8 @@ def ap_characteristic(w: Weight, p: float = 2.0) -> ApReport:
     For p=2 this is (w(Q)/|Q|) * (w^{-1}(Q)/|Q|); for general p > 1 the second
     factor is the (p-1) power of the average of w^{-1/(p-1)}.
     """
-    if not p > 1.0:
-        raise WeightError(f"p must exceed 1, got {p}")
+    if not 1.0 < p < math.inf:          # NaN fails too
+        raise WeightError(f"p must be finite and exceed 1, got {p}")
     g = w.grid
     if p == 2.0:
         dual = w.dual_sums

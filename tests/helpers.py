@@ -1,0 +1,88 @@
+"""Cube, corona and shift queries that only the tests use.
+
+They read the library's own arrays (a corona's anchor arrays and stopping
+forest, a shift's profile blocks) and answer one cube at a time, which the
+library itself never needs.
+"""
+
+import numpy as np
+
+from dyadlab import CubeSet, SimpleHaarShift
+from dyadlab.corona import CoronaStructureError, _search
+from dyadlab.grid import check_cube
+
+
+def cube_set(grid, cubes):
+    """The `CubeSet` holding exactly the given cubes."""
+    masks = {}
+    for c in cubes:
+        masks.setdefault(c.level, np.zeros(grid.level_count(c.level), dtype=bool))[c.flat] = True
+    return CubeSet(grid, masks)
+
+
+def total_cube_count(grid):
+    return sum(grid.level_count(j) for j in range(grid.N + 1))
+
+
+def masked(T, level_masks):
+    """T with the terms of cubes excluded by per-level boolean masks zeroed;
+    a family level without a mask loses every term."""
+    g, gamma = {}, {}
+    for j in T.levels:
+        mask = level_masks.get(j)
+        keep = (np.zeros(T.grid.level_count(j), dtype=bool) if mask is None
+                else np.asarray(mask, dtype=bool))
+        g[j] = T.g[j] * keep[None, :, None]
+        gamma[j] = T.gamma[j] * keep[None, :, None]
+    return SimpleHaarShift(T.grid, T.tau, T.levels, g, gamma,
+                           separated=T.separated, meta=T.meta, validate=False)
+
+
+def lambda_of(corona, cube):
+    """The minimal stopping cube containing `cube`."""
+    check_cube(corona.grid, cube)
+    lev = int(corona.anchor_level[cube.level][cube.flat])
+    if lev < 0:
+        raise CoronaStructureError(f"{cube!r} lies outside the top cube")
+    return corona.grid.cube(lev, int(corona.anchor_flat[cube.level][cube.flat]))
+
+
+def stopping_parent(corona, cube):
+    """The next stopping cube strictly above a stopping cube."""
+    if cube.level == corona.top.level:
+        return None
+    return lambda_of(corona, cube.parent())
+
+
+def _position(corona, cube):
+    """The forest position of a cube, -1 when it is not a stop."""
+    check_cube(corona.grid, cube)
+    return int(_search(corona._forest().key, corona._key(cube.level, cube.flat)))
+
+
+def _cubes(corona, positions):
+    forest = corona._forest()
+    return [corona.grid.cube(j, f) for j, f in zip(forest.level[positions].tolist(),
+                                                   forest.flat[positions].tolist())]
+
+
+def stopping_children(corona, cube):
+    """Immediate (maximal) stopping descendants of a stopping cube."""
+    p = _position(corona, cube)
+    return [] if p < 0 else _cubes(corona, np.flatnonzero(corona._forest().parent == p))
+
+
+def stopping_descendants(corona, cube):
+    """All stopping cubes strictly inside a stopping cube."""
+    if _position(corona, cube) < 0:
+        return []
+    return _cubes(corona, np.flatnonzero(corona.stops_under(cube)
+                                         & (corona._forest().level > cube.level)))
+
+
+def alpha_of(strata, cube):
+    """The alpha band of a `pn_alpha` partition that holds `cube`."""
+    for a, cs in strata.classes.items():
+        if cs.contains(cube):
+            return a
+    raise KeyError(f"{cube!r} not classified")

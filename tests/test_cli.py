@@ -331,6 +331,16 @@ def test_cascade_target_out_of_range_exit_two(capsys, n):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["cz", "--lam", "nan"], ["cz", "--lam", "inf"],
+                                  ["char", "--p", "inf"], ["char", "--p", "nan"]])
+def test_non_finite_height_or_exponent_exit_two(capsys, argv):
+    code = main([*argv, "--N", "4"])
+    err = capsys.readouterr().err
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key,value", [("data", None), ("data", 3), ("weight_meta", "abc"),
                                        ("weight_meta", [1])])
 def test_mistyped_weight_header_exit_two(tmp_path, capsys, key, value):

@@ -35,6 +35,9 @@ from dyadlab.corona import STOPPING_FACTOR
 from dyadlab.grid import assemble_levels, cube_view, integral_pyramid
 import dyadlab.experiments as exp
 
+from helpers import (alpha_of, cube_set, lambda_of, stopping_children, stopping_descendants,
+                     stopping_parent, total_cube_count)
+
 
 def spike_weight(grid, k, M):
     vals = np.ones(grid.cell_count)
@@ -67,10 +70,10 @@ def reference_stopping_set(w, top=None, levels=None):
 def _stopping_depth_above(corona, L):
     """Number of stopping cubes strictly containing L, up the parent chain."""
     count = 0
-    cur = corona.stopping_parent(L)
+    cur = stopping_parent(corona, L)
     while cur is not None:
         count += 1
-        cur = corona.stopping_parent(cur)
+        cur = stopping_parent(corona, cur)
     return count
 
 
@@ -85,7 +88,7 @@ def _reference_packing(corona):
     child_ratio, child_wit = 0.0, None
     overlap_ratio, overlap_wit = 0.0, None
     for L in corona.stopping_cubes():
-        ratio = sum(k.volume for k in corona.stopping_children(L)) / L.volume
+        ratio = sum(k.volume for k in stopping_children(corona, L)) / L.volume
         if ratio > child_ratio or child_wit is None:
             child_ratio, child_wit = ratio, L
         above = _stopping_depth_above(corona, L)
@@ -126,7 +129,7 @@ def test_lebesgue_corona_is_trivial():
     assert pk.child_union_ratio == 0.0
     assert pk.overlap_ratio == pytest.approx(1.0, abs=1e-12)
     # every cube is assigned to the top
-    assert corona.lambda_of(g.cube(5, 17)) == g.root()
+    assert lambda_of(corona, g.cube(5, 17)) == g.root()
 
 
 def test_spike_weight_matches_hand_simulation():
@@ -186,12 +189,12 @@ def test_lambda_assignment_is_minimal_ancestor():
     for _ in range(50):
         level = int(rng.integers(0, g.N + 1))
         cube = g.cube(level, int(rng.integers(0, g.level_count(level))))
-        lam = corona.lambda_of(cube)
+        lam = lambda_of(corona, cube)
         assert lam.contains(cube)
         assert (lam.level, lam.flat) in stops
         # no strictly smaller stopping cube contains it
         for t in range(lam.level + 1, cube.level + 1):
-            anc = cube.ancestor_at(t)
+            anc = cube.parent(cube.level - t)
             assert (anc.level, anc.flat) not in stops
 
 
@@ -243,9 +246,9 @@ def test_family_containment_enforced():
             assert not top.contains(g.cube(*bad))
             for family in ([g.cube(*bad)], [g.cube(*under), g.cube(*bad)]):
                 with pytest.raises(GridError, match="contained in the top cube"):
-                    build_corona(w, CubeSet.from_cubes(g, family), top)
+                    build_corona(w, cube_set(g, family), top)
         assert top.contains(g.cube(*under))
-        assert build_corona(w, CubeSet.from_cubes(g, [g.cube(*under)]), top).family.count() == 1
+        assert build_corona(w, cube_set(g, [g.cube(*under)]), top).family.count() == 1
 
 
 def test_empty_family_keeps_top():
@@ -277,7 +280,7 @@ def test_qn_constant_weight_all_class_zero():
     one = Weight(GridFunction.constant(g, 1.0))
     qn = qn_partition(one)
     assert qn.n_values() == [0]
-    assert qn.classes[0].count() == g.total_cube_count
+    assert qn.classes[0].count() == total_cube_count(g)
 
 
 def test_qn_classes_bounded_by_characteristic():
@@ -288,7 +291,7 @@ def test_qn_classes_bounded_by_characteristic():
     assert 16.0 <= char <= 64.0
     assert max(qn.n_values()) <= math.ceil(math.log2(char) + 1e-12)
     total = sum(cs.count() for cs in qn.classes.values())
-    assert total == g.total_cube_count
+    assert total == total_cube_count(g)
     # spot-check membership windows
     for n in qn.n_values():
         for cube in qn.classes[n].cubes()[:20]:
@@ -307,7 +310,7 @@ def test_pn_alpha_conventions():
     strata = pn_alpha(L, fiber, w)
     # the stopping cube itself lands in the alpha = 1 band
     if fiber.contains(L):
-        assert strata.alpha_of(L) == 1
+        assert alpha_of(strata, L) == 1
     assert strata.residue.count() == 0
     base = w.density(L)
     for alpha in strata.alpha_values():
@@ -327,8 +330,8 @@ def test_pn_alpha_exact_top_boundary_goes_to_alpha_zero():
     w = Weight(GridFunction(g, vals))
     q = g.cube(3, 0)
     assert w.density(q) / w.density(g.root()) == pytest.approx(4.0, abs=0)
-    strata = pn_alpha(g.root(), CubeSet.from_cubes(g, [q]), w)
-    assert strata.alpha_of(q) == 0
+    strata = pn_alpha(g.root(), cube_set(g, [q]), w)
+    assert alpha_of(strata, q) == 0
 
 
 def test_corona_export_structure():
@@ -358,7 +361,7 @@ def test_single_value_violation_raises_structure_error():
     vals = np.ones(g.cell_count)
     vals[0] += 32.0
     w = Weight(GridFunction(g, vals))
-    fam = CubeSet.from_cubes(g, [g.cube(3, 0)])
+    fam = cube_set(g, [g.cube(3, 0)])
     corona = build_corona(w, fam, g.root())
     assert {(c.level, c.flat) for c in corona.stopping_cubes()} == {(0, 0), (4, 0)}
     T = random_simple_shift(2, 77, g)
@@ -395,7 +398,7 @@ def _reference_forest(corona):
     forest = {}
     for c in corona.stopping_cubes():
         if c.level != corona.top.level:
-            parent = corona.lambda_of(c.parent())
+            parent = lambda_of(corona, c.parent())
             forest.setdefault((parent.level, parent.flat), []).append(c)
     for v in forest.values():
         v.sort(key=lambda c: (c.level, c.flat))
@@ -520,8 +523,8 @@ def test_forest_queries_are_bitwise_the_stop_by_stop_walk(shape, n, seed, dual, 
     for corona in _coronas(w, levels):
         forest = _reference_forest(corona)
         for L in corona.stopping_cubes():
-            assert corona.stopping_children(L) == forest.get((L.level, L.flat), [])
-            assert corona.stopping_descendants(L) == _reference_descendants(forest, L)
+            assert stopping_children(corona, L) == forest.get((L.level, L.flat), [])
+            assert stopping_descendants(corona, L) == _reference_descendants(forest, L)
         assert json.dumps(corona.export()) == json.dumps(_reference_export(corona, forest))
         assert corona_invariant_violation(corona).hex() == \
             _reference_invariant_violation(corona, forest).hex()
@@ -600,7 +603,7 @@ def test_ab_split_non_separated_shift_raises_on_both_sides():
     vals = np.ones(g.cell_count)
     vals[0] += 32.0
     w = Weight(GridFunction(g, vals))
-    corona = build_corona(w, CubeSet.from_cubes(g, [g.cube(3, 0)]), g.root())
+    corona = build_corona(w, cube_set(g, [g.cube(3, 0)]), g.root())
     for T in (random_simple_shift(2, 77, g), _two_term_shift(2, 77, g, False)):
         assert not _assert_ab_split_matches_oracle(g.root(), corona, T, w)
     # d=2: the fiber cube (1, 0) sees the stop (2, 0) through tau=2 subcells
@@ -608,7 +611,7 @@ def test_ab_split_non_separated_shift_raises_on_both_sides():
     vals = np.ones(g.cell_count)
     vals[0] += 1000.0
     w = Weight(GridFunction(g, vals))
-    corona = build_corona(w, CubeSet.from_cubes(g, [g.cube(1, 0)]), g.root())
+    corona = build_corona(w, cube_set(g, [g.cube(1, 0)]), g.root())
     assert {(c.level, c.flat) for c in corona.stopping_cubes()} == {(0, 0), (2, 0), (4, 0)}
     assert not _assert_ab_split_matches_oracle(g.root(), corona, _two_term_shift(2, 77, g, False), w)
 
@@ -660,7 +663,7 @@ def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, dat
         top = corona.top
         assert corona_invariant_violation(corona) == 0.0
         for L in corona.stopping_cubes():
-            parent = corona.stopping_parent(L)
+            parent = stopping_parent(corona, L)
             if parent is not None:
                 assert corona.density(L) > STOPPING_FACTOR * corona.density(parent)
         union = {j: np.zeros(g.level_count(j), dtype=int) for j in range(N + 1)}
@@ -676,8 +679,8 @@ def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, dat
                 cube = g.cube(j, f)
                 want = (-1, -1)
                 if top.contains(cube):
-                    want = max((lev, cube.ancestor_at(lev).flat) for lev in range(top.level, j + 1)
-                               if (lev, cube.ancestor_at(lev).flat) in stops)
+                    want = max((lev, cube.parent(j - lev).flat) for lev in range(top.level, j + 1)
+                               if (lev, cube.parent(j - lev).flat) in stops)
                 assert (corona.anchor_level[j][f], corona.anchor_flat[j][f]) == want
 
 
@@ -700,10 +703,8 @@ def test_cubes_from_another_grid_raise_grid_error():
     with pytest.raises(GridError):
         build_corona(w6, CubeSet.empty(g8), g6.root())
     corona = exp.corona_for(w6)
-    for call in (corona.lambda_of, corona.corona_of, corona.stopping_children,
-                 corona.stopping_descendants, corona.stopping_parent):
-        with pytest.raises(GridError):
-            call(foreign)
+    with pytest.raises(GridError):
+        corona.corona_of(foreign)
     T = random_simple_shift(1, 3, g6, separated=True)
     with pytest.raises(GridError):
         corona_ab_split(foreign, 0, corona, T, w6)

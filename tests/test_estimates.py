@@ -41,6 +41,8 @@ from dyadlab.shifts import apply_shift
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.experiments as exp
 
+from helpers import cube_set, masked, stopping_descendants
+
 
 # -- testing constants ---------------------------------------------------------
 
@@ -183,13 +185,13 @@ def test_h_functional_matches_masked_application():
     T = random_simple_shift(2, 12, g)
     w = random_a2_weight(3, 13, g)
     cubes = [g.cube(0, 0), g.cube(2, 1), g.cube(3, 6), g.cube(5, 17)]
-    sel = CubeSet.from_cubes(g, cubes)
+    sel = cube_set(g, cubes)
     got = h_functional(g.root(), sel, T, w)
     direct = np.zeros(g.cell_count)
     for c in cubes:
         mask = {c.level: np.zeros(g.level_count(c.level), dtype=bool)}
         mask[c.level][c.flat] = True
-        direct += T.masked(mask).apply_values(w.values)
+        direct += masked(T, mask).apply_values(w.values)
     assert np.abs(got.values - direct).max() < 1e-12
     # restriction under a smaller top drops the cubes outside it
     top = g.cube(1, 0)
@@ -199,7 +201,7 @@ def test_h_functional_matches_masked_application():
         if top.contains(c):
             mask = {c.level: np.zeros(g.level_count(c.level), dtype=bool)}
             mask[c.level][c.flat] = True
-            direct_top += T.masked(mask).apply_values(w.values)
+            direct_top += masked(T, mask).apply_values(w.values)
     assert np.abs(got_top.values - direct_top).max() < 1e-12
 
 
@@ -248,7 +250,7 @@ def test_ab_split_values_match_direct_sum():
             h_loc[(L.level, L.flat)] = h
             a_direct += float((h ** 2 * dual_cells).sum())
         for L in stops:
-            for Lp in corona.stopping_descendants(L):
+            for Lp in stopping_descendants(corona, L):
                 if q0.contains(Lp):
                     b_direct += float(
                         (h_loc[(L.level, L.flat)] * h_loc[(Lp.level, Lp.flat)]
@@ -585,7 +587,7 @@ def _reference_weak_boundedness(T, w):
                 rights = a2 * np.sqrt(wq * w.dual_sums[lr])
                 i2_worst = max(i2_worst, float((np.abs(pyr[lr]) / rights).max()))
             for lr in range(max(0, j - (tau + 1)), j + 1):
-                anc = q.ancestor_at(lr)
+                anc = q.parent(q.level - lr)
                 inner = float(pyr[lr][anc.flat]) - float(pyr[j][flat])
                 denom = wq * w.dual_sums[lr][anc.flat] * (2.0 ** (lr * d))
                 if q != anc:

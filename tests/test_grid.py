@@ -24,14 +24,16 @@ from dyadlab.grid import (
     subcell_matrix,
 )
 
+from helpers import total_cube_count
+
 
 def test_build_grid_counts():
     g = build_grid(1, 3)
     assert g.cell_count == 8
-    assert g.total_cube_count == 15
+    assert total_cube_count(g) == 15
     g2 = build_grid(2, 1)
     assert g2.cell_count == 4
-    assert g2.total_cube_count == 5
+    assert total_cube_count(g2) == 5
     assert build_grid(1, 12).cell_count == 4096
 
 
@@ -178,12 +180,12 @@ def test_ancestor_and_descendant_indexing(d):
     amap = ancestor_map(d, 3, 1)
     for flat in range(g.level_count(3)):
         cube = g.cube(3, flat)
-        assert amap[flat] == cube.ancestor_at(1).flat
+        assert amap[flat] == cube.parent(cube.level - 1).flat
     base = np.arange(g.level_count(1))
     for rel in range(1 << (2 * d)):
         desc = descendant_flat(d, 1, 3, base, rel)
         for b in base:
-            anc = g.cube(3, int(desc[b])).ancestor_at(1)
+            anc = g.cube(3, int(desc[b])).parent(2)
             assert anc.flat == b
 
 

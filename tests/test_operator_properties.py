@@ -2,13 +2,18 @@
 
 The `dense-svd` norm certifies a Krylov value s, a lower bound for |M|, with
 one Cholesky factorization of s^2 (1 + eps) I - H.  A simple shift whose
-column count K (terms x family cubes) is at most n/2 takes the factored
-route: M = C G^T, the Krylov loop runs through the factors, and H =
-L^T (C^T C) L (G^T G = L L^T) is K x K, with eps' from the rounding bounds
-of `shifts._factored_gram`.  Other shifts (tau=1 at d=1, generic shifts,
-the d=2 martingale transform) and a factored route that does not certify (G^T G
-singular, an unconverged Krylov run, a refused certificate) take the n x n
-route on H = M^T M, and when that fails too, LAPACK's symmetric
+column count K (terms x family cubes) is at most n/2 takes the factored route:
+M = C G^T with row-sparse factors (one value and column per cell and (level,
+term)), the Krylov loop runs through them by gathers and bincounts, and H =
+L^T (C^T C) L (G^T G = L L^T) is K x K, with both Gram matrices pooled level
+by level and eps' from the rounding bounds of `shifts._factored_gram`.
+`_dense_factors` builds the same factors as dense n x K arrays and is their
+oracle: the row-sparse values are its nonzeros, the products match its
+products, and each pooled Gram entry, a sum of at most n products, stays
+within gamma_n |F|^T |F| of the exact one.  Other shifts (tau=1 at d=1,
+generic shifts, the d=2 martingale transform) and a factored route that does
+not certify (G^T G singular, an unconverged Krylov run, a refused certificate)
+take the n x n route on H = M^T M, and when that fails too, LAPACK's symmetric
 eigensolver.  Both routes are checked against the full SVD of M, both
 certificates against a value below the norm, the route by counting
 `dense_matrix`, `apply_values` and eigensolver calls, and the fast paths by
@@ -46,6 +51,9 @@ from dyadlab import (
 )
 import dyadlab.experiments as exp
 from dyadlab import shifts
+from dyadlab.grid import ancestor_map, expand, scatter_subcells
+
+from helpers import masked
 
 MAX_N = {1: 7, 2: 4}
 SEEDS = st.integers(0, 2**32 - 1)
@@ -111,11 +119,13 @@ def test_certificate_refuses_a_value_below_the_norm():
     assert shifts._certifies(gram, s, err)
     assert not shifts._certifies(gram, s * (1.0 - 1e-6), err)
     assert not shifts._certifies(gram, 0.0, err)
-    # the factored certificate on a tau=2 instance: K = 63 columns, n = 128
+    # the factored certificate on a tau=2 instance: K = 63 columns, n = 128,
+    # 6 (level, term) slots a cell
     T, sigma, mu = exp.two_weight_instance(4, depth=7)
     s = _full_svd_norm(T, sigma, mu)
-    C, G = shifts._low_rank_factors(T, sigma, mu)
-    H, err = shifts._factored_gram(C, G)
+    factors = shifts._low_rank_factors(T, sigma, mu)
+    assert factors.cols.shape == (128, 6)
+    H, err = shifts._factored_gram(factors)
     assert H.shape == (63, 63)
     assert shifts._certifies(H, s, err)
     assert not shifts._certifies(H, s * (1.0 - 1e-6), err)
@@ -188,13 +198,95 @@ def test_the_n_by_n_route_builds_m_once(case, dense_builds):
         T = zero_shift(grid, 2)
     else:                               # zeroed cubes leave G^T G singular
         rng = np.random.default_rng(3)
-        T = random_simple_shift(2, 11, grid).masked(
-            {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
+        T = masked(random_simple_shift(2, 11, grid),
+                   {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
     factored = shifts._low_rank_factors(T, w, dual_weight(w)) is not None
     assert factored == (case in ("zero", "masked"))
     norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
     assert dense_builds["dense_matrix"] == 1
     assert norm == pytest.approx(_full_svd_norm(T, w, dual_weight(w)), rel=1e-12, abs=0.0)
+
+
+def _dense_factors(T, sigma, mu):
+    """The n x K factors C, G of M = C G^T as dense arrays: one column per
+    (level, term, cube) at col + count * term + cube, holding the expanded
+    profile on the cube's cells and zeros elsewhere."""
+    grid, tau = T.grid, T.tau
+    n, d, N = grid.cell_count, grid.d, grid.N
+    K = sum(T.g[j].shape[0] * grid.level_count(j) for j in T.levels)
+    a, b = shifts._measure_scalings(grid, sigma, mu)
+    C, G = np.zeros((n, K)), np.zeros((n, K))
+    rows, col = np.arange(n)[:, None], 0
+    for j in T.levels:
+        terms, count = T.g[j].shape[:2]
+        cols = col + count * np.arange(terms) + ancestor_map(d, N, j)[:, None]
+        for F, prof in ((C, T.gamma[j]), (G, T.g[j])):
+            F[rows, cols] = expand(scatter_subcells(prof.transpose(1, 2, 0), d, tau),
+                                   d, N - j - tau)
+        col += terms * count
+    return C * b[:, None], G * (a * grid.cell_volume)[:, None]
+
+
+@st.composite
+def factored_cases(draw):
+    """A random simple shift on d=1, N <= 7 (tau 1..3, separated or not) or
+    d=2, N <= 4, kept on a random subset of its family levels with K <= n/2
+    (at d=1, tau=1 that drops level N-1 unless it is alone), possibly with
+    some or all cubes' terms zeroed, and each side None, w or its dual."""
+    grid = draw(grids())
+    tau, seed = draw(st.integers(1, min(grid.N, 3))), draw(SEEDS)
+    T = random_simple_shift(tau, seed, grid, separated=draw(st.booleans()))
+    levels = sorted(draw(st.sets(st.sampled_from(T.levels), min_size=1)))
+    if grid.d == 1 and tau == 1 and len(levels) > 1:
+        levels = [j for j in levels if j != grid.N - 1]
+    T = SimpleHaarShift(grid, tau, levels, T.g, T.gamma, separated=T.separated, validate=False)
+    kind = draw(st.sampled_from(("random", "masked", "zero")))
+    rng = np.random.default_rng(seed)
+    share = {"random": 1.0, "masked": 0.5, "zero": 0.0}[kind]      # of cubes kept
+    keep = {j: rng.random(grid.level_count(j)) < share for j in levels}
+    w = random_a2_weight(draw(st.integers(0, 2)), seed, grid)
+    sides = st.sampled_from((None, w, dual_weight(w)))
+    return masked(T, keep), draw(sides), draw(sides), not all(m.all() for m in keep.values())
+
+
+@given(factored_cases())
+@settings(max_examples=80, deadline=None)
+def test_row_sparse_factors_match_the_dense_oracle(case):
+    """The row-sparse factors hold the dense factors' nonzeros, and C G^T is
+    `dense_matrix`; their products match the dense ones to 1e-14 of
+    |C| |G|^T |x|; each Gram matrix lies within gamma_n |F|^T |F| of the exact
+    one (an extended-precision product) and so within twice that of the dense
+    F^T F, with exact zeros wherever |F|^T |F| is zero, as F^T F has; a
+    zeroed cube leaves G^T G singular."""
+    T, sigma, mu, zeroed = case
+    factors = shifts._low_rank_factors(T, sigma, mu)
+    C, G = _dense_factors(T, sigma, mu)
+    n, K = C.shape
+    assert factors.K == K and K <= n // 2 and factors.cols.shape == factors.C.shape
+    for sparse, dense in ((factors.C, C), (factors.G, G)):
+        assert np.array_equal(np.take_along_axis(dense, factors.cols, axis=1), sparse)
+        assert np.count_nonzero(dense) == np.count_nonzero(sparse)
+    M = dense_matrix(T, sigma, mu)
+    assert np.all(np.abs(C @ G.T - M) <= 1e-14 * (np.abs(C) @ np.abs(G).T))
+    forward, backward = shifts._factor_products(factors)
+    x = np.random.default_rng(n + K).standard_normal(n)
+    for got, want, scale in ((forward(x), C @ (G.T @ x), np.abs(C) @ (np.abs(G).T @ np.abs(x))),
+                             (backward(x), G @ (C.T @ x), np.abs(G) @ (np.abs(C).T @ np.abs(x)))):
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+    gn = shifts._gamma(n)
+    for got, F in zip(shifts._factor_grams(factors), (C, G)):
+        magnitude = np.abs(F).T @ np.abs(F)
+        bound = gn * magnitude / (1.0 - gn)
+        exact = F.astype(np.longdouble).T @ F.astype(np.longdouble)
+        assert np.all(np.abs(got - exact) <= bound * (1.0 + 1e-9))
+        assert np.all(np.abs(got - F.T @ F) <= 2.0 * bound)
+        assert not got[magnitude == 0.0].any() and not (F.T @ F)[magnitude == 0.0].any()
+    if zeroed:
+        with pytest.raises(np.linalg.LinAlgError):
+            shifts._factored_gram(factors)
+    else:
+        H, err = shifts._factored_gram(factors)
+        assert H.shape == (K, K) and 0.0 < err < np.inf
 
 
 @st.composite
@@ -208,7 +300,7 @@ def dense_norm_cases(draw):
     kind = draw(st.sampled_from(("random", "zero", "masked")))
     T = zero_shift(grid, 1) if kind == "zero" else _random_simple(grid, rng)
     if kind == "masked":
-        T = T.masked({j: rng.random(grid.level_count(j)) < 0.5 for j in T.levels})
+        T = masked(T, {j: rng.random(grid.level_count(j)) < 0.5 for j in T.levels})
     w = random_a2_weight(draw(st.integers(0, 2)), seed, grid)
     sides = st.sampled_from((None, w, dual_weight(w)))
     return T, draw(sides), draw(sides)

@@ -32,6 +32,8 @@ from dyadlab import (
 from dyadlab.grid import _HAAR_SIGNS, cube_view, expand, integral_pyramid
 from dyadlab.shifts import default_levels, power_iteration_norm
 
+from helpers import masked
+
 
 # -- constructors -----------------------------------------------------------
 
@@ -384,7 +386,7 @@ def test_norm_monotone_under_profile_zeroing():
     T = random_simple_shift(2, 21, g)
     rng = np.random.default_rng(6)
     masks = {j: rng.integers(0, 2, g.level_count(j)).astype(bool) for j in T.levels}
-    sub = T.masked(masks)
+    sub = masked(T, masks)
     # dropping terms never increases the dense norm beyond tolerance
     assert operator_norm(sub, method="dense-svd") <= operator_norm(
         T, method="dense-svd"
@@ -506,6 +508,13 @@ def test_cz_rejects_nonpositive_height():
     g = build_grid(1, 4)
     with pytest.raises(ShiftError):
         cz_decompose(GridFunction.constant(g, 1.0), 0.0)
+
+
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+def test_cz_rejects_a_non_finite_height(lam):
+    g = build_grid(1, 4)
+    with pytest.raises(ShiftError):
+        cz_decompose(GridFunction.constant(g, 1.0), lam)
 
 
 def test_cz_bad_part_requires_bad_cube():

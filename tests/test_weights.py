@@ -99,8 +99,9 @@ def test_general_p_characteristic_against_oracle():
         prod = cells.mean() * (cells ** (-1.0 / (p - 1.0))).mean() ** (p - 1.0)
         best = max(best, prod)
     assert rep.characteristic == pytest.approx(best, rel=1e-12)
-    with pytest.raises(WeightError):
-        ap_characteristic(w, 1.0)
+    for bad in (1.0, math.inf, math.nan):
+        with pytest.raises(WeightError):
+            ap_characteristic(w, bad)
 
 
 def test_dual_weight_involution_and_symmetry():
