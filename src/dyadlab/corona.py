@@ -180,7 +180,7 @@ class CoronaDecomposition:
     def stops_under(self, cube: DyadicCube) -> np.ndarray:
         """Mask over the forest of the stops contained in `cube`, itself included."""
         level, flat = self._forest()[:2]
-        out = level >= cube.level
+        out = level >= check_cube(self.grid, cube).level
         out[out] = ancestor_flat(self.grid.d, level[out], cube.level, flat[out]) == cube.flat
         return out
 

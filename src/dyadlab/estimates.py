@@ -9,10 +9,11 @@ sets), zeroed level by level off the kept family cubes (`_restricted`).
 All scans share one trick: per-level "suffix" cell arrays accumulate the
 output fields of all family levels at or below a level j, so quantities
 indexed by every cube of the grid cost O(N 2^(Nd)) in total instead of one
-operator application per cube.  Indicator testing (the T1-style constants)
-additionally corrects the suffix field by the few ancestor profiles that see
-the indicator cutoff; a brute-force oracle on small grids pins the fast path
-down in the tests.
+operator application per cube.  Indicator testing (the T1-style and
+weak-boundedness constants) reads T(sigma 1_Q') by one rule: the suffix field
+on Q', plus each ancestor pairing <sigma 1_Q', g_P> times gamma_P on the
+family cube P above Q'; a brute-force oracle on small grids pins the fast
+path down in the tests.
 
 Cube and cell masses come only from a Weight's cached pyramids: w(Q) is
 `w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each holds the
@@ -33,6 +34,7 @@ from .grid import (
     DyadicGrid,
     GridError,
     GridFunction,
+    ancestor_flat,
     ancestor_map,
     assemble_levels,
     check_cube,
@@ -90,173 +92,96 @@ class TestingReport:
 
 
 class _IndicatorScan:
-    """Shared state for scanning T(sigma 1_Q) over every cube Q.
+    """T(sigma 1_Q') on the cells of the cubes Q around Q', for every cube Q'.
 
-    Builds, per level j, the suffix field S_j (the output of all family cubes
-    at levels >= j with full-pairing coefficients, which is exact on Q for the
-    sub-Q part of T(sigma 1_Q)), the ancestor pairing corrections, and pooled
-    integrals against mu, enough to evaluate both the localized L2(mu) norms
-    and arbitrary pair integrals without further operator applications.
+    One rule gives T(sigma 1_Q') for Q' at level j': the suffix field S_j' on
+    Q' (a family cube at a level >= j' holds all of sigma 1_Q' or none of it,
+    so its full-pairing output is exact there) plus, for each family level
+    a < j', the ancestor pairing <sigma 1_Q', g_{P_a(Q')}> times gamma on
+    P_a(Q').  `fields` evaluates the rule; the testing constants integrate
+    its output against mu.
     """
 
     def __init__(self, T: SimpleHaarShift, sigma: Weight | None, mu: Weight | None):
-        grid = T.grid
-        self.T = T
-        self.grid = grid
+        grid = self.grid = T.grid
         d, N, tau = grid.d, grid.N, T.tau
+        self.tau = tau
         self.sigma_sums = _measure(grid, sigma).sums
         self.mu_sums = _measure(grid, mu).sums
-        self.mu_cells = self.mu_sums[N]
-        fam = sorted(T.levels)
-        self.fam = fam
 
-        self.gval = {}     # a -> (count_{a+tau}, k) g profile value field
-        self.gamval = {}   # a -> (count_{a+tau}, k) gamma profile value field
-        for a in fam:
-            self.gval[a] = scatter_subcells(np.moveaxis(T.g[a], 0, -1), d, tau)
-            self.gamval[a] = scatter_subcells(np.moveaxis(T.gamma[a], 0, -1), d, tau)
+        def on_cells(profiles):   # cell values, one column per family level and term
+            return np.concatenate([np.zeros((grid.cell_count, 0))] + [
+                expand(scatter_subcells(np.moveaxis(profiles[a], 0, -1), d, tau), d, N - a - tau)
+                for a in T.levels], axis=1)
 
-        # gamma-field integrals against mu, as full pyramids per ancestor level
-        self.gmu = {}
-        for a in fam:
-            gam_cells = expand(self.gamval[a], d, N - (a + tau))
-            self.gmu[a] = integral_pyramid(gam_cells * self.mu_cells[:, None], d, N)
+        self.level = np.repeat(np.array(T.levels, dtype=int), [T.g[a].shape[0] for a in T.levels])
+        self.gamma = on_cells(T.gamma)
+        # cube integrals of g sigma; at each level j' deeper than a column's
+        # level a they are the pairings <sigma 1_Q', g_{P_a(Q')}>, the only
+        # entries `fields` reads
+        self.pairings = integral_pyramid(on_cells(T.g) * self.sigma_sums[N][:, None], d, N)
+        self.suffix = dict(suffix_sweep(
+            T.output_fields(T.pairing_coefficients(self.sigma_sums)), d, N, tau))
 
-        # ancestor pairings <sigma 1_Q, g_{P_a(Q)}>: ca[j][a] has shape (count_j, k)
-        self.ca = [dict() for _ in range(N + 1)]
-        for j in range(N + 1):
-            for a in fam:
-                if a >= j:
-                    continue
-                if j >= a + tau:
-                    amap = ancestor_map(d, j, a + tau)
-                    raw = self.gval[a][amap] * self.sigma_sums[j][:, None]
-                else:
-                    raw = pool(self.gval[a] * self.sigma_sums[a + tau][:, None],
-                               d, (a + tau) - j)
-                self.ca[j][a] = raw
-
-        # descending sweep over the full-pairing output fields: suffix fields
-        # and their pooled mu-integrals
-        fields = T.output_fields(T.pairing_coefficients(self.sigma_sums))
-        self.ps1 = [None] * (N + 1)       # pyramids of S_j * mu
-        self.ps2 = [None] * (N + 1)       # level-j integrals of S_j^2 * mu
-        self.s_cells = [None] * (N + 1)   # kept for shallow cross terms
-        for j, s in suffix_sweep(fields, d, N, tau):
-            self.s_cells[j] = s
-            self.ps1[j] = integral_pyramid(s * self.mu_cells, d, N)
-            self.ps2[j] = pool(s * s * self.mu_cells, d, N - j)
-
-    def localized_norm_sq(self, j: int) -> np.ndarray:
-        """integral over Q of T(sigma 1_Q)^2 dmu, for every cube Q at level j."""
-        grid, tau = self.grid, self.T.tau
-        d, N = grid.d, grid.N
-        count = grid.level_count(j)
-        total = self.ps2[j].copy()
-        ps1_j = self.ps1[j][j]
-        mu_j = self.mu_sums[j]
-
-        deep = [a for a in self.fam if a <= j - tau]
-        shallow = [a for a in self.fam if j - tau < a < j]
-
-        kappa = np.zeros(count)
-        for a in deep:
-            amap = ancestor_map(d, j, a + tau)
-            kappa += (self.ca[j][a] * self.gamval[a][amap]).sum(axis=-1)
-        total += 2.0 * kappa * ps1_j + kappa * kappa * mu_j
-
-        if shallow:
-            gam_cells = {
-                a: expand(self.gamval[a], d, N - (a + tau)) for a in shallow
-            }
-            s_j = self.s_cells[j]
-            for a in shallow:
-                gs = pool(gam_cells[a] * (s_j * self.mu_cells)[:, None], d, N - j)
-                gm = pool(gam_cells[a] * self.mu_cells[:, None], d, N - j)
-                ca = self.ca[j][a]
-                total += 2.0 * (ca * gs).sum(axis=-1)
-                total += 2.0 * kappa * (ca * gm).sum(axis=-1)
-            for a in shallow:
-                for b in shallow:
-                    prod = np.einsum(
-                        "ck,cl->ckl", gam_cells[a], gam_cells[b]
-                    ) * self.mu_cells[:, None, None]
-                    pp = pool(prod.reshape(grid.cell_count, -1), d, N - j)
-                    ka = self.ca[j][a].shape[1]
-                    kb = self.ca[j][b].shape[1]
-                    pp = pp.reshape(count, ka, kb)
-                    total += np.einsum("ck,ckl,cl->c", self.ca[j][a], pp,
-                                       self.ca[j][b])
-        return total
-
-    def pair_integral_parts(self, jq: int, dp: int, relp: int, ds: int, rels: int):
-        """integral over Q'' of T(sigma 1_{Q'}) dmu for the aligned family.
-
-        Q runs over level jq; Q' is its depth-dp descendant at local offset
-        relp, Q'' the depth-ds one at rels.  Returns (values, q1, q2) flat
-        index arrays at levels jq+dp and jq+ds.
-        """
-        grid, tau = self.grid, self.T.tau
-        d = grid.d
-        jp, js = jq + dp, jq + ds
-        base = np.arange(grid.level_count(jq))
-        q1 = descendant_flat(d, jq, jp, base, relp)
-        q2 = descendant_flat(d, jq, js, base, rels)
-
-        # local offsets under Q number the cells of a level-dp (or ds) grid
-        if ds <= dp and ancestor_map(d, dp, ds)[relp] == rels:
-            loc = self.ps1[jp][jp][q1]          # Q' inside Q'': integrate over Q'
-        elif dp < ds and ancestor_map(d, ds, dp)[rels] == relp:
-            loc = self.ps1[jp][js][q2]          # Q'' strictly inside Q'
-        else:
-            loc = 0.0
-
-        total = np.zeros(base.size) + loc
-        for a in self.fam:
-            if a >= jp:
-                continue
-            cvec = self.ca[jp][a][q1]           # (n, k)
-            if a <= jq:
-                gmu = self.gmu[a][js][q2]
-            else:
-                anc_q1 = ancestor_map(d, jp, a)[q1]
-                if a <= js:
-                    inside = ancestor_map(d, js, a)[q2] == anc_q1
-                    gmu = np.where(inside[:, None], self.gmu[a][js][q2], 0.0)
-                else:
-                    covers = ancestor_map(d, a, js)[anc_q1] == q2
-                    gmu = np.where(covers[:, None], self.gmu[a][a][anc_q1], 0.0)
-            total += (cvec * gmu).sum(axis=-1)
-        return total, q1, q2
+    def fields(self, jq: int, dp: int) -> np.ndarray:
+        """T(sigma 1_Q') on the cells of Q, for every level-jq cube Q and each
+        depth-dp descendant Q' of Q: shape (count at jq, 2^(dp d), cells of Q),
+        Q' and the cells in local row-major order."""
+        d, N = self.grid.d, self.grid.N
+        jp, t = jq + dp, N - jq
+        rel, cells = np.arange(1 << (dp * d)), np.arange(1 << (t * d))
+        q1 = descendant_flat(d, jq, jp, np.arange(self.grid.level_count(jq))[:, None], rel)
+        k = np.searchsorted(self.level, jp)        # the columns of family levels above Q'
+        # (Q', cell of Q, column): the cell lies in the column's cube P_a(Q')
+        depth = np.maximum(self.level[:k] - jq, 0)
+        inside = (ancestor_flat(d, t, depth, cells[:, None])
+                  == ancestor_flat(d, dp, depth, rel[:, None, None]))
+        own = ancestor_flat(d, t, dp, cells) == rel[:, None]
+        return (np.where(own, subcell_matrix(self.suffix[jp], d, t)[:, None, :], 0.0)
+                + np.einsum("cpk,cxk,pxk->cpx", self.pairings[jp][q1, :k],
+                            subcell_matrix(self.gamma, d, t)[..., :k], inside))
 
 
 def _t1_constant(scan: _IndicatorScan):
-    best, wit = level_argmax(scan.grid, (
-        (j, scan.localized_norm_sq(j) / scan.sigma_sums[j], None)
-        for j in range(scan.grid.N + 1)))
+    d, N = scan.grid.d, scan.grid.N
+
+    def rows():
+        for j in range(N + 1):
+            f = scan.fields(j, 0)[:, 0]
+            mu = subcell_matrix(scan.mu_sums[N], d, N - j)
+            yield j, (f * f * mu).sum(axis=1) / scan.sigma_sums[j], None
+
+    best, wit = level_argmax(scan.grid, rows())
     return math.sqrt(max(best, 0.0)), wit
 
 
 def _wb_constant(scan: _IndicatorScan):
-    grid, tau = scan.grid, scan.T.tau
+    grid, tau = scan.grid, scan.tau
     d, N = grid.d, grid.N
     best, wit = 0.0, (grid.root(), grid.root())
     for jq in range(N + 1):
-        dmax = min(tau - 1, N - jq)
-        for dp in range(dmax + 1):
-            for relp in range(1 << (dp * d)):
-                for ds in range(dmax + 1):
-                    for rels in range(1 << (ds * d)):
-                        vals, q1, q2 = scan.pair_integral_parts(jq, dp, relp, ds, rels)
-                        den = np.sqrt(
-                            scan.sigma_sums[jq + dp][q1] * scan.mu_sums[jq + ds][q2]
-                        )
-                        ratio = np.abs(vals) / den
-                        k = int(np.argmax(ratio))
-                        if ratio[k] > best:
-                            best = float(ratio[k])
-                            wit = (grid.cube(jq + dp, int(q1[k])),
-                                   grid.cube(jq + ds, int(q2[k])))
+        depths = range(min(tau - 1, N - jq) + 1)
+        base = np.arange(grid.level_count(jq))
+        # flats of the depth-e cubes under each Q, shape (offset, Q)
+        under = [descendant_flat(d, jq, jq + e, base, np.arange(1 << (e * d))[:, None])
+                 for e in depths]
+        levels2 = jq + np.repeat(depths, [u.shape[0] for u in under])
+        flats2 = np.concatenate(under)
+        mu = subcell_matrix(scan.mu_sums[N], d, N - jq)
+        for dp in depths:
+            pyr = integral_pyramid(np.moveaxis(scan.fields(jq, dp) * mu[:, None, :], -1, 0),
+                                   d, N - jq)
+            sigma = scan.sigma_sums[jq + dp][under[dp]][:, None]
+            # axes (Q' offset, Q'' depth then offset, Q): argmax keeps the
+            # first maximal pair in that order
+            ratio = np.concatenate([
+                np.abs(pyr[ds].transpose(2, 0, 1))
+                / np.sqrt(sigma * scan.mu_sums[jq + ds][under[ds]]) for ds in depths], axis=1)
+            p, s, c = np.unravel_index(np.argmax(ratio), ratio.shape)
+            if ratio[p, s, c] > best:
+                best = float(ratio[p, s, c])
+                wit = (grid.cube(jq + dp, int(under[dp][p, c])),
+                       grid.cube(int(levels2[s]), int(flats2[s, c])))
     return best, wit
 
 
@@ -265,15 +190,20 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     """Weak-boundedness and indicator-testing constants with the full norm.
 
     C_T1 maximizes ||1_Q T(sigma 1_Q)||_{L2(mu)} / sigma(Q)^(1/2) over all
-    cubes; C_T*1 swaps the roles through the adjoint; C_WB maximizes the pair
-    integrals over cubes Q', Q'' lying in a common Q at most tau-1 levels up.
-    Each constant is a restricted-supremum lower bound for the norm of
-    f -> T(sigma f) from L2(sigma) to L2(mu).
+    cubes; C_T*1 swaps the roles through the adjoint; C_WB maximizes
+    |integral over Q'' of T(sigma 1_Q') dmu| / (sigma(Q') mu(Q''))^(1/2) over
+    cubes Q', Q'' lying in a common Q at most tau-1 levels up.  Each constant
+    is a restricted-supremum lower bound for the norm of f -> T(sigma f) from
+    L2(sigma) to L2(mu).
+
+    All three read T(sigma 1_Q') on Q from `_IndicatorScan.fields`.  The T1
+    witnesses follow `level_argmax`; the WB witness is the first maximal pair
+    in the order: Q's level, the depth then local offset of Q', the depth
+    then local offset of Q'', then Q's index.
     """
     scan = _IndicatorScan(T, sigma, mu)
     c_t1, wit_t1 = _t1_constant(scan)
-    scan_star = _IndicatorScan(T.adjoint(), mu, sigma)
-    c_tstar1, wit_tstar1 = _t1_constant(scan_star)
+    c_tstar1, wit_tstar1 = _t1_constant(_IndicatorScan(T.adjoint(), mu, sigma))
     c_wb, wit_wb = _wb_constant(scan)
     full = operator_norm(T, sigma, mu, method=norm_method)
     return TestingReport(
@@ -471,7 +401,7 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     order as a stop-by-stop loop; A and B add the terms up in that loop's order.
     """
     d, N = T.grid.d, T.grid.N
-    inside = corona.stops_under(check_cube(corona.grid, check_cube(T.grid, Q0)))
+    inside = corona.stops_under(check_cube(T.grid, Q0))
     w = _measure(T.grid, w)
     stops = np.flatnonzero(inside)
     if not stops.size:

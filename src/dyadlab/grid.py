@@ -255,13 +255,13 @@ def subcell_matrix(arr: np.ndarray, d: int, t: int) -> np.ndarray:
     """Group a level-j array by level-(j-t) ancestors.
 
     Returns shape (count(j-t), 2^(t*d)) with columns in local row-major
-    order, matching profile storage in shifts; a trailing batch shape is
-    carried through.
+    order, matching profile storage in shifts; a trailing batch shape, empty
+    or not, is carried through.
     """
     s = 1 << t
     tail = arr.shape[1:]
     if d == 1:
-        return arr.reshape((-1, s) + tail)
+        return arr.reshape((arr.shape[0] >> t, s) + tail)
     h = _side_of(arr.shape[0], d) >> t
     a = arr.reshape((h, s, h, s) + tail).swapaxes(1, 2)
     return a.reshape((h * h, s * s) + tail)

@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import MAX_DEPTH, GridError, GridFunction, build_grid, haar_basis, haar_coefficient
-from .shifts import ShiftError, hilbert_shift, power_iteration_norm
+from .shifts import hilbert_shift, power_iteration_norm
 from .weights import Weight, WeightError, power_weight, two_weight_a2
 
 SHELL_LEVELS = 3                 # each shell is cut into 2^3 = 8 cells
@@ -288,17 +288,6 @@ def partition_power_weight(a: float, part: ShellPartition) -> PartitionWeight:
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
-
-def compressed_matrix(part: ShellPartition, sigma: PartitionWeight,
-                      mu: PartitionWeight) -> np.ndarray:
-    """Dense matrix of f -> P T(sigma f) from L2(sigma) to L2(mu) in
-    orthonormal coordinates; the same matrix as `shifts.dense_matrix` when
-    the partition is a uniform grid."""
-    if part.cell_count > 4096:
-        raise ShiftError("dense matrix limited to partitions with at most 4096 cells")
-    a, b = np.sqrt(sigma.values), np.sqrt(mu.values)
-    return b[:, None] * hilbert_compressed(part, np.diag(a))
-
 
 def partition_operator_norm(part: ShellPartition, sigma: PartitionWeight,
                             mu: PartitionWeight) -> float:

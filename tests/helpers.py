@@ -1,15 +1,16 @@
-"""Cube, corona and shift queries that only the tests use.
+"""Cube, corona, shift and partition queries that only the tests use.
 
 They read the library's own arrays (a corona's anchor arrays and stopping
-forest, a shift's profile blocks) and answer one cube at a time, which the
-library itself never needs.
+forest, a shift's profile blocks) and answer one cube at a time, or build a
+dense matrix, which the library itself never needs.
 """
 
 import numpy as np
 
-from dyadlab import CubeSet, SimpleHaarShift
+from dyadlab import CubeSet, ShiftError, SimpleHaarShift
 from dyadlab.corona import CoronaStructureError, _search
 from dyadlab.grid import check_cube
+from dyadlab.partition import hilbert_compressed
 
 
 def cube_set(grid, cubes):
@@ -86,3 +87,13 @@ def alpha_of(strata, cube):
         if cs.contains(cube):
             return a
     raise KeyError(f"{cube!r} not classified")
+
+
+def compressed_matrix(part, sigma, mu):
+    """Dense matrix of f -> P T(sigma f) from L2(sigma) to L2(mu) in
+    orthonormal coordinates; the same matrix as `shifts.dense_matrix` when
+    the partition is a uniform grid."""
+    if part.cell_count > 4096:
+        raise ShiftError("dense matrix limited to partitions with at most 4096 cells")
+    a, b = np.sqrt(sigma.values), np.sqrt(mu.values)
+    return b[:, None] * hilbert_compressed(part, np.diag(a))

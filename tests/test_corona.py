@@ -705,6 +705,8 @@ def test_cubes_from_another_grid_raise_grid_error():
     corona = exp.corona_for(w6)
     with pytest.raises(GridError):
         corona.corona_of(foreign)
+    with pytest.raises(GridError):
+        corona.stops_under(foreign)
     T = random_simple_shift(1, 3, g6, separated=True)
     with pytest.raises(GridError):
         corona_ab_split(foreign, 0, corona, T, w6)

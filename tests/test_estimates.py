@@ -34,10 +34,12 @@ from dyadlab import (
     zero_shift,
 )
 from dyadlab.corona import pn_alpha
-from dyadlab.estimates import _WB_BATCH_ENTRIES, DistributionCurve, EssenceReport, ProfileFamily
+from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
+                               ProfileFamily, _IndicatorScan)
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
-from dyadlab.shifts import apply_shift
+from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
+from dyadlab.weights import _measure
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.experiments as exp
 
@@ -55,15 +57,79 @@ def test_zero_shift_all_constants_vanish():
     assert rep.full_norm == pytest.approx(0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("d,N,tau,seed", [
-    (1, 4, 1, 0), (1, 5, 2, 1), (1, 5, 3, 2), (1, 6, 2, 3),
-    (2, 3, 1, 4), (2, 3, 2, 5),
-])
-def test_fast_constants_match_brute_oracle(d, N, tau, seed):
+def _descendant(Q, depth, rel):
+    """Q's depth-`depth` descendant at local row-major offset `rel`."""
+    s = 1 << depth
+    digits = (rel,) if Q.grid.d == 1 else divmod(rel, s)
+    return Q.grid.cube(Q.level + depth, [i * s + r for i, r in zip(Q.index, digits)])
+
+
+def _first_maximal_wb_pair(T, sigma, mu):
+    """The weak-boundedness witness from one application of T per cube Q':
+    the first pair of maximal ratio in the order Q's level, Q' depth then
+    offset, Q'' depth then offset, Q's index."""
+    g = T.grid
+    d, N = g.d, g.N
+    sigma, mu = _measure(g, sigma), _measure(g, mu)
+    pyramids = {}
+
+    def ratio(qp, qs):
+        if qp not in pyramids:
+            out = T.apply_values(GridFunction.indicator(qp).values * sigma.values)
+            pyramids[qp] = integral_pyramid(out * mu.sums[N], d, N)
+        return abs(pyramids[qp][qs.level][qs.flat]) / math.sqrt(
+            sigma.sums[qp.level][qp.flat] * mu.sums[qs.level][qs.flat])
+
+    best, wit = 0.0, (g.root(), g.root())
+    for jq in range(N + 1):
+        depths = range(min(T.tau - 1, N - jq) + 1)
+        for dp in depths:
+            for relp in range(1 << (dp * d)):
+                for ds in depths:
+                    for rels in range(1 << (ds * d)):
+                        for Q in g.cubes(jq):
+                            pair = (_descendant(Q, dp, relp), _descendant(Q, ds, rels))
+                            if ratio(*pair) > best:
+                                best, wit = ratio(*pair), pair
+    return wit
+
+
+def _dyadic_shift(tau, seed, g):
+    """A d=2 shift whose profiles take +-|Q|^(-1/2) on k random subcells
+    each and vanish elsewhere: under Lebesgue measure every pair ratio is
+    exact, so equal ratios tie bit for bit."""
+    rng = np.random.default_rng(seed)
+    m = 1 << (tau * g.d)
+
+    def profile(j):
+        k = rng.integers(1, m // 2 + 1)
+        return rng.permutation(np.repeat([1.0, -1.0, 0.0], [k, k, m - 2 * k])) * 2.0 ** j
+
+    levels = default_levels(g, tau)
+    g_, gamma = ({j: np.stack([profile(j) for _ in range(g.level_count(j))]) for j in levels}
+                 for _ in range(2))
+    return SimpleHaarShift(g, tau, levels, g_, gamma)
+
+
+_ORACLE_CASES = [(1, 4, 1, 0), (1, 5, 2, 1), (1, 5, 3, 2), (1, 6, 2, 3),
+                 (2, 3, 1, 4), (2, 3, 2, 5)]
+_TIED_CASES = [(2, 3, 2, 14), (2, 3, 3, 35)]
+
+
+@pytest.mark.parametrize("d,N,tau,seed,tied", [
+    pytest.param(*case, False, id="-".join(map(str, case))) for case in _ORACLE_CASES
+] + [pytest.param(*case, True, id="tied-" + "-".join(map(str, case))) for case in _TIED_CASES])
+def test_fast_constants_match_brute_oracle(d, N, tau, seed, tied):
+    """Cascade pairs, and Lebesgue measure with a dyadic-valued shift whose
+    exactly tied pairs pin the weak-boundedness witness order."""
     g = build_grid(d, N)
-    w = random_a2_weight(1 + seed % 3, 100 + seed, g)
-    sigma, mu = w, dual_weight(w)
-    T = random_simple_shift(tau, 200 + seed, g)
+    if tied:
+        sigma = mu = None
+        T = _dyadic_shift(tau, seed, g)
+    else:
+        w = random_a2_weight(1 + seed % 3, 100 + seed, g)
+        sigma, mu = w, dual_weight(w)
+        T = random_simple_shift(tau, 200 + seed, g)
     fast = eval_testing_constants(T, sigma, mu, norm_method="dense-svd")
     brute = brute_testing_constants(T, sigma, mu)
     assert fast.c_t1 == pytest.approx(brute.c_t1, abs=1e-10)
@@ -71,6 +137,7 @@ def test_fast_constants_match_brute_oracle(d, N, tau, seed):
     assert fast.c_wb == pytest.approx(brute.c_wb, abs=1e-10)
     assert (fast.witnesses["t1"].level, fast.witnesses["t1"].flat) == (
         brute.witnesses["t1"].level, brute.witnesses["t1"].flat)
+    assert fast.witnesses["wb"] == list(_first_maximal_wb_pair(T, sigma, mu))
 
 
 def test_fast_constants_match_oracle_lebesgue_and_multiterm():
@@ -109,6 +176,37 @@ def test_fast_constants_match_oracle_on_any_measure_pair(shape, tau, n, seed, si
     assert fast.c_t1 == pytest.approx(brute.c_t1, abs=1e-10)
     assert fast.c_tstar1 == pytest.approx(brute.c_tstar1, abs=1e-10)
     assert fast.c_wb == pytest.approx(brute.c_wb, abs=1e-10)
+
+
+@given(st.sampled_from([(1, N) for N in range(1, 7)] + [(2, N) for N in range(1, 4)]),
+       st.integers(1, 3), st.booleans(), st.integers(0, 3), st.integers(0, 10**6),
+       st.sampled_from(("none", "weight", "dual")), st.sampled_from(("none", "weight", "dual")))
+@settings(max_examples=60, deadline=None)
+def test_indicator_scan_fields_are_t_of_sigma_indicators(shape, tau, separated, n, seed,
+                                                          sigma_kind, mu_kind):
+    """`fields(jq, dp)` holds T(sigma 1_Q') on the cells of Q for every level-jq
+    cube Q and depth-dp cube Q' under it (every jq and dp the scan uses), to
+    1e-13 of the same field with |g| and |gamma|."""
+    d, N = shape
+    tau = min(tau, N)
+    g = build_grid(d, N)
+    w = random_a2_weight(n, seed, g)
+    pick = {"none": None, "weight": w, "dual": dual_weight(w)}
+    T = random_simple_shift(tau, seed + 1, g, separated=separated)
+    T_abs = SimpleHaarShift(g, tau, T.levels, {a: np.abs(T.g[a]) for a in T.levels},
+                            {a: np.abs(T.gamma[a]) for a in T.levels}, validate=False)
+    scan = _IndicatorScan(T, pick[sigma_kind], pick[mu_kind])
+    density = _measure(g, pick[sigma_kind]).values
+    for jq in range(N + 1):
+        for dp in range(min(tau - 1, N - jq) + 1):
+            fields = scan.fields(jq, dp)
+            assert fields.shape == (g.level_count(jq), 1 << (dp * d), 1 << ((N - jq) * d))
+            for Q in g.cubes(jq):
+                for rel in range(1 << (dp * d)):
+                    f = GridFunction.indicator(_descendant(Q, dp, rel)).values * density
+                    scale = Q.cell_values(T_abs.apply_values(f)).max()
+                    err = np.abs(fields[Q.flat, rel] - Q.cell_values(T.apply_values(f))).max()
+                    assert err <= 1e-13 * scale
 
 
 def test_necessity_on_sample_instances():

@@ -20,8 +20,10 @@ from dyadlab import (
     power_weight,
 )
 from dyadlab import partition
-from dyadlab.partition import SHELL_LEVELS, compressed_matrix, hilbert_compressed
+from dyadlab.partition import SHELL_LEVELS, hilbert_compressed
 import dyadlab.experiments as exp
+
+from helpers import compressed_matrix
 
 
 # -- layout and the Haar transform ----------------------------------------------
