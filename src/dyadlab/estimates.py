@@ -122,6 +122,8 @@ class _IndicatorScan:
         self.pairings = integral_pyramid(on_cells(T.g) * self.sigma_sums[N][:, None], d, N)
         self.suffix = dict(suffix_sweep(
             T.output_fields(T.pairing_coefficients(self.sigma_sums)), d, N, tau))
+        # T(sigma 1_Q) on Q itself, per level: T1 and the dp=0 block of WB
+        self.own = [self.fields(j, 0) for j in range(N + 1)]
 
     def fields(self, jq: int, dp: int) -> np.ndarray:
         """T(sigma 1_Q') on the cells of Q, for every level-jq cube Q and each
@@ -146,8 +148,8 @@ def _t1_constant(scan: _IndicatorScan):
     d, N = scan.grid.d, scan.grid.N
 
     def rows():
-        for j in range(N + 1):
-            f = scan.fields(j, 0)[:, 0]
+        for j, own in enumerate(scan.own):
+            f = own[:, 0]
             mu = subcell_matrix(scan.mu_sums[N], d, N - j)
             yield j, (f * f * mu).sum(axis=1) / scan.sigma_sums[j], None
 
@@ -169,8 +171,8 @@ def _wb_constant(scan: _IndicatorScan):
         flats2 = np.concatenate(under)
         mu = subcell_matrix(scan.mu_sums[N], d, N - jq)
         for dp in depths:
-            pyr = integral_pyramid(np.moveaxis(scan.fields(jq, dp) * mu[:, None, :], -1, 0),
-                                   d, N - jq)
+            fields = scan.own[jq] if dp == 0 else scan.fields(jq, dp)
+            pyr = integral_pyramid(np.moveaxis(fields * mu[:, None, :], -1, 0), d, N - jq)
             sigma = scan.sigma_sums[jq + dp][under[dp]][:, None]
             # axes (Q' offset, Q'' depth then offset, Q): argmax keeps the
             # first maximal pair in that order

@@ -1,18 +1,19 @@
 """Haar shift operators on dyadic grids.
 
-Two operator classes are implemented.  A simple shift of index tau pairs the
-input against one localized mean-zero profile g_Q per cube and emits a second
-profile gamma_Q, both stored as values on the level(Q)+tau subcells of Q and
-sup-bounded by |Q|^(-1/2).  A generic shift stores sparse Haar-to-Haar
-coefficients a_{Q',Q''} under a common parent with the size bound
-sqrt(|Q'||Q''|)/|Q|.  Application is matrix-free: one integral pyramid, one
-pairing pass per level, one expansion pass, costing O((2^(tau d) + N) 2^(Nd)).
+Every shift is a `SimpleHaarShift`: per family cube Q it pairs the input
+against localized mean-zero profiles g_Q and emits profiles gamma_Q, both
+stored as values on the level(Q)+tau subcells of Q and sup-bounded by
+|Q|^(-1/2).  A generic shift, sparse Haar-to-Haar coefficients a_{Q',Q''}
+under a common parent with the size bound sqrt(|Q'||Q''|)/|Q|, is compiled
+into such profiles by `GenericHaarShift`, one term per entry.  Application is
+matrix-free: one integral pyramid, one pairing pass per level, one expansion
+pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces
 (matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
 certifies the same Krylov value s with one Cholesky factorization of
-s^2 (1 + eps) I - H: H is K x K, from the factors M = C G^T of a simple
-shift with K = terms x family cubes <= n/2, or else M^T M of the n x n
+s^2 (1 + eps) I - H: H is K x K, from the factors M = C G^T of a shift
+with K = terms x family cubes <= n/2, or else M^T M of the n x n
 matrix M (eps about 2.5e-10 at 1024 cells), with the symmetric eigensolver
 on M^T M when both fail), the dyadic Calderon-Zygmund decomposition, and a
 weak-L1 superlevel diagnostic.  The factors are row-sparse, one value per
@@ -93,7 +94,8 @@ class SimpleHaarShift:
     Profiles are stored per level as arrays of shape (terms, count, 2^(tau*d)):
     the values each profile takes on the level+tau subcells of its cube, in
     local row-major order.  Almost every shift has one term per cube; the d=2
-    martingale transform carries one term per tensor Haar pattern.
+    martingale transform carries one term per tensor Haar pattern, and a
+    compiled generic shift one per entry.
     """
 
     __slots__ = ("grid", "tau", "levels", "g", "gamma", "separated", "meta")
@@ -169,89 +171,76 @@ class SimpleHaarShift:
         return np.zeros_like(values) if out is None else out
 
 
-class GenericHaarShift:
-    """Sparse Haar-to-Haar shift: sum of a_{Q',Q''} <f, h_Q'> h_Q''.
+class GenericHaarShift(SimpleHaarShift):
+    """Sparse Haar-to-Haar shift sum a_{Q',Q''} <f, h_Q'> h_Q'', compiled
+    into a multi-term simple shift; `entries` keeps the checked list.
 
     Entries are (Q, (Q', e'), (Q'', e''), a) with Q', Q'' inside Q, at most tau
     levels deeper, and |a| <= sqrt(|Q'||Q''|)/|Q|; e picks the tensor Haar
-    pattern (always 0 for d=1).
+    pattern (always 0 for d=1).  h_Q' is constant on the cells tau+1 levels
+    below Q, so the compiled index is tau_c = min(tau+1, N), and a parent
+    deeper than N - tau_c is replaced by its ancestor P at that level.  Each
+    entry becomes a term on P with g = alpha h_Q'^e' and gamma = (a/alpha)
+    h_Q''^e'', alpha = sqrt(|Q'|/|P|), so |g| <= |P|^(-1/2); a re-parented
+    entry with |a| above sqrt(|Q'||Q''|)/|P| is split into ceil(ratio) equal
+    terms, so |gamma| <= |P|^(-1/2) too.  Cubes with fewer terms than the
+    most on their level carry zero terms.
     """
 
-    __slots__ = ("grid", "tau", "entries", "meta")
+    __slots__ = ("entries",)
 
-    def __init__(self, grid, tau, entries, meta=None, validate=True):
-        self.grid = grid
-        self.tau = int(tau)
-        norm_entries = []
-        for ent in entries:
-            parent, src, dst, a = ent
+    # perfbench's tracer wraps `apply_values` from each class's own __dict__
+    apply_values = SimpleHaarShift.apply_values
+
+    def __init__(self, grid, tau, entries, meta=None):
+        tau, d = int(tau), grid.d
+        tau_c = min(tau + 1, grid.N)
+        checked, terms = [], {}     # (level, flat) of P -> [(g, gamma)] on its subcells
+        for parent, src, dst, a in entries:
             qp, ep = src if isinstance(src, tuple) else (src, 0)
             qpp, epp = dst if isinstance(dst, tuple) else (dst, 0)
-            if validate:
-                for q, e in ((qp, ep), (qpp, epp)):
-                    if not parent.contains(q):
-                        raise ShiftError("entry cube not contained in its parent cube")
-                    if q.level > parent.level + self.tau:
-                        raise ShiftError("entry cube more than tau levels below parent")
-                    if q.level >= grid.N:
-                        raise ShiftError("Haar cube must be above the finest level")
-                    if not 0 <= e < len(_HAAR_SIGNS[grid.d]):
-                        raise ShiftError("bad Haar pattern index")
-                bound = math.sqrt(qp.volume * qpp.volume) / parent.volume
-                if not abs(a) <= bound * (1 + 1e-12):     # NaN fails <=
-                    raise ShiftError("coefficient not finite with |a| <= sqrt(|Q'||Q''|)/|Q|")
-            norm_entries.append((parent, qp, ep, qpp, epp, float(a)))
-        self.entries = tuple(norm_entries)
-        self.meta = dict(meta or {})
-
-    def adjoint(self) -> "GenericHaarShift":
-        flipped = [(p, (qpp, epp), (qp, ep), a) for p, qp, ep, qpp, epp, a in self.entries]
-        return GenericHaarShift(self.grid, self.tau, flipped,
-                                meta={**self.meta, "adjoint": True}, validate=False)
-
-    def apply_values(self, values: np.ndarray) -> np.ndarray:
-        """Application to raw cell values (1D, or 2D batched columns).
-
-        Works in the Haar domain: the input's Haar coefficients, one update
-        per entry, then reconstruction; a batch rides along as a trailing
-        column axis, so the entry loop runs once per call.
-        """
-        grid = self.grid
-        values = np.asarray(values, dtype=np.float64)
-        pyr = integral_pyramid(values * grid.cell_volume, grid.d, grid.N)
-        coefs = _haar_coefficient_arrays(grid, pyr)
-        out_coefs = {
-            j: np.zeros_like(coefs[j]) for j in range(grid.N)
-        }
-        for _, qp, ep, qpp, epp, a in self.entries:
-            out_coefs[qpp.level][epp, qpp.flat] += a * coefs[qp.level][ep, qp.flat]
-        out = _haar_reconstruct(grid, out_coefs)
-        return np.zeros_like(values) if out is None else out
+            for q, e in ((qp, ep), (qpp, epp)):
+                if not parent.contains(q):
+                    raise ShiftError("entry cube not contained in its parent cube")
+                if q.level > parent.level + tau:
+                    raise ShiftError("entry cube more than tau levels below parent")
+                if q.level >= grid.N:
+                    raise ShiftError("Haar cube must be above the finest level")
+                if not 0 <= e < len(_HAAR_SIGNS[d]):
+                    raise ShiftError("bad Haar pattern index")
+            bound = math.sqrt(qp.volume * qpp.volume) / parent.volume
+            if not abs(a) <= bound * (1 + 1e-12):     # NaN fails <=
+                raise ShiftError("coefficient not finite with |a| <= sqrt(|Q'||Q''|)/|Q|")
+            checked.append((parent, qp, ep, qpp, epp, float(a)))
+            top = parent.parent(max(parent.level - (grid.N - tau_c), 0))
+            # |a| |P| / sqrt(|Q'||Q''|) and a / alpha |Q''|^(-1/2), by powers of two
+            split = max(1, math.ceil(abs(a) * 2.0 ** ((qp.level + qpp.level) * d / 2.0
+                                                      - top.level * d)))
+            g = 2.0 ** (top.level * d / 2.0) * _pattern_on_subcells(top, qp, ep, tau_c)
+            gamma = (a / split * 2.0 ** ((qp.level + qpp.level - top.level) * d / 2.0)
+                     * _pattern_on_subcells(top, qpp, epp, tau_c))
+            terms.setdefault((top.level, top.flat), []).extend([(g, gamma)] * split)
+        self.entries = tuple(checked)
+        width = {}
+        for (j, _), pairs in terms.items():
+            width[j] = max(width.get(j, 0), len(pairs))
+        g, gamma = ({j: np.zeros((w, grid.level_count(j), 1 << (tau_c * d)))
+                     for j, w in width.items()} for _ in range(2))
+        for (j, flat), pairs in terms.items():
+            g[j][:len(pairs), flat], gamma[j][:len(pairs), flat] = map(np.array, zip(*pairs))
+        super().__init__(grid, tau_c, width, g, gamma, meta=meta)
 
 
-def _haar_coefficient_arrays(grid: DyadicGrid, pyr) -> dict[int, np.ndarray]:
-    """<f, h_Q^e> for all cubes from f's integral pyramid: level -> (patterns, count),
-    with the pyramid's trailing batch axis, if any, carried through."""
-    signs = _HAAR_SIGNS[grid.d]
-    out = {}
-    for j in range(grid.N):
-        child = subcell_matrix(pyr[j + 1], grid.d, 1)      # (count_j, 2^d[, m])
-        out[j] = (2.0 ** (j * grid.d / 2.0)) * np.einsum("pc,kc...->pk...", signs, child)
-    return out
-
-
-def _haar_reconstruct(grid: DyadicGrid, coefs: dict[int, np.ndarray]) -> np.ndarray | None:
-    """Cell values of sum_{Q,e} c_{Q,e} h_Q^e, with the coefficients' trailing
-    batch axis, if any; None when there are no levels."""
-    signs = _HAAR_SIGNS[grid.d]
-    pieces = {      # level j+1 values of the level-j Haar terms
-        j + 1: scatter_subcells(
-            (2.0 ** (j * grid.d / 2.0)) * np.einsum("pk...,pc->kc...", coefs[j], signs),
-            grid.d, 1,
-        )
-        for j in coefs
-    }
-    return assemble_levels(pieces, grid.d, grid.N)
+def _pattern_on_subcells(top: DyadicCube, cube: DyadicCube, e: int, tau: int) -> np.ndarray:
+    """The signs of Haar pattern e of a cube inside `top`, on top's level+tau
+    subcells in local row-major order, zero off the cube."""
+    d, depth = top.grid.d, cube.level - top.level
+    span = 1 << (tau - depth)       # subcells per side of the cube
+    local = np.zeros((1 << tau,) * d)
+    offsets = (k - (t << depth) for k, t in zip(cube.index, top.index))
+    local[tuple(slice(o * span, (o + 1) * span) for o in offsets)] = np.kron(
+        _HAAR_SIGNS[d][e].reshape((2,) * d), np.ones((span // 2,) * d))
+    return local.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +256,7 @@ def apply_shift(T, f: GridFunction, sigma: Weight | None = None) -> GridFunction
 
 
 def adjoint(T):
-    """The Lebesgue-adjoint shift of the same class."""
+    """The Lebesgue-adjoint shift: g and gamma swapped per cube."""
     return T.adjoint()
 
 
@@ -418,14 +407,14 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     The oracle certifies a Krylov value s = |M v| (v the unit right Ritz
     vector of the same loop, same `tol`, `max_iter` and `seed`; M the n x n
     matrix of `dense_matrix`) with one Cholesky factorization (`_certifies`).
-    A `SimpleHaarShift` with K = terms x family cubes <= n/2 first takes the
-    factored route: the loop runs through M = C G^T, whose row-sparse n x K
+    A shift with K = terms x family cubes <= n/2 first takes the factored
+    route: the loop runs through M = C G^T, whose row-sparse n x K
     factors (`_low_rank_factors`) hold one value per cell and (level, term),
     by one gather and one bincount per product, and the certificate is K x K
     (`_factored_gram`, on Gram matrices pooled level by level; eps' at most
     6e-9 on the two-weight suite); no n x K or n x n array is formed.
-    Other shifts, and a factored route that fails (G^T G not positive
-    definite, the loop raising `OperatorNormError`, the certificate
+    Shifts with more columns, and a factored route that fails (G^T G not
+    positive definite, the loop raising `OperatorNormError`, the certificate
     refusing), take the n x n route:
     the loop on M, then M^T M with the bound of `_gram_error` (eps about
     2.5e-10 at 1024 cells), and when that fails too, or the loop raises, the
@@ -483,10 +472,10 @@ def _low_rank_factors(T, sigma, mu):
     `dense_matrix`), one column per (level, term, cube), numbered col +
     count * term + cube, holding the expanded profile on the cube's cells.
     A cell lies in one cube per level, so only its (level, term) slots are
-    stored; None unless T is simple, K <= n/2 and n within the dense limit."""
+    stored; None unless K <= n/2 and n is within the dense limit."""
     grid, tau = T.grid, T.tau
     n, d, N = grid.cell_count, grid.d, grid.N
-    if not isinstance(T, SimpleHaarShift) or n > _DENSE_CELLS:
+    if n > _DENSE_CELLS:
         return None
     K = sum(T.g[j].shape[0] * grid.level_count(j) for j in T.levels)
     if not 0 < K <= n // 2:

@@ -2,14 +2,18 @@
 
 They read the library's own arrays (a corona's anchor arrays and stopping
 forest, a shift's profile blocks) and answer one cube at a time, or build a
-dense matrix, which the library itself never needs.
+dense matrix, which the library itself never needs.  A generic shift's
+entries also give its matrix directly, through `haar_basis`: the oracle for
+the profiles they compile into.
 """
+
+import math
 
 import numpy as np
 
-from dyadlab import CubeSet, ShiftError, SimpleHaarShift
+from dyadlab import CubeSet, DyadicCube, GenericHaarShift, ShiftError, SimpleHaarShift
 from dyadlab.corona import CoronaStructureError, _search
-from dyadlab.grid import check_cube
+from dyadlab.grid import check_cube, haar_basis
 from dyadlab.partition import hilbert_compressed
 
 
@@ -37,6 +41,38 @@ def masked(T, level_masks):
         gamma[j] = T.gamma[j] * keep[None, :, None]
     return SimpleHaarShift(T.grid, T.tau, T.levels, g, gamma,
                            separated=T.separated, meta=T.meta, validate=False)
+
+
+def random_generic(grid, rng, count=12):
+    """Generic shift with random in-range entries and coefficients up to the bound."""
+    tau = int(rng.integers(1, grid.N + 1))
+    patterns = max(1, (1 << grid.d) - 1)
+    entries = []
+    for _ in range(count):
+        level = int(rng.integers(0, grid.N))
+        src = DyadicCube(grid, level,
+                         tuple(int(k) for k in rng.integers(0, 1 << level, grid.d)))
+        parent = src.parent(int(rng.integers(0, min(tau, level) + 1)))
+        depth = int(rng.integers(0, min(tau, grid.N - 1 - parent.level) + 1))
+        dst = DyadicCube(grid, parent.level + depth, tuple(
+            (k << depth) + int(rng.integers(0, 1 << depth)) for k in parent.index))
+        bound = math.sqrt(src.volume * dst.volume) / parent.volume
+        entries.append((parent, (src, int(rng.integers(0, patterns))),
+                        (dst, int(rng.integers(0, patterns))),
+                        float(rng.uniform(-bound, bound))))
+    return GenericHaarShift(grid, tau, entries)
+
+
+def generic_dense_matrix(T):
+    """The cell-value matrix of a generic shift from its entries alone:
+    sum of a h_Q'' (x) h_Q' |cell|, each h from `haar_basis`."""
+    grid = T.grid
+    M = np.zeros((grid.cell_count, grid.cell_count))
+    for _, qp, ep, qpp, epp, a in T.entries:
+        src = haar_basis(qp)[ep].as_grid_function().values
+        dst = haar_basis(qpp)[epp].as_grid_function().values
+        M += a * np.outer(dst, src) * grid.cell_volume
+    return M
 
 
 def lambda_of(corona, cube):

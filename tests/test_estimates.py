@@ -43,7 +43,7 @@ from dyadlab.weights import _measure
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.experiments as exp
 
-from helpers import cube_set, masked, stopping_descendants
+from helpers import cube_set, masked, random_generic, stopping_descendants
 
 
 # -- testing constants ---------------------------------------------------------
@@ -159,18 +159,22 @@ def test_fast_constants_match_oracle_lebesgue_and_multiterm():
 
 @given(st.sampled_from([(1, N) for N in range(1, 6)] + [(2, N) for N in range(1, 4)]),
        st.integers(1, 3), st.integers(0, 3), st.integers(0, 10**6),
-       st.sampled_from(("none", "weight", "dual")), st.sampled_from(("none", "weight", "dual")))
-@settings(max_examples=60, deadline=None)
+       st.sampled_from(("none", "weight", "dual")), st.sampled_from(("none", "weight", "dual")),
+       st.booleans())
+@settings(max_examples=100, deadline=None)
 def test_fast_constants_match_oracle_on_any_measure_pair(shape, tau, n, seed, sigma_kind,
-                                                         mu_kind):
-    """Each side is Lebesgue measure (None), a cascade weight or its dual."""
+                                                         mu_kind, generic):
+    """Each side is Lebesgue measure (None), a cascade weight or its dual; the
+    shift is a random simple shift or a generic one, which reaches the scan
+    through the profiles it compiles into."""
     d, N = shape
     tau = min(tau, N)
     g = build_grid(d, N)
     w = random_a2_weight(n, seed, g)
     pick = {"none": None, "weight": w, "dual": dual_weight(w)}
     sigma, mu = pick[sigma_kind], pick[mu_kind]
-    T = random_simple_shift(tau, seed + 1, g)
+    T = (random_generic(g, np.random.default_rng(seed), count=10 * tau) if generic
+         else random_simple_shift(tau, seed + 1, g))
     fast = eval_testing_constants(T, sigma, mu, norm_method="dense-svd")
     brute = brute_testing_constants(T, sigma, mu)
     assert fast.c_t1 == pytest.approx(brute.c_t1, abs=1e-10)

@@ -11,16 +11,18 @@ by level and eps' from the rounding bounds of `shifts._factored_gram`.
 oracle: the row-sparse values are its nonzeros, the products match its
 products, and each pooled Gram entry, a sum of at most n products, stays
 within gamma_n |F|^T |F| of the exact one.  Other shifts (tau=1 at d=1,
-generic shifts, the d=2 martingale transform) and a factored route that does
-not certify (G^T G singular, an unconverged Krylov run, a refused certificate)
-take the n x n route on H = M^T M, and when that fails too, LAPACK's symmetric
+the d=2 martingale transform, a generic shift whose split entries pad its
+cubes past n/2 columns) and a factored route that does not certify (G^T G
+singular, an unconverged Krylov run, a refused certificate) take the n x n
+route on H = M^T M, and when that fails too, LAPACK's symmetric
 eigensolver.  Both routes are checked against the full SVD of M, both
 certificates against a value below the norm, the route by counting
 `dense_matrix`, `apply_values` and eigensolver calls, and the fast paths by
 the suite prefix, which must certify without a fallback.  The property tests
 cover the oracle on random grids and weight pairs, the duality identities at
-d=1 and d=2 (<Tf, g> = <f, T*g> for both shift classes, and the same dense
-norm for T and its adjoint), and the dual-weight involution.
+d=1 and d=2 (<Tf, g> = <f, T*g> for simple and generic shifts, and the same
+dense norm for T and its adjoint), the dual-weight involution, and the
+profiles a generic shift compiles into against the matrix of its entries.
 """
 
 import math
@@ -31,8 +33,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import (
-    DyadicCube,
-    GenericHaarShift,
     GridFunction,
     OperatorNormError,
     SimpleHaarShift,
@@ -53,7 +53,7 @@ import dyadlab.experiments as exp
 from dyadlab import shifts
 from dyadlab.grid import ancestor_map, expand, scatter_subcells
 
-from helpers import masked
+from helpers import generic_dense_matrix, masked, random_generic
 
 MAX_N = {1: 7, 2: 4}
 SEEDS = st.integers(0, 2**32 - 1)
@@ -191,7 +191,7 @@ def test_the_n_by_n_route_builds_m_once(case, dense_builds):
     grid = build_grid(1, 6) if case != "martingale_d2" else build_grid(2, 3)
     w = random_a2_weight(1, 5, grid)
     if case == "generic":
-        T = _random_generic(grid, np.random.default_rng(7), count=40)
+        T = random_generic(grid, np.random.default_rng(7), count=40)
     elif case == "martingale_d2":       # three terms per cube: K = n - 1
         T = martingale_transform(random_signs(grid, 5), grid)
     elif case == "zero":                # G^T G = 0
@@ -324,31 +324,11 @@ def _random_simple(grid, rng):
     return random_simple_shift(tau, int(rng.integers(0, 2**31)), grid)
 
 
-def _random_generic(grid, rng, count=12):
-    """Generic shift with random in-range entries and coefficients up to the bound."""
-    tau = int(rng.integers(1, grid.N + 1))
-    patterns = max(1, (1 << grid.d) - 1)
-    entries = []
-    for _ in range(count):
-        level = int(rng.integers(0, grid.N))
-        src = DyadicCube(grid, level,
-                         tuple(int(k) for k in rng.integers(0, 1 << level, grid.d)))
-        parent = src.parent(int(rng.integers(0, min(tau, level) + 1)))
-        depth = int(rng.integers(0, min(tau, grid.N - 1 - parent.level) + 1))
-        dst = DyadicCube(grid, parent.level + depth, tuple(
-            (k << depth) + int(rng.integers(0, 1 << depth)) for k in parent.index))
-        bound = math.sqrt(src.volume * dst.volume) / parent.volume
-        entries.append((parent, (src, int(rng.integers(0, patterns))),
-                        (dst, int(rng.integers(0, patterns))),
-                        float(rng.uniform(-bound, bound))))
-    return GenericHaarShift(grid, tau, entries)
-
-
 @given(grids(), SEEDS, st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_dense_norm_equals_dense_norm_of_adjoint(grid, seed, generic):
     rng = np.random.default_rng(seed)
-    T = (_random_generic if generic else _random_simple)(grid, rng)
+    T = (random_generic if generic else _random_simple)(grid, rng)
     sigma, mu = _random_weight(grid, rng), _random_weight(grid, rng)
     assert operator_norm(T, sigma, mu, "dense-svd") == pytest.approx(
         operator_norm(T.adjoint(), mu, sigma, "dense-svd"), rel=1e-12
@@ -359,7 +339,7 @@ def test_dense_norm_equals_dense_norm_of_adjoint(grid, seed, generic):
 @settings(max_examples=60, deadline=None)
 def test_shift_adjointness(grid, seed, generic):
     rng = np.random.default_rng(seed)
-    T = (_random_generic if generic else _random_simple)(grid, rng)
+    T = (random_generic if generic else _random_simple)(grid, rng)
     f = GridFunction(grid, rng.standard_normal(grid.cell_count))
     h = GridFunction(grid, rng.standard_normal(grid.cell_count))
     lhs = inner_product(apply_shift(T, f), h)
@@ -385,10 +365,24 @@ def test_dual_weight_is_an_involution(grid, seed):
 def test_generic_batched_apply_equals_column_stack(d, N):
     grid = build_grid(d, N)
     rng = np.random.default_rng(40 + d)
-    T = _random_generic(grid, rng, count=40)
+    T = random_generic(grid, rng, count=40)
     block = rng.standard_normal((grid.cell_count, 7))
     stacked = np.stack([T.apply_values(block[:, i]) for i in range(7)], axis=1)
     batched = T.apply_values(block)
     assert batched.shape == block.shape
     assert np.abs(batched - stacked).max() <= 1e-13 * max(np.abs(stacked).max(), 1.0)
+    oracle = generic_dense_matrix(T) @ block
+    assert np.abs(batched - oracle).max() <= 1e-13 * max(np.abs(oracle).max(), 1.0)
     np.testing.assert_allclose(T.apply_values(np.zeros((grid.cell_count, 3))), 0.0)
+
+
+@given(grids(max_n={1: 6, 2: 3}), SEEDS, st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_compiled_generic_dense_matrix_matches_the_entry_oracle(grid, seed, count):
+    """The profiles a generic shift compiles into (index min(tau+1, N),
+    re-parented and split entries, zero-padded terms) give the matrix of its
+    entries, built through `haar_basis`, to 1e-13 relative."""
+    T = random_generic(grid, np.random.default_rng(seed), count=count)
+    assert isinstance(T, SimpleHaarShift) and T.tau <= grid.N
+    oracle = generic_dense_matrix(T)
+    assert np.abs(dense_matrix(T) - oracle).max() <= 1e-13 * np.abs(oracle).max()

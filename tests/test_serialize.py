@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import (
+    GenericHaarShift,
     GridError,
     GridFunction,
     ShiftError,
     WeightError,
     apply_shift,
     build_grid,
+    haar_basis,
     power_weight,
     random_a2_weight,
     random_simple_shift,
@@ -87,6 +90,28 @@ def test_shift_roundtrip_preserves_action(tmp_path):
         rng = np.random.default_rng(1)
         f = GridFunction(g, rng.standard_normal(g.cell_count))
         assert np.array_equal(apply_shift(back, f).values, apply_shift(T, f).values)
+
+
+def test_generic_shift_roundtrip_with_a_split_entry(tmp_path):
+    """A level-N-1 entry under tau=1 is re-parented one level up, where its
+    coefficient 1 exceeds sqrt(|Q'||Q''|)/|P| = 1/2 and splits into two terms;
+    the written profiles stay within the bound that `load_shift` checks."""
+    g = build_grid(1, 3)
+    deep = g.cube(2, 1)
+    T = GenericHaarShift(g, 1, [(deep, deep, deep, 1.0), (g.root(), g.root(), g.root(), -0.5)])
+    assert (T.tau, T.levels, T.g[1].shape) == (2, (0, 1), (2, 2, 4))
+    split = math.sqrt(2.0) * np.array([0.0, 0.0, 1.0, -1.0])     # a/2 times h_Q'' / alpha
+    assert np.array_equal(T.gamma[1][:, 0], np.stack([split, split]))
+    assert not T.g[1][:, 1].any()       # the other level-1 cube holds zero terms
+    back = load_shift(save_shift(T, str(tmp_path / "generic")))
+    assert (back.tau, back.levels) == (T.tau, T.levels)
+    for j in T.levels:
+        assert np.array_equal(back.g[j], T.g[j]) and np.array_equal(back.gamma[j], T.gamma[j])
+    f = np.random.default_rng(2).standard_normal(g.cell_count)
+    want = sum(a * h * (h @ f) * g.cell_volume
+               for a, h in ((1.0, haar_basis(deep)[0].as_grid_function().values),
+                            (-0.5, haar_basis(g.root())[0].as_grid_function().values)))
+    assert np.abs(back.apply_values(f) - want).max() < 1e-14
 
 
 def test_malformed_headers_raise(tmp_path):

@@ -32,7 +32,7 @@ from dyadlab import (
 from dyadlab.grid import _HAAR_SIGNS, cube_view, expand, integral_pyramid
 from dyadlab.shifts import default_levels, power_iteration_norm
 
-from helpers import masked
+from helpers import generic_dense_matrix, masked
 
 
 # -- constructors -----------------------------------------------------------
@@ -602,7 +602,9 @@ def test_generic_shift_matches_simple_martingale():
     Tg = _diag_generic_martingale(g, sgn)
     Ts = martingale_transform(cube_signs, g)
     f = GridFunction(g, rng.standard_normal(g.cell_count))
-    assert np.abs(apply_shift(Tg, f).values - apply_shift(Ts, f).values).max() < 1e-12
+    oracle = generic_dense_matrix(Tg) @ f.values
+    assert np.abs(apply_shift(Ts, f).values - oracle).max() < 1e-12
+    assert np.abs(apply_shift(Tg, f).values - oracle).max() < 1e-12
 
 
 def test_non_finite_shift_data_raises_shift_error():
@@ -634,8 +636,9 @@ def test_generic_shift_validation_and_adjoint():
     lhs = inner_product(apply_shift(ok, f), h)
     rhs = inner_product(f, apply_shift(adjoint(ok), h))
     assert abs(lhs - rhs) < 1e-12
-    two = adjoint(adjoint(ok))
-    assert two.entries == ok.entries
+    assert isinstance(ok, SimpleHaarShift)
+    assert np.abs(dense_matrix(adjoint(ok)) - generic_dense_matrix(ok).T).max() < 1e-15
+    assert np.array_equal(dense_matrix(adjoint(adjoint(ok))), dense_matrix(ok))
     assert operator_norm(ok, method="dense-svd") <= (
         operator_norm(ok, method="power-iteration") + 1e-6
     )
@@ -651,5 +654,6 @@ def test_generic_shift_d2_pattern_indices():
     out = apply_shift(T, h)
     expect = 0.7 * haar_basis(root)[2].as_grid_function().values
     assert np.abs(out.values - expect).max() < 1e-12
+    assert np.abs(dense_matrix(T) - generic_dense_matrix(T)).max() < 1e-13
     with pytest.raises(ShiftError):
         GenericHaarShift(g, 1, [(root, (root, 3), (root, 0), 0.1)])
