@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .grid import GridError, GridFunction, build_grid, check_seed
+from .grid import GridError, GridFunction, build_grid, check_natural
 from .weights import WeightError, ap_characteristic, dual_weight
 from .shifts import OperatorNormError, ShiftError, cz_decompose, operator_norm
 from .corona import carleson_check, corona_invariant_violation, packing_check
@@ -116,7 +116,7 @@ def cmd_norm(args) -> int:
 
 def cmd_cz(args) -> int:
     grid = build_grid(args.d, args.N)
-    rng = np.random.default_rng(check_seed(args.seed, CliError))
+    rng = np.random.default_rng(check_natural(args.seed, "seed", CliError))
     vals = rng.standard_normal(grid.cell_count) ** 2
     f = GridFunction(grid, vals)
     f = f * (1.0 / f.l1_norm())
@@ -189,7 +189,7 @@ def cmd_lemmas(args) -> int:
     wid, w = _resolve_weight(args, grid)
     cfg, T = _flag_shift(args, grid)
 
-    rng = np.random.default_rng(check_seed(args.seed, CliError))
+    rng = np.random.default_rng(check_natural(args.seed, "seed", CliError))
     f = GridFunction(grid, rng.standard_normal(grid.cell_count))
     lhs, rhs = paraproduct_identity(f, T, None, w)
     para_ok = abs(lhs - rhs) <= 1e-10 * max(lhs, rhs, 1e-30)

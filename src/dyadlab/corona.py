@@ -7,7 +7,11 @@ stopping cube's density become new stopping cubes, recursively.  Every family
 cube is assigned to its minimal stopping ancestor, and the fibers of that
 assignment partition the family.  The construction gives, by design, the
 strict four-fold density drop between nested stopping cubes and the four-fold
-density cap inside each corona.
+density cap inside each corona.  `build_corona` numbers the stops as it
+finds them: the stopping forest lists them in level then index order with
+their stopping parents and depths, and each cube's anchor is the forest
+position of its minimal stopping ancestor.  Fibers, exports, packing and
+the forest checks all read these two.
 
 The module also provides the packing and overlap diagnostics of the stopping
 family, the Carleson-sum check against the A2 characteristic, and the two
@@ -117,14 +121,13 @@ def _extent_indices(grid: DyadicGrid, top: DyadicCube, level: int):
 class StoppingForest(NamedTuple):
     """The stops of a corona in level then index order, as parallel arrays.
 
-    A stop's `key` is level * cells + flat (ascending here), `parent` holds
-    the position of its stopping parent (-1 for the top) and `depth` the
-    number of stops above it, so stops of one depth are disjoint.
+    A stop's `parent` holds the position of its stopping parent (-1 for the
+    top) and `depth` the number of stops above it, so stops of one depth are
+    disjoint.
     """
 
     level: np.ndarray
     flat: np.ndarray
-    key: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
     mass: np.ndarray
@@ -134,22 +137,20 @@ class StoppingForest(NamedTuple):
 class CoronaDecomposition:
     """Stopping forest over a cube family with the minimal-ancestor assignment.
 
-    `anchor_level[j]` / `anchor_flat[j]` give, for every level-j cube under the
-    top, the address of its minimal stopping ancestor (the cube itself when it
-    is stopping); entries outside the top are -1.  The stopping forest is read
-    from them: a stop's stopping parent is the anchor of its parent cube.
+    `forest` holds the stops; `anchor[j]` gives, for every level-j cube under
+    the top, the forest position of its minimal stopping ancestor (the cube
+    itself when it is stopping); entries outside the top are -1.
     """
 
     def __init__(self, measure: Weight, family: CubeSet, top: DyadicCube,
-                 stopping: CubeSet, anchor_level, anchor_flat):
+                 stopping: CubeSet, forest: StoppingForest, anchor: list[np.ndarray]):
         self.measure = measure
         self.family = family
         self.top = top
         self.stopping = stopping
-        self.anchor_level = anchor_level
-        self.anchor_flat = anchor_flat
+        self.forest = forest
+        self.anchor = anchor
         self._carleson = None
-        self._forest_cache = None
 
     @property
     def grid(self) -> DyadicGrid:
@@ -160,61 +161,32 @@ class CoronaDecomposition:
 
     def corona_of(self, stopping_cube: DyadicCube) -> CubeSet:
         """Family cubes whose minimal stopping ancestor is the given cube."""
-        key = self._key(check_cube(self.grid, stopping_cube).level, stopping_cube.flat)
-        return CubeSet(self.grid, {j: self._fiber_keys(j) == key for j in self.family.levels()})
+        j = check_cube(self.grid, stopping_cube).level
+        p = self.anchor[j][stopping_cube.flat]
+        if p < 0 or self.forest.level[p] != j:     # not a stop
+            return CubeSet.empty(self.grid)
+        return CubeSet(self.grid, {k: self.fiber_positions(k) == p for k in self.family.levels()})
 
     def fibers(self) -> list[tuple[DyadicCube, CubeSet]]:
         """(L, corona_of(L)) for every stop L with a nonempty fiber, in level
         then index order."""
-        keys = {j: self._fiber_keys(j) for j in self.family.levels()}
-        held = np.unique(np.concatenate([[-1], *keys.values()]))[1:]     # drop the -1
-        cells = self.grid.cell_count
-        return [(self.grid.cube(k // cells, k % cells),
-                 CubeSet(self.grid, {j: q == k for j, q in keys.items()})) for k in held.tolist()]
+        pos = {j: self.fiber_positions(j) for j in self.family.levels()}
+        held = np.unique(np.concatenate([[-1], *pos.values()]))[1:]     # drop the -1
+        return [(self.grid.cube(j, f), CubeSet(self.grid, {k: q == p for k, q in pos.items()}))
+                for p, j, f in zip(held.tolist(), self.forest.level[held].tolist(),
+                                   self.forest.flat[held].tolist())]
 
     def fiber_positions(self, level: int) -> np.ndarray:
         """Per level-j cube, the forest position of the stop whose fiber
         (`corona_of`) holds it; -1 for cubes outside the family."""
-        return _search(self._forest().key, self._fiber_keys(level))
+        return np.where(self.family.mask(level), self.anchor[level], -1)
 
     def stops_under(self, cube: DyadicCube) -> np.ndarray:
         """Mask over the forest of the stops contained in `cube`, itself included."""
-        level, flat = self._forest()[:2]
+        level, flat = self.forest[:2]
         out = level >= check_cube(self.grid, cube).level
         out[out] = ancestor_flat(self.grid.d, level[out], cube.level, flat[out]) == cube.flat
         return out
-
-    def _forest(self) -> StoppingForest:
-        if self._forest_cache is None:
-            grid, sums = self.grid, self.measure.sums
-            levels = self.stopping.levels()
-            flats = [np.flatnonzero(self.stopping.masks[j]) for j in levels]
-            level = np.repeat(levels, [f.size for f in flats])
-            flat = np.concatenate(flats)
-            key = self._key(level, flat)
-            # a stop's stopping parent is the anchor of its parent cube; the
-            # first level holds only the top
-            ups = [(j - 1, ancestor_flat(grid.d, j, j - 1, f))
-                   for j, f in zip(levels[1:], flats[1:])]
-            parent = _search(key, np.concatenate([[-1]] + [self._key(
-                self.anchor_level[j][u], self.anchor_flat[j][u]) for j, u in ups]))
-            depth, above = np.zeros(flat.size, dtype=np.int64), parent
-            while (above >= 0).any():
-                depth += above >= 0
-                above = np.where(above >= 0, parent[above], -1)
-            mass = np.concatenate([sums[j][f] for j, f in zip(levels, flats)])
-            # Weight.density: the mass over the exact volume 2^(-level d)
-            self._forest_cache = StoppingForest(level, flat, key, parent, depth, mass,
-                                                mass / np.ldexp(1.0, -level * grid.d))
-        return self._forest_cache
-
-    def _key(self, level, flat):
-        return level * self.grid.cell_count + flat
-
-    def _fiber_keys(self, level: int) -> np.ndarray:
-        """The key of each level-j family cube's anchor; -1 off the family."""
-        return np.where(self.family.mask(level),
-                        self._key(self.anchor_level[level], self.anchor_flat[level]), -1)
 
     def density(self, cube: DyadicCube) -> float:
         return self.measure.density(cube)
@@ -234,7 +206,7 @@ class CoronaDecomposition:
 
     def export(self) -> dict:
         """JSON-ready stopping forest with densities."""
-        forest = self._forest()
+        forest = self.forest
         nodes = [{"cube": {"level": j, "index": list(flat_to_index(self.grid.d, j, f))},
                   "density": dens, "mass": mass, "children": []}
                  for j, f, dens, mass in zip(forest.level.tolist(), forest.flat.tolist(),
@@ -251,12 +223,6 @@ class CoronaDecomposition:
         }
 
 
-def _search(keys: np.ndarray, want) -> np.ndarray:
-    """Positions of `want` in the ascending `keys`; -1 where it is absent."""
-    pos = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-    return np.where(keys[pos] == want, pos, -1)
-
-
 def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
                  stopping_levels=None) -> CoronaDecomposition:
     """Greedy stopping-time decomposition of `family` under `top` for measure mu.
@@ -270,6 +236,10 @@ def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
     The four-fold density cap on corona members is guaranteed for family
     cubes whose level is an allowed stopping level (every level by default);
     restricted scans should pair with families on the same sublattice.
+
+    Each stop gets its forest position when it stops: a level's new stops
+    follow the stops above in index order, under the stop that governed
+    their parent cube.
     """
     grid = mu.grid
     check_cube(grid, top)
@@ -282,44 +252,46 @@ def build_corona(mu: Weight, family: CubeSet, top: DyadicCube,
     dens = [mu.sums[j] * (2.0 ** (j * grid.d)) for j in range(grid.N + 1)]
     allowed = set(range(grid.N + 1)) if stopping_levels is None else set(stopping_levels)
 
-    anchor_level = [np.full(grid.level_count(j), -1, dtype=np.int64)
-                    for j in range(grid.N + 1)]
-    anchor_flat = [np.full(grid.level_count(j), -1, dtype=np.int64)
-                   for j in range(grid.N + 1)]
-    stop_masks = {top.level: np.zeros(grid.level_count(top.level), dtype=bool)}
-    stop_masks[top.level][top.flat] = True
+    anchor = [np.full(grid.level_count(j), -1, dtype=np.int64) for j in range(grid.N + 1)]
+    anchor[top.level][top.flat] = 0
+    levels, flats, parents, depths = [top.level], [np.array([top.flat])], [[-1]], [[0]]
+    count = 1
 
-    anchor_level[top.level][top.flat] = top.level
-    anchor_flat[top.level][top.flat] = top.flat
+    # per scanned cube: its governing stop's density, position and depth
     gov_dens = np.array([dens[top.level][top.flat]])
-    gov_lev = np.array([top.level])
-    gov_flat = np.array([top.flat])
+    gov = np.array([0])
+    gov_depth = np.array([0])
     idx = np.array([top.flat])
     children = np.arange(1 << grid.d)
 
     for j in range(top.level + 1, grid.N + 1):
         # children grouped per parent in child order, matching np.repeat
         idx = descendant_flat(grid.d, j - 1, j, idx[:, None], children).reshape(-1)
-        gov_dens = np.repeat(gov_dens, 1 << grid.d)
-        gov_lev = np.repeat(gov_lev, 1 << grid.d)
-        gov_flat = np.repeat(gov_flat, 1 << grid.d)
+        gov_dens, gov, gov_depth = (np.repeat(a, 1 << grid.d) for a in (gov_dens, gov, gov_depth))
         here = dens[j][idx]
-        if j in allowed:
-            is_stop = here > STOPPING_FACTOR * gov_dens
-        else:
-            is_stop = np.zeros(here.shape, dtype=bool)
-        if is_stop.any():
-            mask = np.zeros(grid.level_count(j), dtype=bool)
-            mask[idx[is_stop]] = True
-            stop_masks[j] = mask
-            gov_dens = np.where(is_stop, here, gov_dens)
-            gov_lev = np.where(is_stop, j, gov_lev)
-            gov_flat = np.where(is_stop, idx, gov_flat)
-        anchor_level[j][idx] = gov_lev
-        anchor_flat[j][idx] = gov_flat
+        new = np.flatnonzero(here > STOPPING_FACTOR * gov_dens) if j in allowed else []
+        if len(new):
+            # at d=2 the children of one parent are not adjacent in index order
+            new = new[np.argsort(idx[new])]
+            levels.append(j)
+            flats.append(idx[new])
+            parents.append(gov[new])
+            depths.append(gov_depth[new] + 1)
+            gov_dens[new] = here[new]
+            gov[new] = np.arange(count, count + new.size)
+            gov_depth[new] += 1
+            count += new.size
+        anchor[j][idx] = gov
 
-    return CoronaDecomposition(mu, family, top, CubeSet(grid, stop_masks),
-                               anchor_level, anchor_flat)
+    level = np.repeat(levels, [f.size for f in flats])
+    flat = np.concatenate(flats)
+    mass = np.concatenate([mu.sums[j][f] for j, f in zip(levels, flats)])
+    # Weight.density: the mass over the exact volume 2^(-level d)
+    forest = StoppingForest(level, flat, np.concatenate(parents), np.concatenate(depths),
+                            mass, mass / np.ldexp(1.0, -level * grid.d))
+    stopping = CubeSet(grid, {j: np.bincount(f, minlength=grid.level_count(j)) > 0
+                              for j, f in zip(levels, flats)})
+    return CoronaDecomposition(mu, family, top, stopping, forest, anchor)
 
 
 @dataclass(frozen=True)
@@ -336,26 +308,27 @@ def packing_check(corona: CoronaDecomposition) -> PackingReport:
     """Max over stopping L of |union of immediate stopping descendants| / |L|,
     and of ||sum of indicators of stopping cubes inside L||_2 / |L|^(1/2).
 
-    count[j] is the number of stopping cubes containing each level-j cube and
-    depth the same per cell: the cells of L with depth > count(L) make up the
-    union of its stopping descendants, and count(L) - 1 stops lie above L."""
-    grid, stopping = corona.grid, corona.stopping
+    count(j) is the number of stopping cubes containing each level-j cube,
+    the depth of its anchor plus one, and depth = count(N) the same per cell:
+    the cells of L with depth > count(L) make up the union of its stopping
+    descendants, and count(L) - 1 stops lie above L."""
+    grid, forest = corona.grid, corona.forest
     d, N, vol = grid.d, grid.N, grid.cell_volume
-    counts, depth, prev = {}, None, None
-    for j in stopping.levels():
-        here = stopping.masks[j].astype(np.float64)
-        depth = here if depth is None else expand(depth, d, j - prev) + here
-        counts[j], prev = depth, j
-    depth = expand(depth, d, N - prev)
+
+    def count(j):
+        anchor = corona.anchor[j]
+        return np.where(anchor >= 0, forest.depth[anchor] + 1.0, 0.0)
+
+    depth = count(N)
     depth_pyr = integral_pyramid(depth * vol, d, N)
     depth2_pyr = integral_pyramid(depth * depth * vol, d, N)
 
     child_rows, overlap_rows = [], []
-    for j, count in counts.items():
-        flats = np.nonzero(stopping.masks[j])[0]
+    for j in np.unique(forest.level).tolist():
+        flats, here = forest.flat[forest.level == j], count(j)
         vol_j = 2.0 ** (-j * d)
-        covered = pool((depth > expand(count, d, N - j)) * vol, d, N - j)[flats]
-        above = count[flats] - 1.0
+        covered = pool((depth > expand(here, d, N - j)) * vol, d, N - j)[flats]
+        above = here[flats] - 1.0
         # ||sum 1_{L' subset L}||_2^2 = int_L (depth - above)^2
         sq = (depth2_pyr[j][flats] - 2.0 * above * depth_pyr[j][flats]
               + above * above * vol_j)
@@ -398,7 +371,7 @@ def descendant_mass_drop(corona: CoronaDecomposition) -> float:
     w = corona.measure
     a2 = w.a2_characteristic()
     factor = 1.0 - (9.0 / 16.0) / a2
-    forest = corona._forest()
+    forest = corona.forest
     kids = forest.parent >= 0
     # bincount adds each stop's children one by one in level then index order
     covered = np.bincount(forest.parent[kids], weights=forest.mass[kids],
@@ -415,7 +388,7 @@ def corona_invariant_violation(corona: CoronaDecomposition) -> float:
     """
     worst = 0.0
     # four-fold cap inside coronas
-    forest = corona._forest()
+    forest = corona.forest
     for j in corona.family.levels():
         pos = corona.fiber_positions(j)
         held = pos >= 0

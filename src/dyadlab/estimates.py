@@ -54,7 +54,7 @@ from .corona import (
     CubeSet,
     pn_alpha,
 )
-from .shifts import SimpleHaarShift, operator_norm
+from .shifts import SimpleHaarShift, _profile_columns, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -109,17 +109,11 @@ class _IndicatorScan:
         self.sigma_sums = _measure(grid, sigma).sums
         self.mu_sums = _measure(grid, mu).sums
 
-        def on_cells(profiles):   # cell values, one column per family level and term
-            return np.concatenate([np.zeros((grid.cell_count, 0))] + [
-                expand(scatter_subcells(np.moveaxis(profiles[a], 0, -1), d, tau), d, N - a - tau)
-                for a in T.levels], axis=1)
-
-        self.level = np.repeat(np.array(T.levels, dtype=int), [T.g[a].shape[0] for a in T.levels])
-        self.gamma = on_cells(T.gamma)
+        g, self.gamma, self.level = _profile_columns(T)
         # cube integrals of g sigma; at each level j' deeper than a column's
         # level a they are the pairings <sigma 1_Q', g_{P_a(Q')}>, the only
         # entries `fields` reads
-        self.pairings = integral_pyramid(on_cells(T.g) * self.sigma_sums[N][:, None], d, N)
+        self.pairings = integral_pyramid(g * self.sigma_sums[N][:, None], d, N)
         self.suffix = dict(suffix_sweep(
             T.output_fields(T.pairing_coefficients(self.sigma_sums)), d, N, tau))
         # T(sigma 1_Q) on Q itself, per level: T1 and the dp=0 block of WB
@@ -397,8 +391,10 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     descendant; a violation raises CoronaStructureError.
 
     H_L is `h_functional(L, corona.corona_of(L), T, w)`: T's output fields,
-    computed once, restricted to L's fiber and assembled.  Stops of one forest
-    depth are disjoint, so one assembly per depth holds all of their H_L.  A
+    computed once, restricted to L's fiber and assembled.  Stops, stopping
+    parents and depths are read from `corona.forest`, each family cube's stop
+    from `fiber_positions`.  Stops of one forest depth are disjoint, so one
+    assembly per depth holds all of their H_L.  A
     term is the pair (L, L), and every term sums the same cells in the same
     order as a stop-by-stop loop; A and B add the terms up in that loop's order.
     """
@@ -409,7 +405,7 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     if not stops.size:
         return ABSplitReport(0.0, 0.0, 0, 0.0)
     _, fields = _full_fields(T, w)
-    forest = corona._forest()
+    forest = corona.forest
     level, flat, depth = forest.level, forest.flat, forest.depth
     # depth of the stop whose fiber holds each family cube; -1 off Q0 (the
     # appended entry, read by position -1) and outside the family
@@ -546,9 +542,6 @@ class DistributionCurve:
 
     def is_monotone(self) -> bool:
         return all(a >= b - 1e-15 for a, b in zip(self.masses, self.masses[1:]))
-
-    def log_slope(self) -> float | None:
-        return fit_slope(self.t_values, self.masses)
 
 
 def fit_slope(t_values, masses) -> float | None:

@@ -15,7 +15,7 @@ from time import perf_counter
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, GridError, GridFunction, build_grid, check_seed
+from .grid import DyadicCube, DyadicGrid, GridError, GridFunction, build_grid, check_natural
 from .weights import Weight, WeightError, dual_weight, power_weight, random_a2_weight
 from .shifts import (
     ShiftError,
@@ -416,17 +416,17 @@ class ExperimentConfig:
         grid = obj.get("grid", {})
         _known_keys(grid, _GRID_KEYS, GridError, "grid")
         try:
-            cfg.d = int(grid.get("d", cfg.d))
-            cfg.N = int(grid.get("N", cfg.N))
-        except (AttributeError, TypeError, ValueError) as exc:
+            cfg.d, cfg.N = (check_natural(grid.get(k, getattr(cfg, k)), f"grid field {k!r}",
+                                          GridError) for k in ("d", "N"))
+        except AttributeError as exc:
             raise GridError(f"bad grid parameters: {exc}") from exc
         shift = obj.get("shift", {})
         _known_keys(shift, _SHIFT_KEYS, ShiftError, "shift")
         try:
             cfg.shift_kind = shift.get("kind", cfg.shift_kind)
-            cfg.tau = int(shift.get("tau", cfg.tau))
-            cfg.shift_seed = check_seed(shift.get("seed", cfg.shift_seed), ShiftError)
-        except (AttributeError, TypeError, ValueError) as exc:
+            cfg.tau = check_natural(shift.get("tau", cfg.tau), "shift field 'tau'", ShiftError)
+            cfg.shift_seed = check_natural(shift.get("seed", cfg.shift_seed), "seed", ShiftError)
+        except AttributeError as exc:
             raise ShiftError(f"bad shift parameters: {exc}") from exc
         cfg.separated = _typed_field(shift, "separated", cfg.separated, ShiftError)
         cfg.weights = obj.get("weights", cfg.weights)
@@ -482,7 +482,7 @@ def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
         elif family == "power":
             a = float(spec["a"])
         elif family == "cascade":
-            n, seed = spec["n"], check_seed(spec.get("seed", 0), WeightError)
+            n, seed = spec["n"], check_natural(spec.get("seed", 0), "seed", WeightError)
             if isinstance(n, bool) or not isinstance(n, (int, float)):
                 raise TypeError(f"cascade target n must be a number, got {n!r}")
         elif family == "file":

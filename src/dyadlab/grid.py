@@ -26,15 +26,16 @@ class GridError(ValueError):
     """Invalid grid configuration or mismatched grid operands."""
 
 
-def check_seed(seed, error: type[Exception]) -> int:
-    """`seed` as an int; raises `error` unless it is a non-negative integer.
+def check_natural(value, name: str, error: type[Exception]) -> int:
+    """`value` as an int; raises `error` unless it is a non-negative integer.
 
-    NumPy's generators refuse a negative seed with a bare ValueError, and
-    int() would truncate 2.5 and read true as 1, so the type is checked first.
+    The one rule for seeds and for the integer fields of headers and configs.
+    int() would truncate 2.5 and read true as 1, and NumPy's generators refuse
+    a negative seed with a bare ValueError, so the type is checked first.
     """
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise error(f"seed must be a non-negative integer, not {seed!r}")
-    return int(seed)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise error(f"{name} must be a non-negative integer, not {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

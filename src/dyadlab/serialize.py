@@ -17,7 +17,7 @@ import os
 
 import numpy as np
 
-from .grid import DyadicGrid, GridError, GridFunction, build_grid
+from .grid import DyadicGrid, GridError, GridFunction, build_grid, check_natural
 from .shifts import ShiftError, SimpleHaarShift
 from .weights import Weight
 
@@ -46,6 +46,18 @@ def _read_json(path: str) -> dict:
     if not isinstance(obj, dict):
         raise FormatError(f"header {path} is not a JSON object")
     return obj
+
+
+def _natural(obj: dict, key: str, where: str) -> int:
+    """The integer field obj[key] by `grid.check_natural`'s rule."""
+    return check_natural(obj[key], f"{where} field {key!r}", FormatError)
+
+
+def _header_grid(header: dict) -> DyadicGrid:
+    try:
+        return build_grid(_natural(header, "d", "header"), _natural(header, "N", "header"))
+    except GridError as exc:
+        raise FormatError(f"bad grid parameters: {exc}") from exc
 
 
 def _read_binary(path: str) -> np.ndarray:
@@ -94,10 +106,7 @@ def load_grid_function(header_path: str) -> GridFunction:
     for key in ("d", "N", "format", "data"):
         if key not in header:
             raise FormatError(f"header missing field {key!r}")
-    try:
-        grid = build_grid(int(header["d"]), int(header["N"]))
-    except (GridError, ValueError, TypeError) as exc:
-        raise FormatError(f"bad grid parameters: {exc}") from exc
+    grid = _header_grid(header)
     if not isinstance(header["data"], str):
         raise FormatError("header field 'data' must be a file name")
     data_path = os.path.join(os.path.dirname(header_path) or ".", header["data"])
@@ -183,24 +192,30 @@ def load_shift(header_path: str) -> SimpleHaarShift:
     for key in ("d", "N", "tau", "levels", "blocks", "data"):
         if key not in header:
             raise FormatError(f"header missing field {key!r}")
+    grid, tau = _header_grid(header), _natural(header, "tau", "header")
+    separated = header.get("separated", False)
+    if not isinstance(separated, bool):
+        raise FormatError(f"header field 'separated' must be a boolean, not {separated!r}")
     try:
-        grid = build_grid(int(header["d"]), int(header["N"]))
-        tau, levels = int(header["tau"]), [int(j) for j in header["levels"]]
-        blocks = [
-            (int(blk["level"]), blk["profile"], int(blk["offset"]),
-             (int(blk["terms"]), int(blk["cubes"]), int(blk["subcells"])))
-            for blk in header["blocks"]
-        ]
+        blocks = []
+        for blk in header["blocks"]:
+            try:
+                level, offset, *shape = (_natural(blk, k, "block") for k in
+                                         ("level", "offset", "terms", "cubes", "subcells"))
+            except FormatError as exc:
+                raise FormatError(f"bad shift block at level {blk['level']!r}: {exc}") from exc
+            blocks.append((level, blk["profile"], offset, tuple(shape)))
+        levels = [check_natural(j, "listed level", FormatError) for j in header["levels"]]
     except KeyError as exc:
         raise FormatError(f"shift block missing field {exc}") from exc
-    except (GridError, ValueError, TypeError) as exc:
+    except TypeError as exc:
         raise FormatError(f"bad shift parameters: {exc}") from exc
     data_path = os.path.join(os.path.dirname(header_path) or ".", str(header["data"]))
     raw = _read_binary(data_path)
     g, gamma = {}, {}
     used = np.zeros(raw.size, dtype=bool)       # payload entries claimed by a block
     for level, profile, offset, shape in blocks:
-        if profile not in ("g", "gamma") or offset < 0 or offset % 8 or min(shape) < 0:
+        if profile not in ("g", "gamma") or offset % 8:
             raise FormatError(f"bad shift block at level {level}")
         if level not in levels:
             raise FormatError(f"shift block at level {level} is not on a listed level")
@@ -221,7 +236,7 @@ def load_shift(header_path: str) -> SimpleHaarShift:
     try:
         return SimpleHaarShift(
             grid, tau, levels, g, gamma,
-            separated=bool(header.get("separated", False)),
+            separated=separated,
             meta={"kind": header.get("shift_kind"), "seed": header.get("seed")},
         )
     except (GridError, ShiftError) as exc:

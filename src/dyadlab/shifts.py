@@ -39,7 +39,7 @@ from .grid import (
     _HAAR_SIGNS,
     ancestor_map,
     assemble_levels,
-    check_seed,
+    check_natural,
     cube_view,
     descendant_flat,
     expand,
@@ -315,7 +315,7 @@ def martingale_transform(signs, grid: DyadicGrid, separated: bool = False) -> Si
 
 def random_signs(grid: DyadicGrid, seed: int) -> dict:
     """Seeded +/-1 sign assignment for every cube (and pattern at d=2)."""
-    rng = np.random.default_rng(check_seed(seed, ShiftError))
+    rng = np.random.default_rng(check_natural(seed, "seed", ShiftError))
     out = {}
     npat = len(_HAAR_SIGNS[grid.d])
     for j in range(grid.N):
@@ -337,7 +337,7 @@ def random_simple_shift(tau: int, seed: int, grid: DyadicGrid,
     if tau < 1:
         raise ShiftError("tau must be at least 1")
     levels = default_levels(grid, tau, separated)
-    seed = check_seed(seed, ShiftError)
+    seed = check_natural(seed, "seed", ShiftError)
     rng = np.random.default_rng(seed)
     m = 1 << (tau * grid.d)
     g, gamma = {}, {}
@@ -467,13 +467,28 @@ class _RowSparse(NamedTuple):
     grid: DyadicGrid
 
 
+def _profile_columns(T):
+    """(g, gamma, level): T's profiles on the cells, one column per family
+    level and term by ascending level, each cell holding the profile of its
+    cube at that level; level gives each column's family level."""
+    d, N, tau = T.grid.d, T.grid.N, T.tau
+
+    def on_cells(profiles):
+        return np.concatenate([np.zeros((T.grid.cell_count, 0))] + [
+            expand(scatter_subcells(np.moveaxis(profiles[j], 0, -1), d, tau), d, N - j - tau)
+            for j in T.levels], axis=1)
+
+    level = np.repeat(T.levels, [T.g[j].shape[0] for j in T.levels])
+    return on_cells(T.g), on_cells(T.gamma), level
+
+
 def _low_rank_factors(T, sigma, mu):
     """C = diag(b) Gamma and G = diag(a |cell|) G0 with M = C G^T (a, b as in
     `dense_matrix`), one column per (level, term, cube), numbered col +
     count * term + cube, holding the expanded profile on the cube's cells.
     A cell lies in one cube per level, so only its (level, term) slots are
     stored; None unless K <= n/2 and n is within the dense limit."""
-    grid, tau = T.grid, T.tau
+    grid = T.grid
     n, d, N = grid.cell_count, grid.d, grid.N
     if n > _DENSE_CELLS:
         return None
@@ -481,16 +496,14 @@ def _low_rank_factors(T, sigma, mu):
     if not 0 < K <= n // 2:
         return None
     a, b = _measure_scalings(grid, sigma, mu)
-    C, G, cols, level, col = [], [], [], [], 0
+    g, gamma, level = _profile_columns(T)
+    cols, col = [], 0
     for j in T.levels:
         terms, count = T.g[j].shape[:2]
         cols.append(col + count * np.arange(terms) + ancestor_map(d, N, j)[:, None])
-        level += [j] * terms
-        for F, prof in ((C, T.gamma[j]), (G, T.g[j])):
-            F.append(expand(scatter_subcells(prof.transpose(1, 2, 0), d, tau), d, N - j - tau))
         col += terms * count
-    return _RowSparse(np.hstack(C) * b[:, None], np.hstack(G) * (a * grid.cell_volume)[:, None],
-                      np.hstack(cols), np.array(level), K, grid)
+    return _RowSparse(gamma * b[:, None], g * (a * grid.cell_volume)[:, None],
+                      np.hstack(cols), level, K, grid)
 
 
 def _factor_products(f):
@@ -652,7 +665,7 @@ def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
 def _golub_kahan(forward, backward, n, tol, max_iter, seed):
     """The loop of `power_iteration_norm`: the estimate s and the unit right
     Ritz vector V_k q that goes with it."""
-    rng = np.random.default_rng(check_seed(seed, ShiftError))
+    rng = np.random.default_rng(check_natural(seed, "seed", ShiftError))
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     V, U, alphas, betas = [], [], [], []

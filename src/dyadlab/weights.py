@@ -27,7 +27,7 @@ from .grid import (
     DyadicGrid,
     GridError,
     GridFunction,
-    check_seed,
+    check_natural,
     integral_pyramid,
     level_argmax,
     scatter_subcells,
@@ -255,7 +255,7 @@ def random_a2_weight(n: float, seed: int, grid: DyadicGrid) -> Weight:
     if not math.isfinite(target):
         raise WeightError(f"target exponent must be finite with 2^n representable, got {n}")
     d, N = grid.d, grid.N
-    seed = check_seed(seed, WeightError)
+    seed = check_natural(seed, "seed", WeightError)
     rng = np.random.default_rng(seed)
     # one sign draw per child pair (d=1 has one pair per cube, d=2 has two):
     # draw 1 gives the pair (1 + delta, 2 - (1 + delta)), draw 0 gives

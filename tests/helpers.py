@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from dyadlab import CubeSet, DyadicCube, GenericHaarShift, ShiftError, SimpleHaarShift
-from dyadlab.corona import CoronaStructureError, _search
+from dyadlab.corona import CoronaStructureError
 from dyadlab.grid import check_cube, haar_basis
 from dyadlab.partition import hilbert_compressed
 
@@ -78,10 +78,10 @@ def generic_dense_matrix(T):
 def lambda_of(corona, cube):
     """The minimal stopping cube containing `cube`."""
     check_cube(corona.grid, cube)
-    lev = int(corona.anchor_level[cube.level][cube.flat])
-    if lev < 0:
+    p = int(corona.anchor[cube.level][cube.flat])
+    if p < 0:
         raise CoronaStructureError(f"{cube!r} lies outside the top cube")
-    return corona.grid.cube(lev, int(corona.anchor_flat[cube.level][cube.flat]))
+    return _cubes(corona, [p])[0]
 
 
 def stopping_parent(corona, cube):
@@ -94,11 +94,12 @@ def stopping_parent(corona, cube):
 def _position(corona, cube):
     """The forest position of a cube, -1 when it is not a stop."""
     check_cube(corona.grid, cube)
-    return int(_search(corona._forest().key, corona._key(cube.level, cube.flat)))
+    p = int(corona.anchor[cube.level][cube.flat])
+    return p if p >= 0 and corona.forest.level[p] == cube.level else -1
 
 
 def _cubes(corona, positions):
-    forest = corona._forest()
+    forest = corona.forest
     return [corona.grid.cube(j, f) for j, f in zip(forest.level[positions].tolist(),
                                                    forest.flat[positions].tolist())]
 
@@ -106,7 +107,7 @@ def _cubes(corona, positions):
 def stopping_children(corona, cube):
     """Immediate (maximal) stopping descendants of a stopping cube."""
     p = _position(corona, cube)
-    return [] if p < 0 else _cubes(corona, np.flatnonzero(corona._forest().parent == p))
+    return [] if p < 0 else _cubes(corona, np.flatnonzero(corona.forest.parent == p))
 
 
 def stopping_descendants(corona, cube):
@@ -114,7 +115,7 @@ def stopping_descendants(corona, cube):
     if _position(corona, cube) < 0:
         return []
     return _cubes(corona, np.flatnonzero(corona.stops_under(cube)
-                                         & (corona._forest().level > cube.level)))
+                                         & (corona.forest.level > cube.level)))
 
 
 def alpha_of(strata, cube):

@@ -247,10 +247,15 @@ def test_sweep_refuses_seed_flag(tmp_path):
     json.dumps({**_SMALL_SWEEP, "shift": {"kind": "hilbert", "separated": "no"}}),
     json.dumps({**_SMALL_SWEEP, "experiment_id": [1]}),
     json.dumps({**_SMALL_SWEEP, "out_dir": 5}),
+    json.dumps({**_SMALL_SWEEP, "grid": {"d": 1.9, "N": 4.5}}),
+    json.dumps({**_SMALL_SWEEP, "grid": {"d": True, "N": 4}}),
+    json.dumps({**_SMALL_SWEEP, "shift": {"kind": "random", "tau": True}}),
+    json.dumps({**_SMALL_SWEEP, "shift": {"kind": "random", "tau": 2.5}}),
 ], ids=["broken-json", "shift-kind", "weight-family", "power-without-a", "grid-n",
         "grid-list", "shift-string", "weights-string", "weight-number", "weights-empty",
         "power-a-string", "cascade-n-string", "format-xml", "with-corona-string",
-        "with-testing-number", "separated-string", "experiment-id-list", "out-dir-number"])
+        "with-testing-number", "separated-string", "experiment-id-list", "out-dir-number",
+        "grid-fractional", "grid-boolean", "tau-boolean", "tau-fractional"])
 def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     cfgp = tmp_path / "broken.json"
     cfgp.write_text(text)

@@ -438,8 +438,8 @@ def _reference_invariant_violation(corona, forest):
         if idx.size == 0:
             continue
         dens_here = corona.measure.sums[j][idx] * (2.0 ** (j * corona.grid.d))
-        anchors_lev = corona.anchor_level[j][idx]
-        anchors_flat = corona.anchor_flat[j][idx]
+        anchors = corona.anchor[j][idx]
+        anchors_lev, anchors_flat = corona.forest.level[anchors], corona.forest.flat[anchors]
         for lev in np.unique(anchors_lev):
             sel = anchors_lev == lev
             anchor_dens = corona.measure.sums[int(lev)][anchors_flat[sel]] * (
@@ -652,8 +652,10 @@ def test_ab_split_and_export_build_no_cube_per_stop(monkeypatch):
 def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, data):
     """On full and class coronas of a cascade weight or its dual: no density
     violation, a more than four-fold density step from each stop's stopping
-    parent, fibers that partition the family, and every anchor the minimal
-    stop of an independent per-cube greedy scan."""
+    parent, fibers that partition the family, every anchor the minimal stop
+    of an independent per-cube greedy scan, and a forest numbered in level
+    then index order whose parents come first, one level of depth up, and
+    are the anchors of the stops' parent cubes."""
     d, N = shape
     g = build_grid(d, N)
     w = random_a2_weight(n, seed, g)
@@ -674,6 +676,7 @@ def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, dat
             assert np.array_equal(union[j], corona.family.mask(j).astype(int))
         stops = reference_stopping_set(w, top, levels)
         assert {(c.level, c.flat) for c in corona.stopping_cubes()} == stops
+        forest = corona.forest
         for j in range(N + 1):
             for f in range(g.level_count(j)):
                 cube = g.cube(j, f)
@@ -681,7 +684,19 @@ def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, dat
                 if top.contains(cube):
                     want = max((lev, cube.parent(j - lev).flat) for lev in range(top.level, j + 1)
                                if (lev, cube.parent(j - lev).flat) in stops)
-                assert (corona.anchor_level[j][f], corona.anchor_flat[j][f]) == want
+                p = corona.anchor[j][f]
+                assert ((-1, -1) if p < 0 else (forest.level[p], forest.flat[p])) == want
+        key = forest.level * g.cell_count + forest.flat
+        assert (np.diff(key) > 0).all() and key.size == len(stops)
+        assert (forest.parent[0], forest.depth[0]) == (-1, 0)
+        kids = np.arange(1, key.size)
+        parent = forest.parent[kids]
+        assert (0 <= parent).all() and (parent < kids).all()
+        assert np.array_equal(forest.depth[kids], forest.depth[parent] + 1)
+        for p, (j, f) in enumerate(zip(forest.level.tolist(), forest.flat.tolist())):
+            assert corona.anchor[j][f] == p
+            if p:
+                assert corona.anchor[j - 1][g.cube(j, f).parent().flat] == forest.parent[p]
 
 
 # -- one grid check for cubes from another grid ---------------------------------

@@ -35,7 +35,7 @@ from dyadlab import (
 )
 from dyadlab.corona import pn_alpha
 from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
-                               ProfileFamily, _IndicatorScan)
+                               ProfileFamily, _IndicatorScan, fit_slope)
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
 from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
@@ -471,9 +471,9 @@ def test_distribution_curve_slope_and_monotonicity():
     curve = DistributionCurve("lebesgue", (1, 2, 3, 4), (1.0, 0.5, 0.25, 0.125),
                               1.0, 1.0)
     assert curve.is_monotone()
-    assert curve.log_slope() == pytest.approx(-math.log(2), rel=1e-12)
+    assert fit_slope(curve.t_values, curve.masses) == pytest.approx(-math.log(2), rel=1e-12)
     flat = DistributionCurve("lebesgue", (1, 2), (0.0, 0.0), 1.0, 1.0)
-    assert flat.log_slope() is None
+    assert fit_slope(flat.t_values, flat.masses) is None
     assert not DistributionCurve("x", (1, 2), (0.1, 0.2), 1.0, 1.0).is_monotone()
 
 

@@ -131,6 +131,13 @@ def test_malformed_headers_raise(tmp_path):
     p4.write_text(json.dumps({"d": 9, "N": 3, "format": "csv", "data": "x.csv"}))
     with pytest.raises(FormatError):
         load_grid_function(str(p4))
+    # grid integers are not truncated or read from booleans: a d=1, N=4
+    # payload under d=1.7, N=4.9 is refused, not loaded on the d=1, N=4 grid
+    header = save_weight(random_a2_weight(1, 3, build_grid(1, 4)), str(tmp_path / "w"))
+    for grid in ({"d": 1.7, "N": 4.9}, {"d": True}, {"N": 4.0}, {"N": "4"}):
+        _rewrite(header, {**json.loads(open(header).read()), "d": 1, "N": 4, **grid})
+        with pytest.raises(FormatError, match="must be a non-negative integer"):
+            load_weight(header)
 
 
 def test_truncated_payload_raises(tmp_path):
@@ -166,11 +173,18 @@ _SHIFT_HEADER_KEYS = ("d", "N", "tau", "levels", "blocks", "data")
 _SHIFT_BLOCK_KEYS = ("level", "profile", "offset", "terms", "cubes", "subcells")
 
 
+_SHIFT_INTS = ("d", "N", "tau", "levels") + tuple(k for k in _SHIFT_BLOCK_KEYS if k != "profile")
+# a value that int() or bool() would have read: fractional, boolean, string
+_NOT_AN_INT = {"d": 1.7, "N": True, "tau": 2.5, "levels": True, "level": 1.0,
+               "offset": 8.0, "terms": True, "cubes": 2.5, "subcells": "4", "separated": "false"}
+
+
 @pytest.mark.parametrize(
     "where,key",
     [("header", k) for k in _SHIFT_HEADER_KEYS]
     + [("block", k) for k in _SHIFT_BLOCK_KEYS]
-    + [("mistyped", k) for k in _SHIFT_HEADER_KEYS],
+    + [("mistyped", k) for k in _SHIFT_HEADER_KEYS]
+    + [("not-an-int", k) for k in _SHIFT_INTS + ("separated",)],
 )
 def test_shift_header_missing_or_mistyped_key_raises(tmp_path, where, key):
     g = build_grid(1, 5)
@@ -180,6 +194,12 @@ def test_shift_header_missing_or_mistyped_key_raises(tmp_path, where, key):
         del header[key]
     elif where == "block":
         del header["blocks"][1][key]
+    elif where == "not-an-int" and key == "levels":
+        header["levels"][1] = _NOT_AN_INT[key]
+    elif where == "not-an-int" and key in _SHIFT_BLOCK_KEYS:
+        header["blocks"][1][key] = _NOT_AN_INT[key]
+    elif where == "not-an-int":
+        header[key] = _NOT_AN_INT[key]
     else:
         header[key] = {"not": "a value"}
     with open(header_path, "w") as fh:
