@@ -28,6 +28,7 @@ from .estimates import (
 )
 from .experiments import (
     ExperimentConfig,
+    _WEIGHT_KEYS,
     build_config_shift,
     build_config_weight,
     class_corona,
@@ -81,8 +82,9 @@ def _flag_shift(args, grid):
 
 
 def _resolve_weight(args, grid):
+    """The weight of the flags: --weight-file, or --family with its own keys."""
     spec = ({"family": "file", "path": args.weight_file} if args.weight_file else
-            {"family": args.family, "a": args.a, "n": args.n, "seed": args.seed})
+            {k: v for k, v in vars(args).items() if k in _WEIGHT_KEYS[args.family]})
     return build_config_weight(spec, grid)
 
 

@@ -9,6 +9,7 @@ suites; reruns must reproduce them.
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from time import perf_counter
@@ -474,38 +475,43 @@ def build_config_shift(cfg: ExperimentConfig, grid: DyadicGrid) -> SimpleHaarShi
     raise ShiftError(f"unknown shift kind {cfg.shift_kind!r}")
 
 
+_WEIGHT_KEYS = {"constant": frozenset({"family", "value"}),
+                "power": frozenset({"family", "a"}),
+                "cascade": frozenset({"family", "n", "seed"}),
+                "file": frozenset({"family", "path"})}
+
+
 def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
+    """The label and weight of a spec with its family's closed key set; a
+    numeric field must be a finite JSON number (not a bool or a string)."""
     family = spec.get("family", "constant")
-    try:
-        if family == "constant":
-            value = float(spec.get("value", 1.0))
-        elif family == "power":
-            a = float(spec["a"])
-        elif family == "cascade":
-            n, seed = spec["n"], check_natural(spec.get("seed", 0), "seed", WeightError)
-            if isinstance(n, bool) or not isinstance(n, (int, float)):
-                raise TypeError(f"cascade target n must be a number, got {n!r}")
-        elif family == "file":
-            path = spec["path"]
-            if not isinstance(path, str):
-                raise TypeError(f"weight file path must be a string, got {path!r}")
-    except KeyError as exc:
-        raise WeightError(f"weight family {family!r} missing field {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise WeightError(f"bad {family!r} weight parameters: {exc}") from exc
+    if not isinstance(family, str) or family not in _WEIGHT_KEYS:
+        raise WeightError(f"unknown weight family {family!r}")
+    _known_keys(spec, _WEIGHT_KEYS[family], WeightError, f"{family!r} weight")
+
+    def read(key, default=None, kind=(int, float)):
+        value = spec.get(key, default)
+        if isinstance(value, kind) and (kind is str or not isinstance(value, bool)
+                                        and abs(value) <= sys.float_info.max):  # NaN fails
+            return value
+        raise WeightError(f"{family!r} weight field {key!r} must be a "
+                          f"{'string' if kind is str else 'finite number'}, not {value!r}")
+
     if family == "constant":
+        value = float(read("value", 1.0))
         return f"constant:{value}", Weight(GridFunction.constant(grid, value))
     if family == "power":
+        a = float(read("a"))
         return f"power:a={a}", power_weight(a, grid)
     if family == "cascade":
+        n, seed = read("n"), check_natural(spec.get("seed", 0), "seed", WeightError)
         return f"cascade:n={n}:seed={seed}", random_a2_weight(n, seed, grid)
-    if family == "file":
-        w = load_weight(path)
-        if w.grid != grid:
-            raise WeightError(f"weight file {path} is on the d={w.grid.d}, N={w.grid.N} "
-                              f"grid, not d={grid.d}, N={grid.N}")
-        return f"file:{path}", w
-    raise WeightError(f"unknown weight family {family!r}")
+    path = read("path", kind=str)
+    w = load_weight(path)
+    if w.grid != grid:
+        raise WeightError(f"weight file {path} is on the d={w.grid.d}, N={w.grid.N} "
+                          f"grid, not d={grid.d}, N={grid.N}")
+    return f"file:{path}", w
 
 
 def _sweep_row(args) -> SweepRow:

@@ -11,16 +11,16 @@ pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces
 (matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
-certifies the same Krylov value s with one Cholesky factorization of
-s^2 (1 + eps) I - H: H is K x K, from the factors M = C G^T of a shift
-with K = terms x family cubes <= n/2, or else M^T M of the n x n
-matrix M (eps about 2.5e-10 at 1024 cells), with the symmetric eigensolver
-on M^T M when both fail), the dyadic Calderon-Zygmund decomposition, and a
-weak-L1 superlevel diagnostic.  The factors are row-sparse, one value per
-cell and (level, term), so the Krylov products are gathers and bincounts
-and the Gram matrices come from per-level pooled products; each Gram entry
-still sums at most n products, so eps' keeps its gamma_n bound (at most
-6e-9 on the two-weight suite).
+runs the same loop once, through the row-sparse factors of the shift, and
+certifies its value with one Cholesky factorization: see `operator_norm`),
+the dyadic Calderon-Zygmund decomposition, and a weak-L1 superlevel
+diagnostic.
+
+A reduction whose value reaches an output is a fixed-order numpy reduction
+(`np.einsum`, `np.bincount`, `pool`), never a BLAS dot or norm, whose partial
+sums split by thread: the outputs are the same bytes at any BLAS thread
+count.  BLAS products that only decide a certificate's pass or fail
+(M^T M, the congruence, l2) may stay.
 """
 
 from __future__ import annotations
@@ -404,21 +404,17 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     `dense-svd` is the oracle for grids of at most 4096 cells; `auto` picks
     the oracle when it is available.
 
-    The oracle certifies a Krylov value s = |M v| (v the unit right Ritz
-    vector of the same loop, same `tol`, `max_iter` and `seed`; M the n x n
-    matrix of `dense_matrix`) with one Cholesky factorization (`_certifies`).
-    A shift with K = terms x family cubes <= n/2 first takes the factored
-    route: the loop runs through M = C G^T, whose row-sparse n x K
-    factors (`_low_rank_factors`) hold one value per cell and (level, term),
-    by one gather and one bincount per product, and the certificate is K x K
-    (`_factored_gram`, on Gram matrices pooled level by level; eps' at most
-    6e-9 on the two-weight suite); no n x K or n x n array is formed.
-    Shifts with more columns, and a factored route that fails (G^T G not
-    positive definite, the loop raising `OperatorNormError`, the certificate
-    refusing), take the n x n route:
-    the loop on M, then M^T M with the bound of `_gram_error` (eps about
-    2.5e-10 at 1024 cells), and when that fails too, or the loop raises, the
-    square root of the top eigenvalue of M^T M from LAPACK's symmetric
+    The oracle runs the loop once (same `tol`, `max_iter` and `seed`)
+    through the row-sparse n x K factors of M = C G^T (`_low_rank_factors`,
+    M the matrix of `dense_matrix`), by one bincount and one gather per
+    product, and takes s = |C G^T v| for its unit right Ritz vector v.  The
+    shift's size only picks what certifies s with one Cholesky factorization
+    (`_certifies`): the K x K `_factored_gram` when 0 < K <= n/2 (eps' at most
+    6e-9 on the two-weight suite; no n x K or n x n array is formed), and
+    when K is larger, G^T G is not positive definite or that certificate
+    refuses, M^T M with the bound of `_gram_error` (eps about 2.5e-10 at 1024
+    cells).  When that fails too, or the loop raises, the norm is the square
+    root of the top eigenvalue of the same M^T M from LAPACK's symmetric
     eigensolver.  A wrong Krylov value therefore never passes, the dense
     branch never raises `OperatorNormError`, and M = 0 (s = 0, which the
     certificate rejects) gives +0.0 through the fallback, never NaN.
@@ -426,17 +422,24 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     if method == "auto":
         method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
     if method == "dense-svd":
+        n = T.grid.cell_count
+        if n > _DENSE_CELLS:
+            raise ShiftError("dense matrix limited to grids with at most 4096 cells")
         factors = _low_rank_factors(T, sigma, mu)
-        s = None if factors is None else _factored_norm(factors, tol, max_iter, seed)
-        if s is not None:
-            return s
-        M = dense_matrix(T, sigma, mu)
+        forward, backward = _factor_products(factors)
         try:
-            _, v = _golub_kahan(lambda x: M @ x, lambda y: M.T @ y, M.shape[1],
-                                tol, max_iter, seed)
-            s = float(np.linalg.norm(M @ v))
+            _, v = _golub_kahan(forward, backward, n, tol, max_iter, seed)
+            s = _norm(forward(v))
         except OperatorNormError:
             s = 0.0
+        if 0 < factors.K <= n // 2:
+            try:
+                H, err = _factored_gram(factors)
+                if _certifies(H, s, err):
+                    return s
+            except np.linalg.LinAlgError:       # G^T G not positive definite
+                pass
+        M = dense_matrix(T, sigma, mu)
         gram = M.T @ M
         del M
         if _certifies(gram, s, _gram_error(gram)):
@@ -487,21 +490,16 @@ def _low_rank_factors(T, sigma, mu):
     `dense_matrix`), one column per (level, term, cube), numbered col +
     count * term + cube, holding the expanded profile on the cube's cells.
     A cell lies in one cube per level, so only its (level, term) slots are
-    stored; None unless K <= n/2 and n is within the dense limit."""
+    stored; a shift with no family cube gives K = 0 columns."""
     grid = T.grid
-    n, d, N = grid.cell_count, grid.d, grid.N
-    if n > _DENSE_CELLS:
-        return None
-    K = sum(T.g[j].shape[0] * grid.level_count(j) for j in T.levels)
-    if not 0 < K <= n // 2:
-        return None
+    d, N = grid.d, grid.N
     a, b = _measure_scalings(grid, sigma, mu)
     g, gamma, level = _profile_columns(T)
-    cols, col = [], 0
+    cols, K = [np.zeros((grid.cell_count, 0), dtype=np.intp)], 0
     for j in T.levels:
         terms, count = T.g[j].shape[:2]
-        cols.append(col + count * np.arange(terms) + ancestor_map(d, N, j)[:, None])
-        col += terms * count
+        cols.append(K + count * np.arange(terms) + ancestor_map(d, N, j)[:, None])
+        K += terms * count
     return _RowSparse(gamma * b[:, None], g * (a * grid.cell_volume)[:, None],
                       np.hstack(cols), level, K, grid)
 
@@ -514,19 +512,6 @@ def _factor_products(f):
         return lambda x: np.einsum("ij,ij->i", A, np.bincount(
             flat, weights=(B * x[:, None]).ravel(), minlength=f.K)[f.cols])
     return through(f.C, f.G), through(f.G, f.C)
-
-
-def _factored_norm(f, tol, max_iter, seed):
-    """s = |C G^T v| from the Krylov loop run through the factors, when
-    `_certifies` accepts it with `_factored_gram`'s H and err; else None."""
-    forward, backward = _factor_products(f)
-    try:
-        H, err = _factored_gram(f)
-        _, v = _golub_kahan(forward, backward, len(f.cols), tol, max_iter, seed)
-    except (np.linalg.LinAlgError, OperatorNormError):
-        return None
-    s = float(np.linalg.norm(forward(v)))
-    return s if _certifies(H, s, err) else None
 
 
 def _factor_grams(f):
@@ -667,14 +652,14 @@ def _golub_kahan(forward, backward, n, tol, max_iter, seed):
     Ritz vector V_k q that goes with it."""
     rng = np.random.default_rng(check_natural(seed, "seed", ShiftError))
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     V, U, alphas, betas = [], [], [], []
     est = est_prev = None
     for _ in range(min(max_iter, n)):
         u = forward(v) - (betas[-1] * U[-1] if U else 0.0)
         for x in U:         # full reorthogonalization, in place
-            u -= (x @ u) * x
-        alpha = float(np.linalg.norm(u))
+            u -= np.einsum("i,i", x, u) * x
+        alpha = _norm(u)
         alphas.append(alpha)
         left, s, right = np.linalg.svd(np.diag(alphas) + np.diag(betas, 1))
         est_prev, est = est, float(s[0])
@@ -684,8 +669,8 @@ def _golub_kahan(forward, backward, n, tol, max_iter, seed):
         U.append(u / alpha)
         p = backward(U[-1]) - alpha * v
         for x in V:
-            p -= (x @ p) * x
-        beta = float(np.linalg.norm(p))
+            p -= np.einsum("i,i", x, p) * x
+        beta = _norm(p)
         if beta * abs(left[-1, 0]) <= tol * est:
             return est, _ritz_vector(V, right[0])
         betas.append(beta)
@@ -701,7 +686,12 @@ def _ritz_vector(V, q):
     x = q[0] * V[0]
     for c, b in zip(q[1:], V[1:]):
         x += c * b
-    return x / np.linalg.norm(x)
+    return x / _norm(x)
+
+
+def _norm(x) -> float:
+    """|x| by numpy's own summation loop (the module's reduction rule)."""
+    return math.sqrt(np.einsum("i,i", x, x))
 
 
 # ---------------------------------------------------------------------------

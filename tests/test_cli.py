@@ -251,11 +251,18 @@ def test_sweep_refuses_seed_flag(tmp_path):
     json.dumps({**_SMALL_SWEEP, "grid": {"d": True, "N": 4}}),
     json.dumps({**_SMALL_SWEEP, "shift": {"kind": "random", "tau": True}}),
     json.dumps({**_SMALL_SWEEP, "shift": {"kind": "random", "tau": 2.5}}),
+    json.dumps({**_SMALL_SWEEP, "weights": [{"family": "power", "a": "0.5"}]}),
+    json.dumps({**_SMALL_SWEEP, "weights": [{"family": "constant", "value": True}]}),
+    json.dumps({**_SMALL_SWEEP, "weights": [{"family": "constant", "value": "2"}]}),
+    json.dumps({**_SMALL_SWEEP, "weights": [{"family": "cascade", "n": 2, "seeed": 4}]}),
+    json.dumps({**_SMALL_SWEEP, "weights": [{"family": "power", "a": 10 ** 400}]}),
 ], ids=["broken-json", "shift-kind", "weight-family", "power-without-a", "grid-n",
         "grid-list", "shift-string", "weights-string", "weight-number", "weights-empty",
         "power-a-string", "cascade-n-string", "format-xml", "with-corona-string",
         "with-testing-number", "separated-string", "experiment-id-list", "out-dir-number",
-        "grid-fractional", "grid-boolean", "tau-boolean", "tau-fractional"])
+        "grid-fractional", "grid-boolean", "tau-boolean", "tau-fractional",
+        "power-a-numeric-string", "constant-value-boolean", "constant-value-string",
+        "cascade-seed-misspelled", "power-a-overflows"])
 def test_sweep_bad_config_exit_two(tmp_path, capsys, text):
     cfgp = tmp_path / "broken.json"
     cfgp.write_text(text)

@@ -1,24 +1,25 @@
 """Operator-level identities and the dense norm oracle against independent checks.
 
-The `dense-svd` norm certifies a Krylov value s, a lower bound for |M|, with
+The `dense-svd` norm runs the Krylov loop once, through M = C G^T with
+row-sparse factors (one value and column per cell and (level, term)), by
+gathers and bincounts, and certifies its value s, a lower bound for |M|, with
 one Cholesky factorization of s^2 (1 + eps) I - H.  A simple shift whose
-column count K (terms x family cubes) is at most n/2 takes the factored route:
-M = C G^T with row-sparse factors (one value and column per cell and (level,
-term)), the Krylov loop runs through them by gathers and bincounts, and H =
-L^T (C^T C) L (G^T G = L L^T) is K x K, with both Gram matrices pooled level
-by level and eps' from the rounding bounds of `shifts._factored_gram`.
-`_dense_factors` builds the same factors as dense n x K arrays and is their
-oracle: the row-sparse values are its nonzeros, the products match its
-products, and each pooled Gram entry, a sum of at most n products, stays
-within gamma_n |F|^T |F| of the exact one.  Other shifts (tau=1 at d=1,
-the d=2 martingale transform, a generic shift whose split entries pad its
-cubes past n/2 columns) and a factored route that does not certify (G^T G
-singular, an unconverged Krylov run, a refused certificate) take the n x n
-route on H = M^T M, and when that fails too, LAPACK's symmetric
-eigensolver.  Both routes are checked against the full SVD of M, both
-certificates against a value below the norm, the route by counting
-`dense_matrix`, `apply_values` and eigensolver calls, and the fast paths by
-the suite prefix, which must certify without a fallback.  The property tests
+column count K (terms x family cubes) is at most n/2 first tries H =
+L^T (C^T C) L (G^T G = L L^T), which is K x K, with both Gram matrices
+pooled level by level and eps' from the rounding bounds of
+`shifts._factored_gram`.  `_dense_factors` builds the same factors as dense
+n x K arrays and is their oracle: the row-sparse values are its nonzeros,
+the products match its products, and each pooled Gram entry, a sum of at
+most n products, stays within gamma_n |F|^T |F| of the exact one.  Other
+shifts (tau=1 at d=1, the d=2 martingale transform, a generic shift whose
+split entries pad its cubes past n/2 columns, an entry-less one with K = 0)
+and a factored certificate that does not pass (G^T G singular, an
+unconverged Krylov run, a refused certificate) certify on H = M^T M, and
+when that fails too, LAPACK's symmetric eigensolver takes over.  Both
+certificates are checked against the full SVD of M and against a value
+below the norm, the route by counting Krylov runs, `dense_matrix`,
+`apply_values` and eigensolver calls, and the fast paths by the suite
+prefix, which must certify without a fallback.  The property tests
 cover the oracle on random grids and weight pairs, the duality identities at
 d=1 and d=2 (<Tf, g> = <f, T*g> for simple and generic shifts, and the same
 dense norm for T and its adjoint), the dual-weight involution, and the
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab import (
+    GenericHaarShift,
     GridFunction,
     OperatorNormError,
     SimpleHaarShift,
@@ -90,10 +92,10 @@ def test_dense_norm_matches_full_svd(case):
 def test_dense_norm_of_zero_shift_is_zero():
     g = build_grid(1, 6)
     w = random_a2_weight(1, 5, g)
-    T = zero_shift(g, 2)
-    norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
-    assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
-    assert _full_svd_norm(T, w, dual_weight(w)) == 0.0
+    for T in (zero_shift(g, 2), GenericHaarShift(g, 1, [])):    # K = 31 and K = 0
+        norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+        assert _full_svd_norm(T, w, dual_weight(w)) == 0.0
 
 
 @pytest.fixture
@@ -152,9 +154,10 @@ def test_unconverged_krylov_run_takes_the_fallback_and_never_raises(eigvalsh_cal
 
 @pytest.fixture
 def dense_builds(monkeypatch):
-    """Counts the n x n route's builds of M: `dense_matrix` calls and the
-    simple-shift applications behind them."""
-    calls = {"dense_matrix": 0, "apply_values": 0}
+    """Counts the Krylov runs (`_golub_kahan` calls) and the n x n route's
+    builds of M: `dense_matrix` calls and the simple-shift applications
+    behind them."""
+    calls = {"_golub_kahan": 0, "dense_matrix": 0, "apply_values": 0}
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
@@ -162,23 +165,25 @@ def dense_builds(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(shifts, "dense_matrix", counting("dense_matrix", shifts.dense_matrix))
+    for name in ("_golub_kahan", "dense_matrix"):
+        monkeypatch.setattr(shifts, name, counting(name, getattr(shifts, name)))
     monkeypatch.setattr(SimpleHaarShift, "apply_values",
                         counting("apply_values", SimpleHaarShift.apply_values))
     return calls
 
 
 def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_calls):
-    """tau=1 rows take the n x n route; tau >= 2 rows never build M, and their
-    factored value is the full SVD's to 1e-13."""
+    """Every row runs the Krylov loop once; tau=1 rows certify on the n x n
+    route, tau >= 2 rows never build M, and their value is the full SVD's
+    to 1e-13."""
     for i in range(24):
         T, sigma, mu = exp.two_weight_instance(i)
-        dense_builds.update(dense_matrix=0, apply_values=0)
+        dense_builds.update(_golub_kahan=0, dense_matrix=0, apply_values=0)
         norm = operator_norm(T, sigma, mu, method="dense-svd")
-        if T.tau == 1:      # K = n - 1 columns: the n x n route
-            assert dense_builds == {"dense_matrix": 1, "apply_values": 1}
+        if T.tau == 1:      # K = n - 1 columns: the n x n certificate
+            assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 1, "apply_values": 1}
             continue
-        assert dense_builds == {"dense_matrix": 0, "apply_values": 0}
+        assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 0, "apply_values": 0}
         full = _full_svd_norm(T, sigma, mu)
         assert abs(norm - full) <= 1e-13 * full
     assert eigvalsh_calls == []
@@ -186,8 +191,9 @@ def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_c
 
 @pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked"])
 def test_the_n_by_n_route_builds_m_once(case, dense_builds):
-    """Shifts with K > n/2 skip the factored route; a zero or masked tau=2
-    shift (K = 31 <= 32) enters it and falls through on a singular G^T G."""
+    """Shifts with K > n/2 skip the factored certificate; a zero or masked
+    tau=2 shift (K = 31 <= 32) tries it and falls through on a singular
+    G^T G.  Either way the Krylov loop runs once, through the factors."""
     grid = build_grid(1, 6) if case != "martingale_d2" else build_grid(2, 3)
     w = random_a2_weight(1, 5, grid)
     if case == "generic":
@@ -200,10 +206,10 @@ def test_the_n_by_n_route_builds_m_once(case, dense_builds):
         rng = np.random.default_rng(3)
         T = masked(random_simple_shift(2, 11, grid),
                    {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
-    factored = shifts._low_rank_factors(T, w, dual_weight(w)) is not None
-    assert factored == (case in ("zero", "masked"))
+    factors = shifts._low_rank_factors(T, w, dual_weight(w))
+    assert (factors.K <= grid.cell_count // 2) == (case in ("zero", "masked"))
     norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
-    assert dense_builds["dense_matrix"] == 1
+    assert dense_builds["_golub_kahan"] == 1 and dense_builds["dense_matrix"] == 1
     assert norm == pytest.approx(_full_svd_norm(T, w, dual_weight(w)), rel=1e-12, abs=0.0)
 
 
