@@ -27,6 +27,7 @@ from .estimates import (
     weak_boundedness_from_t1_check,
 )
 from .experiments import (
+    JN_DEPTH,
     ExperimentConfig,
     _WEIGHT_KEYS,
     build_config_shift,
@@ -196,7 +197,7 @@ def cmd_lemmas(args) -> int:
     lhs, rhs = paraproduct_identity(f, T, None, w)
     para_ok = abs(lhs - rhs) <= 1e-10 * max(lhs, rhs, 1e-30)
 
-    fam = jn_boundary_family(args.seed, depth=min(args.N, 10))
+    fam = jn_boundary_family(args.seed, depth=min(args.N, JN_DEPTH))
     jn = jn_check(fam)
     jn_ok = bool(jn.hypothesis_ok and jn.conclusion_ok)
 
@@ -339,7 +340,7 @@ def _add_weight_flags(p):
     p.add_argument("--family", default="constant",
                    choices=("constant", "power", "cascade"))
     p.add_argument("--a", type=float, default=0.5, help="power-weight exponent")
-    p.add_argument("--n", type=float, default=2, help="cascade target exponent")
+    p.add_argument("--n", type=float, default=2.0, help="cascade target exponent")
     p.add_argument("--weight-file", default=None, help="weight header JSON path")
 
 

@@ -43,6 +43,7 @@ from .grid import (
     integral_pyramid,
     level_argmax,
     pool,
+    report_dict,
     scatter_subcells,
     subcell_matrix,
     suffix_sweep,
@@ -54,7 +55,7 @@ from .corona import (
     CubeSet,
     pn_alpha,
 )
-from .shifts import SimpleHaarShift, _profile_columns, operator_norm
+from .shifts import SimpleHaarShift, _profile_columns, _weak_type, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -76,19 +77,7 @@ class TestingReport:
     def testing_sum(self) -> float:
         return self.c_wb + self.c_t1 + self.c_tstar1
 
-    def to_dict(self) -> dict:
-        return {
-            "c_wb": self.c_wb,
-            "c_t1": self.c_t1,
-            "c_tstar1": self.c_tstar1,
-            "full_norm": self.full_norm,
-            "tau": self.tau,
-            "witnesses": {
-                k: (v.address() if isinstance(v, DyadicCube)
-                    else [c.address() for c in v])
-                for k, v in self.witnesses.items()
-            },
-        }
+    to_dict = report_dict
 
 
 class _IndicatorScan:
@@ -544,18 +533,31 @@ class DistributionCurve:
         return all(a >= b - 1e-15 for a, b in zip(self.masses, self.masses[1:]))
 
 
+def affine_fit(x, y) -> tuple[float | None, float]:
+    """Slope and R^2 of the affine least-squares fit of y against x.
+
+    Sums run in point order.  R^2 = 1 - SSres/SStot with the residuals of the
+    fitted line; when x takes one value the slope is None and R^2 is 1.0 for
+    constant y, else 0.0.
+    """
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    xbar, ybar = sum(x) / len(x), sum(y) / len(y)
+    den = sum((t - xbar) ** 2 for t in x)
+    ss_tot = sum((v - ybar) ** 2 for v in y)
+    if den == 0:
+        return None, 1.0 if ss_tot == 0 else 0.0
+    slope = sum((t - xbar) * (v - ybar) for t, v in zip(x, y)) / den
+    if ss_tot == 0:
+        return slope, 1.0
+    intercept = ybar - slope * xbar
+    ss_res = sum((v - (intercept + slope * t)) ** 2 for t, v in zip(x, y))
+    return slope, 1.0 - ss_res / ss_tot
+
+
 def fit_slope(t_values, masses) -> float | None:
     """Least-squares slope of log(mass) against t over positive masses."""
-    ts = [t for t, m in zip(t_values, masses) if m > 0]
-    ms = [math.log(m) for m in masses if m > 0]
-    if len(ts) < 2:
-        return None
-    tbar = sum(ts) / len(ts)
-    mbar = sum(ms) / len(ms)
-    den = sum((t - tbar) ** 2 for t in ts)
-    if den == 0:
-        return None
-    return sum((t - tbar) * (m - mbar) for t, m in zip(ts, ms)) / den
+    points = [(t, math.log(m)) for t, m in zip(t_values, masses) if m > 0]
+    return affine_fit(*zip(*points))[0] if points else None
 
 
 @dataclass(frozen=True)
@@ -620,10 +622,7 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
             sel = members.mask(j)
             if not sel.any():
                 continue
-            rows = np.abs(subcell_matrix(s, d, N - j))
-            rows = np.sort(rows, axis=1)[:, ::-1]
-            counts = np.arange(1, rows.shape[1] + 1)
-            weak = (rows * counts[None, :]).max(axis=1) * vol
+            weak = _weak_type(subcell_matrix(s, d, N - j)) * vol
             denom = (2.0 ** (-alpha)) * dens_l * (2.0 ** (-j * d))
             weak_worst = max(weak_worst, float((weak[sel] / denom).max()))
     return EssenceReport(
@@ -646,14 +645,7 @@ class WbFromT1Report:
     chain_worst: float
     a2: float
 
-    def to_dict(self) -> dict:
-        return {
-            "i2_worst": self.i2_worst,
-            "i3_worst": self.i3_worst,
-            "largescale_worst": self.largescale_worst,
-            "chain_worst": self.chain_worst,
-            "a2": self.a2,
-        }
+    to_dict = report_dict
 
 
 # Cell values per batch of the weak-boundedness scan (cells x columns).  On
@@ -704,7 +696,7 @@ def weak_boundedness_from_t1_check(T: SimpleHaarShift, w: Weight) -> WbFromT1Rep
             pyr = integral_pyramid(out * dual_cells[:, None], d, N)
             wq = w.sums[j][flats]
             local = subcell_matrix(out, d, N - j)[flats, :, cols] ** 2 * local_dual[flats]
-            loc = np.array([row.sum() for row in local])
+            loc = local.sum(axis=1)
             i3_worst = max(i3_worst, float((loc / (a2 ** 2 * wq)).max()))
             for lr in range(min(coarse), min(N, j + (tau + 1)) + 1):
                 rights = a2 * np.sqrt(wq * w.dual_sums[lr][:, None])
@@ -727,16 +719,7 @@ class SufficiencyReport:
     worst_norm: float
     ratio_to_sqrt_a2: float
 
-    def to_dict(self) -> dict:
-        return {
-            "two_weight_a2": self.two_weight_a2,
-            "a_infty_alpha": self.a_infty_alpha,
-            "a_infty_beta": self.a_infty_beta,
-            "eps": self.eps,
-            "norms": list(self.norms),
-            "worst_norm": self.worst_norm,
-            "ratio_to_sqrt_a2": self.ratio_to_sqrt_a2,
-        }
+    to_dict = report_dict
 
 
 def sufficiency_experiment(alpha: Weight, beta: Weight, shifts,

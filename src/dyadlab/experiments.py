@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
-from .grid import DyadicCube, DyadicGrid, GridError, GridFunction, build_grid, check_natural
+from .grid import (DyadicCube, DyadicGrid, GridError, GridFunction, build_grid, check_natural,
+                   report_dict)
 from .weights import Weight, WeightError, dual_weight, power_weight, random_a2_weight
 from .shifts import (
     ShiftError,
@@ -27,7 +27,8 @@ from .shifts import (
 )
 from .partition import ShellPartition, partition_operator_norm, partition_power_weight
 from .corona import CoronaDecomposition, CubeSet, build_corona, qn_partition
-from .estimates import ProfileFamily, fit_slope, h_functionals, jn_check, testing_constants
+from .estimates import (ProfileFamily, affine_fit, fit_slope, h_functionals, jn_check,
+                        testing_constants)
 from .serialize import FormatError, load_weight
 
 WORKERS_ENV = "DYADLAB_WORKERS"
@@ -68,6 +69,8 @@ def _map_workers(fn, jobs) -> list:
     """`fn` over `jobs` in order, on `worker_count()` processes if above 1."""
     workers = worker_count()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, jobs))
     return [fn(j) for j in jobs]
@@ -246,21 +249,7 @@ class SweepRow:
     carleson_max: float
     runtime_ms: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def affine_r2(x, y) -> float:
-    """Coefficient of determination of the affine least-squares fit."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    A = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    resid = y - A @ coef
-    ss_tot = ((y - y.mean()) ** 2).sum()
-    if ss_tot == 0:
-        return 1.0
-    return float(1.0 - (resid ** 2).sum() / ss_tot)
+    to_dict = report_dict
 
 
 def power_sweep_norms(exponents=SWEEP_EXPONENTS, depth: int = SWEEP_DEPTH):
@@ -290,9 +279,9 @@ def sweep_models(chars, norms) -> dict:
         "norms": [float(n) for n in norms],
         "ratio_min": float(ratios.min()),
         "ratio_max": float(ratios.max()),
-        "r2_linear": affine_r2(chars, norms),
-        "r2_sqrt": affine_r2(np.sqrt(chars), norms),
-        "r2_quadratic": affine_r2(chars ** 2, norms),
+        "r2_linear": affine_fit(chars, norms)[1],
+        "r2_sqrt": affine_fit(np.sqrt(chars), norms)[1],
+        "r2_quadratic": affine_fit(chars ** 2, norms)[1],
     }
 
 

@@ -9,13 +9,14 @@ row-major order over the index vectors, and the toolkit moves data between
 levels (pooling children into parents, expanding parents onto descendants,
 grouping descendants under an ancestor).  These index rules, with descendant
 numbering, ancestor lookup and the tensor Haar sign table, live only here, and
-so does the witness rule of a cube supremum (`level_argmax`).
+so do the witness rule of a cube supremum (`level_argmax`) and the JSON form
+of a report with its witness cubes (`report_dict`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -189,6 +190,21 @@ class DyadicCube:
 
     def __repr__(self):
         return f"DyadicCube(level={self.level}, index={self.index})"
+
+
+def report_dict(report):
+    """The JSON form of a report: a dataclass's fields by name, a cube as its
+    `address()`, lists, tuples and dicts item by item, anything else as is.
+    Report classes bind it as their `to_dict`."""
+    if isinstance(report, DyadicCube):
+        return report.address()
+    if is_dataclass(report):
+        return {f.name: report_dict(getattr(report, f.name)) for f in fields(report)}
+    if isinstance(report, (list, tuple)):
+        return [report_dict(v) for v in report]
+    if isinstance(report, dict):
+        return {k: report_dict(v) for k, v in report.items()}
+    return report
 
 
 def cube_view(cells: np.ndarray, cube: DyadicCube) -> np.ndarray:

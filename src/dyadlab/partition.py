@@ -101,23 +101,17 @@ class ShellPartition:
     def analysis(self, x: np.ndarray):
         """Haar coefficients of orthonormal cell coordinates x (cells, B)."""
         tail, shells, uniform = self._split(x)
-        if self.shell_count:
-            up, _ = self._spine_matrices
-            s_sh, c_sh = _tree_analysis(shells)
-            s_sp = up @ np.concatenate([s_sh, tail[None]], axis=0)
-            c_sp = (s_sp[1:] - s_sh) * _R2
-            head = s_sp[0]
-        else:
-            c_sh, c_sp, head = [], np.zeros((0,) + x.shape[1:]), tail
-        s_un, c_un = _tree_analysis(np.concatenate([head[None], uniform], axis=0)[None])
+        up, _ = self._spine_matrices
+        s_sh, c_sh = _tree_analysis(shells)
+        s_sp = up @ np.concatenate([s_sh, tail[None]], axis=0)
+        c_sp = (s_sp[1:] - s_sh) * _R2
+        s_un, c_un = _tree_analysis(np.concatenate([s_sp[:1], uniform], axis=0)[None])
         return s_un, c_un, c_sp, c_sh
 
     def synthesis(self, coefs) -> np.ndarray:
         """Inverse (and transpose) of `analysis`."""
         s_un, c_un, c_sp, c_sh = coefs
         cells = _tree_synthesis(s_un, c_un)[0]
-        if not self.shell_count:
-            return cells
         _, down = self._spine_matrices
         s_sp = down @ np.concatenate([cells[:1], c_sp], axis=0)
         shells = _tree_synthesis((s_sp[:-1] - c_sp) * _R2, c_sh)

@@ -765,9 +765,11 @@ def weak_l1_ratio(T, f: GridFunction) -> float:
     l1 = f.l1_norm()
     if l1 == 0.0:
         raise ShiftError("input must be nonzero")
-    out = np.abs(apply_shift(T, f).values)
-    vol = f.grid.cell_volume
-    order = np.sort(out)[::-1]
-    counts = np.arange(1, order.size + 1)
-    best = float((order * counts).max()) * vol
-    return best / l1
+    return float(_weak_type(apply_shift(T, f).values)) * f.grid.cell_volume / l1
+
+
+def _weak_type(values: np.ndarray) -> np.ndarray:
+    """max over k of k times the k-th largest |value|, along the last axis:
+    the weak-type supremum of cell-constant values, in units of a cell."""
+    order = np.sort(np.abs(values), axis=-1)[..., ::-1]
+    return (order * np.arange(1, order.shape[-1] + 1)).max(axis=-1)

@@ -30,6 +30,7 @@ from .grid import (
     check_natural,
     integral_pyramid,
     level_argmax,
+    report_dict,
     scatter_subcells,
     subcell_matrix,
 )
@@ -138,12 +139,7 @@ class ApReport:
     characteristic: float
     witness: DyadicCube
 
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "characteristic": self.characteristic,
-            "witness": self.witness.address(),
-        }
+    to_dict = report_dict
 
 
 def ap_characteristic(w: Weight, p: float = 2.0) -> ApReport:

@@ -224,7 +224,7 @@ def test_criterion_7_paraproduct_identity():
 def test_criterion_8_john_nirenberg():
     ok = True
     detail = ""
-    for i in range(50):
+    for i in range(exp.JN_COUNT):
         fam = exp.jn_boundary_family(i)
         rep = jn_check(fam, t_values=tuple(range(1, 11)))
         if not (rep.hypothesis_ok and rep.conclusion_ok):
@@ -233,7 +233,7 @@ def test_criterion_8_john_nirenberg():
             break
     assert report(
         8, "exponential decay under the level-set hypothesis", ok,
-        detail or "50 boundary-scaled families, t in 1..10, every cube")
+        detail or f"{exp.JN_COUNT} boundary-scaled families, t in 1..10, every cube")
 
 
 # -- criterion 9: distributional decay of localized sums ---------------------------

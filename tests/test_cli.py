@@ -181,6 +181,27 @@ def test_sweep_constant_weights_ratios_equal_unweighted_norm(tmp_path, capsys):
         assert row["norm"] / row["a2"] == pytest.approx(base, rel=1e-12)
 
 
+def test_sweep_over_one_a2_value_reports_no_impossible_r2(tmp_path, capsys):
+    # two constant weights share a2 = 1: the fit has one x value, so R^2 is
+    # 1.0 if the norms agree and 0.0 if they differ, never negative
+    cfg = {
+        "grid": {"d": 1, "N": 6},
+        "shift": {"kind": "random", "tau": 2, "seed": 0},
+        "weights": [{"family": "constant", "value": 2.0},
+                    {"family": "constant", "value": 3.0}],
+        "norm_method": "dense-svd",
+    }
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    code, _ = run(capsys, "sweep", "--config", str(cfgp), "--out", str(out))
+    assert code == EXIT_OK
+    models = json.loads((out / "summary.json").read_text())["models"]
+    assert models["chars"] == [1.0, 1.0]
+    want = 1.0 if len(set(models["norms"])) == 1 else 0.0
+    assert [models[k] for k in ("r2_linear", "r2_sqrt", "r2_quadratic")] == [want] * 3
+
+
 def test_sweep_json_format(tmp_path, capsys):
     cfgp = tmp_path / "cfg.json"
     _write_sweep_config(cfgp)
@@ -332,6 +353,12 @@ def test_non_finite_weight_file_exit_two(tmp_path, capsys, bad):
     assert code == EXIT_BAD_INPUT
     assert err.startswith("error:") and "finite" in err
     assert "Traceback" not in err
+
+
+def test_cascade_label_is_one_for_the_default_and_explicit_n(capsys):
+    labels = [run(capsys, "char", "--N", "6", "--family", "cascade", *flag)[1]["weight"]
+              for flag in ([], ["--n", "2"], ["--n", "2.0"])]
+    assert labels == ["cascade:n=2.0:seed=0"] * 3
 
 
 @pytest.mark.parametrize("n", ["2000", "nan", "inf"])

@@ -35,7 +35,7 @@ from dyadlab import (
 )
 from dyadlab.corona import pn_alpha
 from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
-                               ProfileFamily, _IndicatorScan, fit_slope)
+                               ProfileFamily, _IndicatorScan, affine_fit, fit_slope)
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
 from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
@@ -475,6 +475,14 @@ def test_distribution_curve_slope_and_monotonicity():
     flat = DistributionCurve("lebesgue", (1, 2), (0.0, 0.0), 1.0, 1.0)
     assert fit_slope(flat.t_values, flat.masses) is None
     assert not DistributionCurve("x", (1, 2), (0.1, 0.2), 1.0, 1.0).is_monotone()
+
+
+def test_affine_fit_exact_line_and_degenerate_x():
+    slope, r2 = affine_fit([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0])
+    assert (slope, r2) == (2.0, 1.0)
+    assert affine_fit([2.0], [5.0]) == (None, 1.0)
+    # x takes one value: no slope, and the horizontal fit explains nothing
+    assert affine_fit([1.0, 1.0, 1.0], [0.5, 0.25, 2.0]) == (None, 0.0)
 
 
 

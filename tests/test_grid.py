@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,11 +10,20 @@ from dyadlab import (
     DyadicCube,
     GridError,
     GridFunction,
+    ap_characteristic,
     build_grid,
+    dual_weight,
     haar_basis,
     haar_coefficient,
     inner_product,
+    power_weight,
+    random_a2_weight,
+    random_simple_shift,
+    sufficiency_experiment,
+    weak_boundedness_from_t1_check,
 )
+from dyadlab import testing_constants as eval_testing_constants
+from dyadlab.experiments import ExperimentConfig, run_sweep
 from dyadlab.grid import (
     ancestor_map,
     descendant_flat,
@@ -209,3 +219,44 @@ def test_grid_function_immutable_and_validated():
         GridFunction(g, [1.0, 2.0])
     with pytest.raises(ValueError):
         f.values[0] = 3.0
+
+
+# -- reports: one JSON rule, report_dict, for every report's to_dict ----------------
+
+def _report_cases():
+    grid = build_grid(1, 5)
+    w = random_a2_weight(2, 3, grid)
+    T = random_simple_shift(2, 4, grid)
+    cfg = ExperimentConfig.from_dict({"grid": {"d": 1, "N": 4},
+                                      "weights": [{"family": "power", "a": 0.5}]})
+    reports = [ap_characteristic(power_weight(0.5, grid)),
+               eval_testing_constants(T, w, dual_weight(w), norm_method="dense-svd"),
+               weak_boundedness_from_t1_check(T, w),
+               sufficiency_experiment(w, dual_weight(w), [T], norm_method="dense-svd"),
+               run_sweep(cfg)[0]]
+    return [(rep, [f.name for f in fields(rep)]) for rep in reports]
+
+
+def _cubes_as_addresses(value, doc) -> int:
+    """Checks that `doc` is `value` with every cube as its address; returns
+    the number of cubes."""
+    if isinstance(value, DyadicCube):
+        assert doc == {"level": value.level, "index": list(value.index)}
+        return 1
+    if isinstance(value, dict):
+        assert list(doc) == list(value)
+        return sum(_cubes_as_addresses(v, doc[k]) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        assert isinstance(doc, list) and len(doc) == len(value)
+        return sum(_cubes_as_addresses(v, item) for v, item in zip(value, doc))
+    assert doc == value
+    return 0
+
+
+def test_report_to_dict_has_its_fields_and_cube_addresses():
+    cubes = 0
+    for rep, names in _report_cases():
+        doc = rep.to_dict()
+        assert list(doc) == names
+        cubes += sum(_cubes_as_addresses(getattr(rep, name), doc[name]) for name in names)
+    assert cubes > 1
