@@ -330,6 +330,19 @@ def descendant_flat(d: int, j_from: int, j_to: int, base, rel) -> np.ndarray:
     return ((i0 << t) + r0) * (1 << j_to) + (i1 << t) + r1
 
 
+def descendant_offset(d: int, j_from: int, j_to: int, flat) -> np.ndarray:
+    """Local offset of each level-j_to cube `flat` within its level-j_from
+    ancestor, in the row-major order of `descendant_flat` (its inverse)."""
+    t = j_to - j_from
+    if t < 0:
+        raise GridError("descendant level must not precede base level")
+    low = (1 << t) - 1
+    if d == 1:
+        return flat & low
+    i0, i1 = flat >> j_to, flat & ((1 << j_to) - 1)
+    return ((i0 & low) << t) | (i1 & low)
+
+
 def integral_pyramid(cell_integrals: np.ndarray, d: int, N: int) -> list[np.ndarray]:
     """Per-level cube integrals: pyr[j][k] = sum of cell integrals inside cube k."""
     pyr = [None] * (N + 1)

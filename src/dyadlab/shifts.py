@@ -12,15 +12,29 @@ pass, costing O((2^(tau d) + N) 2^(Nd)).
 The module also provides operator norms between weighted L^2 spaces
 (matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
 runs the same loop once, through the row-sparse factors of the shift, and
-certifies its value with one Cholesky factorization: see `operator_norm`),
-the dyadic Calderon-Zygmund decomposition, and a weak-L1 superlevel
-diagnostic.
+certifies its value with one Cholesky factorization over the tree of
+dyadic cubes: see `operator_norm`), the dyadic Calderon-Zygmund
+decomposition, and a weak-L1 superlevel diagnostic.
+
+The certificate works in the sigma-weighted Haar basis, the basis of the
+Nazarov-Treil-Volberg T1 theorem.  With the masses m_i = a_i^2 |cell|^2,
+the constant and the two-point functions h_P^sigma of every cube P are an
+orthonormal basis of L^2(m); in `dense_matrix` coordinates they are the
+columns of an orthogonal W, so |M| = |M W|.  Column (P, e) of M W is
+b T(m w_{P,e}): a family cube more than tau - 1 levels above P sees w as
+constant and pairs it to zero, so the column lives on the level
+max(p - tau + 1, 0) ancestor of P (the support rule), a cell holds
+1 + (2^d - 1) sum_p 2^(min(tau - 1, p) d) slots (11, 20 and 36 at d=1,
+N=10, tau = 1, 2, 3), and (M W)^T (M W) meets only columns whose supports
+nest.  Eliminating the finest level first, each cube's columns meet only
+their ancestors' columns, which already meet each other: no fill, so the
+Cholesky factorization runs cube by cube with no n x n array.
 
 A reduction whose value reaches an output is a fixed-order numpy reduction
 (`np.einsum`, `np.bincount`, `pool`), never a BLAS dot or norm, whose partial
 sums split by thread: the outputs are the same bytes at any BLAS thread
 count.  BLAS products that only decide a certificate's pass or fail
-(M^T M, the congruence, l2) may stay.
+(the tree Gram and its Schur updates, the fallback's M^T M) may stay.
 """
 
 from __future__ import annotations
@@ -37,14 +51,15 @@ from .grid import (
     GridError,
     GridFunction,
     _HAAR_SIGNS,
+    ancestor_flat,
     ancestor_map,
     assemble_levels,
     check_natural,
     cube_view,
     descendant_flat,
+    descendant_offset,
     expand,
     integral_pyramid,
-    pool,
     scatter_subcells,
     subcell_matrix,
 )
@@ -407,17 +422,19 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     The oracle runs the loop once (same `tol`, `max_iter` and `seed`)
     through the row-sparse n x K factors of M = C G^T (`_low_rank_factors`,
     M the matrix of `dense_matrix`), by one bincount and one gather per
-    product, and takes s = |C G^T v| for its unit right Ritz vector v.  The
-    shift's size only picks what certifies s with one Cholesky factorization
-    (`_certifies`): the K x K `_factored_gram` when 0 < K <= n/2 (eps' at most
-    6e-9 on the two-weight suite; no n x K or n x n array is formed), and
-    when K is larger, G^T G is not positive definite or that certificate
-    refuses, M^T M with the bound of `_gram_error` (eps about 2.5e-10 at 1024
-    cells).  When that fails too, or the loop raises, the norm is the square
-    root of the top eigenvalue of the same M^T M from LAPACK's symmetric
-    eigensolver.  A wrong Krylov value therefore never passes, the dense
-    branch never raises `OperatorNormError`, and M = 0 (s = 0, which the
-    certificate rejects) gives +0.0 through the fallback, never NaN.
+    product, and takes s = |C G^T v| for its unit right Ritz vector v.  One
+    certificate serves every shift (`_certifies`): a Cholesky factorization
+    of s^2 (1 + eps) I - H^, H^ the Gram matrix of Y = M W in the
+    sigma-weighted Haar basis (`_haar_rows`, `_tree_gram`), run supernode by
+    supernode over the tree of support cubes (`_tree_cholesky`) in
+    O(n (N width)^2) work, width a supernode's slots; no n x n array is
+    formed (eps' at most 2.0e-10 on the two-weight suite rows 0-199).  When
+    it refuses, the basis is not defined in floating point, or the loop
+    raises (s = 0), the norm is the square root of the top eigenvalue of
+    M^T M from LAPACK's symmetric eigensolver.  A wrong Krylov value
+    therefore never passes, the dense branch never raises
+    `OperatorNormError`, and M = 0 (s = 0) gives +0.0 through the fallback,
+    never NaN.
     """
     if method == "auto":
         method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
@@ -432,18 +449,11 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
             s = _norm(forward(v))
         except OperatorNormError:
             s = 0.0
-        if 0 < factors.K <= n // 2:
-            try:
-                H, err = _factored_gram(factors)
-                if _certifies(H, s, err):
-                    return s
-            except np.linalg.LinAlgError:       # G^T G not positive definite
-                pass
+        if s > 0.0 and _certifies(_haar_rows(T, sigma, mu), s):
+            return s
         M = dense_matrix(T, sigma, mu)
         gram = M.T @ M
         del M
-        if _certifies(gram, s, _gram_error(gram)):
-            return s
         top = float(np.linalg.eigvalsh(gram)[-1])
         return math.sqrt(top) if top > 0.0 else 0.0
     if method != "power-iteration":
@@ -465,7 +475,6 @@ class _RowSparse(NamedTuple):
     C: np.ndarray
     G: np.ndarray
     cols: np.ndarray
-    level: np.ndarray
     K: int
     grid: DyadicGrid
 
@@ -494,14 +503,14 @@ def _low_rank_factors(T, sigma, mu):
     grid = T.grid
     d, N = grid.d, grid.N
     a, b = _measure_scalings(grid, sigma, mu)
-    g, gamma, level = _profile_columns(T)
+    g, gamma, _ = _profile_columns(T)
     cols, K = [np.zeros((grid.cell_count, 0), dtype=np.intp)], 0
     for j in T.levels:
         terms, count = T.g[j].shape[:2]
         cols.append(K + count * np.arange(terms) + ancestor_map(d, N, j)[:, None])
         K += terms * count
     return _RowSparse(gamma * b[:, None], g * (a * grid.cell_volume)[:, None],
-                      np.hstack(cols), level, K, grid)
+                      np.hstack(cols), K, grid)
 
 
 def _factor_products(f):
@@ -514,72 +523,15 @@ def _factor_products(f):
     return through(f.C, f.G), through(f.G, f.C)
 
 
-def _factor_grams(f):
-    """C^T C and G^T G, stacked.  For slots p, q at levels j <= k the entry
-    sums F_p F_q over q's cube, so it is pool(F_j F_k, d, N - k) there: one
-    pool per level k, for both factors and all slots of level <= k, and one
-    scatter (entry and mirror) at the columns held on each level-k cube's
-    first cell.  The rest stay exact zeros, and each entry sums <= n products."""
-    K, d, N = f.K, f.grid.d, f.grid.N
-    both = np.stack((f.C, f.G), axis=1)
-    vals, rows, cols = [], [], []
-    for k in np.unique(f.level).tolist():
-        start, stop = np.searchsorted(f.level, (k, k + 1))
-        block = pool(both[:, :, :stop, None] * both[:, :, None, start:stop], d, N - k)
-        vals.append(np.moveaxis(block, 1, 0).reshape(2, -1))
-        first = f.cols[descendant_flat(d, k, N, np.arange(1 << (k * d)), 0)]
-        r, c = np.broadcast_arrays(first[:, :stop, None], first[:, None, start:stop])
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-    vals, rows, cols = (np.concatenate(x, axis=-1) for x in (vals, rows, cols))
-    grams = np.zeros((2, K, K))
-    grams[:, rows, cols] = grams[:, cols, rows] = vals
-    return grams
-
-
-def _factored_gram(f):
-    """H^ = fl(L^T (C^T C) L) with G^T G = L L^T, and err with |C G^T|^2 <=
-    lambda_max(H^) + err; LinAlgError when G^T G is not positive definite.
-
-    Hats are computed values (Higham, as in `_certifies`); each bound is
-    entrywise with a symmetric right side, so it holds on the triangle
-    LAPACK reads.  The rounding errors:
-      - two Gram matrices (`_factor_grams`): P^ = C^T C + E1, fl(G^T G) =
-        G^T G + E2, |E1| <= gamma_n |C|^T |C|, |E2| <= gamma_n |G|^T |G|,
-        since each entry is a sum of at most n products in some order;
-      - Cholesky (Thm 10.5): L^ L^T = fl(G^T G) + E3, |E3| <= gamma_{K+1} |L^| |L^T|;
-      - two K-term congruence products: W^ = P^ L^ + E4, H^ = L^T W^ + E5,
-        |E4| <= gamma_K |P^| |L^|, |E5| <= gamma_K |L^T| |W^|, where
-        |P^| <= (1 + gamma_n) |C|^T |C| and |W^| <= (1 + gamma_K) |P^| |L^|.
-    A nonnegative symmetric B has |B|_2 <= |B 1|_inf, which bounds |C|_2^2,
-    ||G|^T |G||_2 and ||L^||_2^2 by c2 = |(|C|^T |C|) 1|_inf, g2 (likewise;
-    both read the row-sparse values) and l2 = |(|L^| |L^T|) 1|_inf.  In
-    lambda_max(M M^T) = lambda_max(C G^T G C^T):
-      - G^T G = L^ L^T - E2 - E3 adds at most c2 (gamma_n g2 + gamma_{K+1} l2)
-        to lambda_max(L^T C^T C L^);
-      - L^T C^T C L^ = H^ - L^T E1 L^ - L^T E4 - E5, the last three bounded
-        by (gamma_n + gamma_K (2 + gamma_K)(1 + gamma_n)) |L^T| |C|^T |C| |L^|,
-        of 2-norm at most that factor times c2 l2.
-    err is their sum over (1 - gamma_{n+K})^3: each of c2, g2, l2 is a computed
-    sum of nonnegative terms, at most 1 / (1 - gamma_{n+K}) times its value,
-    and the third factor covers forming err.  Nothing is inverted, so err
-    does not grow with the condition of G^T G.
-    """
-    n, K = len(f.cols), f.K
-    CtC, GtG = _factor_grams(f)
-    L = np.linalg.cholesky(GtG)
-    H = L.T @ (CtC @ L)
-    Lt = np.abs(L.T)
-    c2, g2 = (float(np.bincount(f.cols.ravel(), (A * A.sum(axis=1)[:, None]).ravel()).max())
-              for A in map(np.abs, (f.C, f.G)))
-    l2 = float((Lt.T @ Lt.sum(axis=1)).max())
-    gn, gk = _gamma(n), _gamma(K)
-    err = (c2 * (gn * g2 + (_gamma(K + 1) + gn + gk * (2.0 + gk) * (1.0 + gn)) * l2)
-           / (1.0 - _gamma(n + K)) ** 3)
-    return H, err
-
-
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+_LEAST_SQUARE = 2.0 ** -900      # below this s^2 underflow could matter; refuse
+_PANEL = 16                      # rows of a supernode eliminated one at a time
+
+# the two-point splits of a cube's children (local row-major offsets): at d=1
+# the two children; at d=2 the halves by the first index, then each half by
+# the second
+_TWO_POINT = {1: (((0,), (1,)),), 2: (((0, 1), (2, 3)), ((0,), (1,)), ((2,), (3,)))}
 
 
 def _gamma(k: int) -> float:
@@ -588,46 +540,291 @@ def _gamma(k: int) -> float:
     return ku / (1.0 - ku)
 
 
-def _gram_error(gram: np.ndarray) -> float:
-    """err of `_certifies` for G = fl(M^T M), M with n rows: |G - M^T M| <=
-    gamma_n |M|^T |M|, of 2-norm at most gamma_n trace(G) / (1 - gamma_n)."""
-    return _gamma(len(gram)) * float(np.trace(gram)) / (1.0 - _gamma(len(gram)))
+class _HaarRows(NamedTuple):
+    """Y^ = fl(M W) row-sparse, slot-major: the cell in Morton position i
+    (flat index cells[i]) holds Y[:, i] and its shadow Z[:, i].  Slots run
+    by ascending function level p (-1 for the constant); `levels` holds
+    (p, a, start, stop) per level: slot start + E r + e of a cell is the
+    function of pattern e on the r-th level-p cube, in Morton order, of the
+    cell's level-a ancestor (its support cube).  rho bounds |Y^ - M W| <=
+    rho Z entrywise."""
+    Y: np.ndarray
+    Z: np.ndarray
+    cells: np.ndarray
+    levels: tuple
+    rho: float
+    grid: DyadicGrid
 
 
-def _certifies(H: np.ndarray, s: float, err: float) -> bool:
-    """Whether a Cholesky factorization proves |M| <= s sqrt((1+eps)(1+eta)),
-    given a computed k x k matrix H with |M|^2 <= lambda_max(H) + err.
+def _haar_layout(d: int, N: int, tau: int):
+    """Each level's cubes in Morton order (the cubes inside any coarser cube
+    are consecutive, a cube's children in local row-major order), and the
+    (p, a, start, stop) of each function level's slots."""
+    z = [np.zeros(1, dtype=np.intp)]
+    for l in range(N):
+        z.append(descendant_flat(d, l, l + 1, z[-1][:, None], np.arange(1 << d)).ravel())
+    levels, start = [(-1, 0, 0, 1)], 1
+    for p in range(N):
+        low = max(p - tau + 1, 0)
+        width = ((1 << d) - 1) << ((p - low) * d)
+        levels.append((p, low, start, start + width))
+        start += width
+    return z, tuple(levels)
 
-    Rounding enters twice more (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed.), relative to t = s^2 (1 + eps):
-      - the shift: fl(t I - H) rounds only the diagonal, by at most u t when
-        0 <= H_ii <= t (a negative diagonal entry refuses);
-      - Cholesky (Thm 10.5): when it runs to completion on A = fl(t I - H),
-        R^T R = A + dA with |dA| <= gamma_{k+1} |R^T| |R|, of 2-norm at most
-        gamma_{k+1} trace(A) / (1 - gamma_{k+1}), and trace(A) <= k t (1 + u).
-    Since R^T R is positive semidefinite, success gives |M|^2 <= t (1 + eta) with
 
-        eta = k gamma_{k+1} / (1 - k gamma_{k+1}) + u + err / s^2.
+def _zpool(arr: np.ndarray, d: int) -> np.ndarray:
+    """`pool` for a Morton-ordered level array: the same sums, in its order."""
+    a = arr.reshape((-1, 1 << d) + arr.shape[1:])
+    return a[:, 0] + a[:, 1] if d == 1 else (a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])
+
+
+def _on_cubes(block: np.ndarray, parts: int) -> np.ndarray:
+    """The writable view of a (2, count, R, E, cells) block that pairs each
+    of `parts` equal runs of a support cube's slots with the same run of its
+    cells: (2, count, parts, R / parts, E, cells / parts)."""
+    two, count, R, E, cells = block.shape
+    return np.einsum("scqieqx->scqiex",
+                     block.reshape(two, count, parts, R // parts, E, parts, cells // parts))
+
+
+def _two_point_values(mass, d):
+    """w[l] of shape (count_l, 2, E), Morton order: on each level-l cube, the
+    value of each two-point function of its parent, (m_B 1_A - m_A 1_B) /
+    sqrt(m_A m_B (m_A + m_B)), and its absolute value.  It is evaluated as
+    +-sqrt(m_B/m_A) / sqrt(m_A + m_B), so no triple product over- or
+    underflows; w[0] is the constant 1/sqrt(m(root)).  The masses are
+    finite normal numbers; None when a ratio over- or underflows, leaving a
+    value zero or not finite."""
+    child = np.concatenate(mass[1:]).reshape(-1, 1 << d)     # all levels' children
+    vals = np.zeros(child.shape + (len(_TWO_POINT[d]),))
+    for e, halves in enumerate(_TWO_POINT[d]):
+        m_a, m_b = (child[:, c[0]] if len(c) == 1 else child[:, c[0]] + child[:, c[1]]
+                    for c in halves)
+        total = np.sqrt(m_a + m_b)
+        for c, v in zip(halves, (np.sqrt(m_b / m_a) / total, -np.sqrt(m_a / m_b) / total)):
+            if not (np.isfinite(v).all() and v.all()):
+                return None
+            vals[:, list(c), e] = v[:, None]
+    vals = vals.reshape(-1, vals.shape[2])
+    both = [np.stack((v, np.abs(v)), axis=1) for v in (1.0 / np.sqrt(mass[0])[:, None], vals)]
+    return [both[0]] + np.split(both[1], np.cumsum([len(m) for m in mass[1:-1]]))
+
+
+def _haar_rows(T, sigma, mu):
+    """Y^ = fl(M W) and its shadow in the sigma-weighted Haar basis, or None
+    when the basis is not well defined in floating point (a cell mass not a
+    positive normal number, a root mass that overflows, or a two-point value
+    zero or not finite).
+
+    Column (P, e) of W is the two-point function w_{P,e} of `_TWO_POINT` for
+    the masses m_i = a_i^2 |cell|^2, times a |cell| (its `dense_matrix`
+    coordinates); column 0 is the constant 1/sqrt(m(root)).  Y's column is b
+    T(m w) and lives on the level-a ancestor of P, a = max(p - tau + 1, 0):
+
+        b [w(x) F_{>p}(x) + sum_{Q, k} (sum_c w(c) <m 1_c, g_Qk>) gamma_Qk(x)],
+
+    with F_{>p} the suffix field of T(m) over the family levels > p, c the
+    children of P, and Q the family cubes containing x and P at the levels
+    a..p; a farther ancestor's g_Q is constant on P and pairs to zero with
+    m w.  Both sums run on the pairings <m 1_c, g_Q>, the pools of g_Q m over
+    the level-(j + tau) cells of Q.  Every level array is in Morton order,
+    so the cells of a cube and the slots of its level-p cubes are
+    consecutive, and a level-j term lands on the slots of the cubes under
+    its Q through a diagonal view (`_on_cubes`).  The same steps on |g|,
+    |gamma| and |w| give the shadow Z, one stacked axis apart.
+    """
+    grid = T.grid
+    d, N, tau, n = grid.d, grid.N, T.tau, grid.cell_count
+    z, levels = _haar_layout(d, N, tau)
+    a, b = _measure_scalings(grid, sigma, mu)
+    root = (a * grid.cell_volume)[z[N]]
+    mass = [root * root]
+    with np.errstate(all="ignore"):
+        for _ in range(N):
+            mass.append(_zpool(mass[-1], d))
+        mass.reverse()
+        if not (mass[N].min() >= _TINY and np.isfinite(mass[0]).all()):
+            return None
+        w = _two_point_values(mass, d)                      # (count, 2, E) per level
+    if w is None:
+        return None
+    pairs, gamma, pieces = {}, {}, {}
+    for j in T.levels:
+        cube = ancestor_flat(d, j + tau, j, z[j + tau])
+        local = descendant_offset(d, j, j + tau, z[j + tau])
+        g, c = (np.stack((x, np.abs(x)), axis=1)
+                for x in (T.g[j][:, cube, local].T, T.gamma[j][:, cube, local].T))
+        chain = [g * mass[j + tau][:, None, None]]
+        for _ in range(tau):
+            chain.append(_zpool(chain[-1], d))
+        pairs[j] = chain[::-1]              # pairs[j][l - j]: <m 1_c, g_Q> at level l
+        pieces[j] = (np.repeat(chain[-1], 1 << (tau * d), axis=0) * c).sum(axis=2)
+        gamma[j] = np.ascontiguousarray(np.repeat(c, 1 << ((N - j - tau) * d), axis=0).reshape(
+            1 << (j * d), -1, 2, c.shape[2]).transpose(2, 0, 3, 1))    # (2, count_j, K, cells)
+    suffix = [np.zeros((n, 2))]             # suffix[-1 - l]: F of family levels >= l
+    for l in range(N - 1, -1, -1):
+        field = np.repeat(pieces[l], 1 << ((N - l - tau) * d), axis=0) if l in pieces else 0.0
+        suffix.append(suffix[-1] + field)
+    suffix.reverse()
+    rows = np.empty((2, levels[-1][3], n))
+    for p, low, start, stop in levels:
+        count, E = 1 << (low * d), w[p + 1].shape[2]
+        R = (stop - start) // E
+        # each support cube's level-p slots on its cells
+        block = np.zeros((2, count, R, E, n // count))
+        own = np.repeat(w[p + 1], 1 << ((N - p - 1) * d), axis=0) * suffix[p + 1][:, :, None]
+        diagonal = _on_cubes(block, R)
+        diagonal[...] = own.reshape(count, R, -1, 2, E).transpose(3, 0, 1, 4, 2).reshape(
+            diagonal.shape)
+        for j in (j for j in T.levels if low <= j <= p):
+            coef = _zpool(w[p + 1][:, :, :, None] * pairs[j][p + 1 - j][:, :, None, :], d)
+            width, K = 1 << ((p - j) * d), coef.shape[3]
+            coef = coef.reshape(-1, width, 2, E, K).transpose(2, 0, 1, 3, 4).reshape(
+                2, -1, width * E, K)
+            out = coef * gamma[j] if K == 1 else np.matmul(coef, gamma[j])
+            diagonal = _on_cubes(block, R // width)
+            diagonal += out.reshape(diagonal.shape)
+        rows[:, start:stop].reshape(2, R, E, count, -1)[...] = block.transpose(0, 2, 3, 1, 4)
+    rows *= b[z[N]]
+    terms = max([T.g[j].shape[0] for j in T.levels], default=0)
+    m = 4 * N * d + N + tau * (d + 1) + terms + 12
+    return _HaarRows(rows[0], rows[1], z[N], levels, _gamma(m) / (1.0 - _gamma(m)), grid)
+
+
+def _tree_gram(rows):
+    """H^ = fl(Y^T Y^) by supernodes: per function level p, the row block
+    H^[start:stop, :stop] on each of its level-a support cubes, one batched
+    product over the cube's cells (consecutive in Morton order).  Two
+    columns meet only on nested supports, and a level-p column's coarser
+    partners are the slots [0, start) of the cells under its support, so
+    nothing else is nonzero."""
+    out = []
+    for _, low, start, stop in rows.levels:
+        group = rows.Y[:stop].reshape(stop, 1 << (low * rows.grid.d), -1)
+        out.append(np.matmul(group[start:stop].transpose(1, 0, 2), group.transpose(1, 2, 0)))
+    return out
+
+
+def _tree_cholesky(rows, grams, t: float) -> bool:
+    """Whether the Cholesky factorization of fl(t I - H^) runs to completion,
+    multifrontal, finest level first.
+
+    A supernode is one level's slots on one support cube; its coarser
+    neighbours are the slots [0, start) of its ancestors' supernodes, which
+    already meet each other, so eliminating it creates no fill.  Its front
+    is the row block of t I - H^ less its children's update matrices; its
+    rows are eliminated one at a time within panels of `_PANEL` rows, each
+    panel updating the rows after it by one batched product (blocked
+    right-looking Cholesky: every entry is still a_ij less a sum of
+    products, in some order), and when the next level's supports
+    are the parents, one batched product over each parent's children both
+    forms and sums (in `pool`'s order for what came from below) the update
+    it passes on.  A pivot that is not positive leaves a diagonal of R that
+    is NaN or zero, checked once per level; a non-finite entry of H^ reaches
+    some pivot as NaN or -inf, since every row is some supernode's pivot row.
+    """
+    d = rows.grid.d
+    update = None
+    with np.errstate(all="ignore"):
+        for (_, low, start, stop), gram in zip(reversed(rows.levels), reversed(grams)):
+            front = np.negative(gram)
+            diagonal = np.einsum("qii->qi", front[:, :, start:stop])
+            diagonal += t
+            if update is not None:
+                front -= update[:, start:stop]
+            for c0 in range(0, stop - start, _PANEL):
+                c1 = min(c0 + _PANEL, stop - start)
+                for c in range(c0, c1):
+                    front[:, c] /= np.sqrt(front[:, c, start + c])[:, None]
+                    front[:, c + 1:c1] -= (front[:, c, start + c + 1:start + c1, None]
+                                           * front[:, c, None, :])
+                panel = front[:, c0:c1]
+                front[:, c1:] -= np.matmul(panel[:, :, start + c1:stop].transpose(0, 2, 1), panel)
+            if not (diagonal > 0.0).all():     # NaN fails too
+                return False
+            off = front[:, :, :start]
+            carry = None if update is None else update[:, :start, :start]
+            if low > 0:         # the next level's support cubes are the parents
+                off = off.reshape(-1, (1 << d) * (stop - start), start)
+                carry = None if carry is None else _zpool(carry, d)
+            schur = np.matmul(off.transpose(0, 2, 1), off)
+            update = schur if carry is None else carry + schur
+    return True
+
+
+def _certifies(rows, s: float) -> bool:
+    """Whether the tree Cholesky factorization proves |M| <= s sqrt((1 + eps)
+    (1 + eta)), M = diag(b) T diag(a) in exact arithmetic on the float
+    scalings and profiles.
+
+    W (exact masses m_i = a_i^2 |cell|^2, exact values) is orthogonal, so
+    |M| = |M W| = |Y|.  Hats are computed values (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed.); each bound is entrywise
+    with a symmetric right side, so it holds on the triangle that is read.
+      - Y^: every entry is a sum of products of the inputs a, b, g, gamma
+        and the computed w, each with at most m roundings on its path, so
+        |Y^ - Y| <= gamma_m Ybar, Ybar the same sum of absolute values, and
+        the shadow Z, the same steps on |g|, |gamma|, |w|, is at least
+        (1 - gamma_m) Ybar: |Y^ - Y| <= rho Z, rho = gamma_m / (1 - gamma_m).
+        On one path: a cell mass 1, a pyramid level d each, so a cube mass
+        <= 1 + N d (= mu); w = sqrt(m_B/m_A) / sqrt(m_A + m_B) <= 3 mu + 4;
+        then in Y^ the pairing's product and pools (1 + (tau-1) d), the
+        product with w and the pool over the children (1 + d), the product
+        with gamma and the sum over terms (terms), the sums over the
+        family levels a..p (tau) and the term w F_{>p} (1), and b (1); or
+        for w F_{>p}: the full pairing (1 + tau d), gamma and the terms
+        (terms), the suffix sums (<= N), w (1) and the same last steps.
+        m = 4 N d + N + tau (d + 1) + terms + 12 covers both.
+      - the Gram: |H^ - Y^T Y^| <= gamma_n |Y^|^T |Y^|, each entry a sum of
+        at most n products in some order.
+    A nonnegative symmetric B has |B|_2 <= |B 1|_inf, which bounds |Y^|_2^2
+    and ||Y^||_2^2 by y2 = |(|Y^|^T |Y^|) 1|_inf and |Z|_2^2 by z2 (both read
+    the row-sparse values).  With e = rho sqrt(z2) >= |Y - Y^|_2,
+    |Y|^2 <= (|Y^| + e)^2 <= lambda_max(H^) + gamma_n y2 + e (2 sqrt(y2) + e),
+    and err is that excess over (1 - gamma_{2n})^3: y2 and z2 are computed
+    sums of at most 2n nonnegative terms, and the third factor covers
+    forming err.  Products that underflow add at most 2^-1074 each; with
+    s^2 >= 2^-900 and n <= 4096 their total is far below that factor's
+    slack, so smaller s refuses.
+
+    Rounding enters twice more, relative to t = s^2 (1 + eps):
+      - the shift: fl(t I - H^) rounds only the diagonal, by at most u t
+        when 0 <= H^_ii <= t (a larger H^_ii leaves a negative pivot);
+      - Cholesky (Thm 10.5, whatever the order of each entry's sum): when
+        it runs to completion on A = fl(t I - H^), R^T R = A + dA with
+        |dA| <= gamma_{n+1} |R^T| |R|, of 2-norm at most gamma_{n+1}
+        trace(A) / (1 - gamma_{n+1}), and trace(A) <= n t (1 + u).
+    Since R^T R is positive semidefinite, success gives |M|^2 <= t (1 + eta)
+    with
+
+        eta = n gamma_{n+1} / (1 - n gamma_{n+1}) + u + err / s^2.
 
     Conversely (Thm 10.7), to first order the factorization is sure to
     succeed once the margin t - |M|^2 exceeds eta t, so eps = 2 eta leaves
-    half the margin for the Krylov value's own shortfall below |M|.  s <= 0
-    never certifies.
+    half the margin for the Krylov value's own shortfall below |M|.  Rows
+    of None, a non-finite Y^ or Z, or s^2 below 2^-900 never certify.
     """
-    if not s > 0.0 or np.diagonal(H).min() < 0.0:
+    if rows is None or not s * s >= _LEAST_SQUARE:
         return False
-    k = H.shape[0]
-    chol = k * _gamma(k + 1)
-    eta = chol / (1.0 - chol) + _UNIT_ROUNDOFF + err / (s * s)
-    shifted = np.negative(H)
-    shifted.flat[::k + 1] += s * s * (1.0 + 2.0 * eta)
-    try:
-        # LAPACK reads one triangle, and each triangle of H meets the bound
-        # behind err; the transposed view is the one it reads without a copy
-        np.linalg.cholesky(shifted.T)
-    except np.linalg.LinAlgError:
+    if not (np.isfinite(rows.Y).all() and np.isfinite(rows.Z).all()):
         return False
-    return True
+    n = rows.grid.cell_count
+    chol = n * _gamma(n + 1)
+    eta = chol / (1.0 - chol) + _UNIT_ROUNDOFF + _certificate_error(rows) / (s * s)
+    t = s * s * (1.0 + 2.0 * eta)
+    return math.isfinite(t) and _tree_cholesky(rows, _tree_gram(rows), t)
+
+
+def _certificate_error(rows) -> float:
+    """err of `_certifies`: |M|^2 <= lambda_max(H^) + err, from the Gram
+    rounding gamma_n y2 and the entrywise bound rho Z on Y^.  A column's
+    entries are one slot's values on the cells of its support cube."""
+    n, d = rows.grid.cell_count, rows.grid.d
+    y2, z2 = (max(float(weighted[start:stop].reshape(stop - start, 1 << (low * d), -1)
+                        .sum(axis=2).max()) for _, low, start, stop in rows.levels)
+              for A in (np.abs(rows.Y), rows.Z) for weighted in (A * A.sum(axis=0),))
+    e = rows.rho * math.sqrt(z2)
+    return (_gamma(n) * y2 + e * (2.0 * math.sqrt(y2) + e)) / (1.0 - _gamma(2 * n)) ** 3
 
 
 def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,

@@ -4,7 +4,11 @@ A reduction whose value reaches an output runs in numpy's own fixed-order
 loops (see the `dyadlab.shifts` docstring), so two power-iteration `norm`
 commands, one at d=1 and one at d=2, and a one-exponent shell-partition
 sweep must print identical bytes under OPENBLAS_NUM_THREADS = 1, 2 and 4.
-Each run is a fresh process, since OpenBLAS reads the variable at load.
+Two `dense-svd` commands, `test-conditions` at d=1 N=10 tau=1 and `norm`
+for the d=2 martingale transform, pin that the certificate's BLAS products
+(the tree Gram and its batched Schur updates) only decide pass or fail:
+a verdict, and so the output, must not move with the thread count.  Each
+run is a fresh process, since OpenBLAS reads the variable at load.
 """
 
 import os
@@ -20,6 +24,10 @@ main("norm --N 14 --shift hilbert --family power --a 0.5 --method power-iteratio
 main("norm --d 2 --N 8 --shift random --tau 1 --family cascade --n 2 --seed 3 "
      "--method power-iteration".split())
 print(repr(exp.power_sweep_norms(exponents=(0.75,))))
+main("test-conditions --N 10 --shift random --tau 1 --family cascade --n 2 --seed 3 "
+     "--method dense-svd".split())
+main("norm --d 2 --N 5 --shift martingale --family cascade --n 2 --seed 3 "
+     "--method dense-svd".split())
 """
 
 
@@ -32,6 +40,6 @@ def _outputs(threads: int) -> bytes:
 
 def test_outputs_do_not_depend_on_the_blas_thread_count():
     one = _outputs(1)
-    assert one.count(b'"norm":') == 2
+    assert one.count(b'"norm":') == 3 and one.count(b'"full_norm":') == 1
     for threads in (2, 4):
         assert _outputs(threads) == one, threads

@@ -20,6 +20,7 @@ from dyadlab.grid import (
     build_grid,
     cube_view,
     descendant_flat,
+    descendant_offset,
     expand,
     level_argmax,
     pool,
@@ -144,6 +145,9 @@ def test_descendant_flat_follows_child_chains_in_local_row_major_order(dn, data)
             assert row_major == chain
         assert table[b].tolist() == [c.flat for c in row_major]
         assert [int(descendant_flat(d, j, j + t, b, rel)) for rel in rels] == table[b].tolist()
+    # descendant_offset inverts it: each descendant's local offset in its ancestor
+    assert np.array_equal(descendant_offset(d, j, j + t, table),
+                          np.broadcast_to(rels, table.shape))
 
 
 @given(grids(), st.integers(0, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))

@@ -2,31 +2,37 @@
 
 The `dense-svd` norm runs the Krylov loop once, through M = C G^T with
 row-sparse factors (one value and column per cell and (level, term)), by
-gathers and bincounts, and certifies its value s, a lower bound for |M|, with
-one Cholesky factorization of s^2 (1 + eps) I - H.  A simple shift whose
-column count K (terms x family cubes) is at most n/2 first tries H =
-L^T (C^T C) L (G^T G = L L^T), which is K x K, with both Gram matrices
-pooled level by level and eps' from the rounding bounds of
-`shifts._factored_gram`.  `_dense_factors` builds the same factors as dense
-n x K arrays and is their oracle: the row-sparse values are its nonzeros,
-the products match its products, and each pooled Gram entry, a sum of at
-most n products, stays within gamma_n |F|^T |F| of the exact one.  Other
-shifts (tau=1 at d=1, the d=2 martingale transform, a generic shift whose
-split entries pad its cubes past n/2 columns, an entry-less one with K = 0)
-and a factored certificate that does not pass (G^T G singular, an
-unconverged Krylov run, a refused certificate) certify on H = M^T M, and
-when that fails too, LAPACK's symmetric eigensolver takes over.  Both
-certificates are checked against the full SVD of M and against a value
-below the norm, the route by counting Krylov runs, `dense_matrix`,
-`apply_values` and eigensolver calls, and the fast paths by the suite
-prefix, which must certify without a fallback.  The property tests
-cover the oracle on random grids and weight pairs, the duality identities at
-d=1 and d=2 (<Tf, g> = <f, T*g> for simple and generic shifts, and the same
-dense norm for T and its adjoint), the dual-weight involution, and the
-profiles a generic shift compiles into against the matrix of its entries.
+gathers and bincounts, and certifies its value s, a lower bound for |M|, in
+the sigma-weighted Haar basis.  W, the constant and the two-point functions
+of every cube for the masses m = (a |cell|)^2 in `dense_matrix` coordinates,
+is orthogonal, so |M| = |M W|; Y = M W has nonzeros only where a column's
+support holds the cell, and Y^T Y only between nested supports, so one
+Cholesky factorization of s^2 (1 + eps) I - H^ runs over the tree of
+supports with no fill.  `_dense_factors` builds the factors as dense n x K
+arrays and is their oracle: the row-sparse values are its nonzeros and the
+products match its products.  A test-side W built from its definition (in
+long double, by the triple product) is the oracle of the Haar route: it is
+orthogonal, Y^ lies within rho Z (Z the shadow, the same construction on
+absolute values) of M W formed in extended precision on its slots and is
+negligible off them, the tree Gram lies within gamma_n |Y^|^T |Y^| of the
+exact Y^T Y^ with exact zeros off the nested pattern, err covers its Gram
+and Y^ terms, and the tree verdict is `np.linalg.cholesky`'s on the
+finest-first permuted dense matrix at s^2 (1 +- 1e-6).  Only a refused
+certificate (s = 0 from a zero shift or an unconverged Krylov run, or
+masses whose two-point ratios overflow) builds M and takes LAPACK's
+symmetric eigensolver.  The route tests count Krylov
+runs, `dense_matrix`, `apply_values` and eigensolver calls; the suite prefix
+must certify without M; a tracemalloc guard keeps a tau=1 N=10 norm below
+one n x n array; and sigma scaled by 2^+-600 scales the norm exactly and
+still certifies.  The property tests cover the oracle on random grids and
+weight pairs, the duality identities at d=1 and d=2 (<Tf, g> = <f, T*g> for
+simple and generic shifts, and the same dense norm for T and its adjoint),
+the dual-weight involution, and the profiles a generic shift compiles into
+against the matrix of its entries.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +59,7 @@ from dyadlab import (
 )
 import dyadlab.experiments as exp
 from dyadlab import shifts
-from dyadlab.grid import ancestor_map, expand, scatter_subcells
+from dyadlab.grid import ancestor_flat, ancestor_map, descendant_offset, expand, scatter_subcells
 
 from helpers import generic_dense_matrix, masked, random_generic
 
@@ -113,25 +119,18 @@ def eigvalsh_calls(monkeypatch):
 
 
 def test_certificate_refuses_a_value_below_the_norm():
-    T, sigma, mu = exp.two_weight_instance(3, depth=7)
-    M = dense_matrix(T, sigma, mu)
-    s = float(np.linalg.svd(M, compute_uv=False)[0])
-    gram = M.T @ M
-    err = shifts._gram_error(gram)
-    assert shifts._certifies(gram, s, err)
-    assert not shifts._certifies(gram, s * (1.0 - 1e-6), err)
-    assert not shifts._certifies(gram, 0.0, err)
-    # the factored certificate on a tau=2 instance: K = 63 columns, n = 128,
-    # 6 (level, term) slots a cell
-    T, sigma, mu = exp.two_weight_instance(4, depth=7)
-    s = _full_svd_norm(T, sigma, mu)
-    factors = shifts._low_rank_factors(T, sigma, mu)
-    assert factors.cols.shape == (128, 6)
-    H, err = shifts._factored_gram(factors)
-    assert H.shape == (63, 63)
-    assert shifts._certifies(H, s, err)
-    assert not shifts._certifies(H, s * (1.0 - 1e-6), err)
-    assert not shifts._certifies(H, 0.0, err)
+    """The tree certificate passes the full SVD's norm and refuses it less
+    1e-6, and 0, at tau=1 and tau=2 on 128 cells: 8 and 14 Haar slots a
+    cell, against 6 (level, term) slots of the tau=2 Krylov factors."""
+    for i, slots in ((3, 8), (4, 14)):
+        T, sigma, mu = exp.two_weight_instance(i, depth=7)
+        s = _full_svd_norm(T, sigma, mu)
+        rows = shifts._haar_rows(T, sigma, mu)
+        assert rows.Y.shape == rows.Z.shape == (slots, 128)
+        assert shifts._certifies(rows, s)
+        assert not shifts._certifies(rows, s * (1.0 - 1e-6))
+        assert not shifts._certifies(rows, 0.0)
+    assert shifts._low_rank_factors(T, sigma, mu).cols.shape == (128, 6)
 
 
 def test_zero_shift_takes_the_eigensolver_fallback(eigvalsh_calls):
@@ -173,54 +172,83 @@ def dense_builds(monkeypatch):
 
 
 def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_calls):
-    """Every row runs the Krylov loop once; tau=1 rows certify on the n x n
-    route, tau >= 2 rows never build M, and their value is the full SVD's
-    to 1e-13."""
+    """Every row, tau=1 included, runs the Krylov loop once and certifies
+    without building M, and its value is the full SVD's to 1e-13."""
     for i in range(24):
         T, sigma, mu = exp.two_weight_instance(i)
         dense_builds.update(_golub_kahan=0, dense_matrix=0, apply_values=0)
         norm = operator_norm(T, sigma, mu, method="dense-svd")
-        if T.tau == 1:      # K = n - 1 columns: the n x n certificate
-            assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 1, "apply_values": 1}
-            continue
-        assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 0, "apply_values": 0}
+        assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 0, "apply_values": 0}, i
         full = _full_svd_norm(T, sigma, mu)
         assert abs(norm - full) <= 1e-13 * full
     assert eigvalsh_calls == []
 
 
-@pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked"])
+@pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked", "unconverged"])
 def test_the_n_by_n_route_builds_m_once(case, dense_builds):
-    """Shifts with K > n/2 skip the factored certificate; a zero or masked
-    tau=2 shift (K = 31 <= 32) tries it and falls through on a singular
-    G^T G.  Either way the Krylov loop runs once, through the factors."""
+    """Only the fallback builds M: a generic shift, the d=2 martingale
+    transform and a masked shift (zeroed cubes, so G^T G is singular)
+    certify without it, while the zero shift and an unconverged Krylov run
+    (s = 0) build it once.  Either way the Krylov loop runs once."""
     grid = build_grid(1, 6) if case != "martingale_d2" else build_grid(2, 3)
     w = random_a2_weight(1, 5, grid)
+    sigma, mu, max_iter = w, dual_weight(w), 10_000
     if case == "generic":
         T = random_generic(grid, np.random.default_rng(7), count=40)
-    elif case == "martingale_d2":       # three terms per cube: K = n - 1
+    elif case == "martingale_d2":       # three terms per cube
         T = martingale_transform(random_signs(grid, 5), grid)
-    elif case == "zero":                # G^T G = 0
+    elif case == "zero":
         T = zero_shift(grid, 2)
-    else:                               # zeroed cubes leave G^T G singular
+    elif case == "masked":
         rng = np.random.default_rng(3)
         T = masked(random_simple_shift(2, 11, grid),
                    {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
-    factors = shifts._low_rank_factors(T, w, dual_weight(w))
-    assert (factors.K <= grid.cell_count // 2) == (case in ("zero", "masked"))
-    norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
-    assert dense_builds["_golub_kahan"] == 1 and dense_builds["dense_matrix"] == 1
-    assert norm == pytest.approx(_full_svd_norm(T, w, dual_weight(w)), rel=1e-12, abs=0.0)
+    else:
+        (T, sigma, mu), max_iter = exp.two_weight_instance(5, depth=7), 2
+    norm = operator_norm(T, sigma, mu, method="dense-svd", max_iter=max_iter)
+    built = int(case in ("zero", "unconverged"))
+    assert dense_builds == {"_golub_kahan": 1, "dense_matrix": built, "apply_values": built}
+    assert norm == pytest.approx(_full_svd_norm(T, sigma, mu), rel=1e-12, abs=0.0)
 
 
-def _dense_factors(T, sigma, mu):
-    """The n x K factors C, G of M = C G^T as dense arrays: one column per
-    (level, term, cube) at col + count * term + cube, holding the expanded
-    profile on the cube's cells and zeros elsewhere."""
+def test_a_tau_one_norm_builds_no_n_by_n_array():
+    """A tau=1 d=1 N=10 suite row's dense norm peaks below one 1024 x 1024
+    float64 array (8 MiB)."""
+    T, sigma, mu = exp.two_weight_instance(0)
+    assert T.tau == 1 and T.grid.cell_count == 1024
+    operator_norm(T, sigma, mu, method="dense-svd")      # warm the caches
+    tracemalloc.start()
+    try:
+        operator_norm(T, sigma, mu, method="dense-svd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024 * 8
+
+
+@pytest.mark.parametrize("i", [3, 4, 5])
+def test_the_certificate_is_scale_safe(i, eigvalsh_calls):
+    """sigma times 2^+-600 scales the norm by 2^+-300 and still certifies:
+    the two-point values are ratios, so nothing over- or underflows, and
+    the certificate refuses the scaled value less 1e-9."""
+    T, sigma, mu = exp.two_weight_instance(i)
+    base = operator_norm(T, sigma, mu, method="dense-svd")
+    for k in (600, -600):
+        scaled = Weight(sigma.values * 2.0 ** k, T.grid)
+        norm = operator_norm(T, scaled, mu, method="dense-svd")
+        assert norm == pytest.approx(base * 2.0 ** (k // 2), rel=1e-12, abs=0.0)
+        assert not shifts._certifies(shifts._haar_rows(T, scaled, mu), norm * (1.0 - 1e-9))
+    assert eigvalsh_calls == []
+
+
+def _profile_factors(T):
+    """The n x K profile matrices Gamma, G0 of T (M = diag(b) Gamma G0^T
+    diag(a |cell|)): one column per (level, term, cube) at col + count *
+    term + cube, holding the expanded profile on the cube's cells and zeros
+    elsewhere."""
     grid, tau = T.grid, T.tau
     n, d, N = grid.cell_count, grid.d, grid.N
     K = sum(T.g[j].shape[0] * grid.level_count(j) for j in T.levels)
-    a, b = shifts._measure_scalings(grid, sigma, mu)
     C, G = np.zeros((n, K)), np.zeros((n, K))
     rows, col = np.arange(n)[:, None], 0
     for j in T.levels:
@@ -230,45 +258,71 @@ def _dense_factors(T, sigma, mu):
             F[rows, cols] = expand(scatter_subcells(prof.transpose(1, 2, 0), d, tau),
                                    d, N - j - tau)
         col += terms * count
-    return C * b[:, None], G * (a * grid.cell_volume)[:, None]
+    return C, G
+
+
+def test_a_basis_that_overflows_refuses(eigvalsh_calls):
+    """Two sibling cells 2^1100 apart in mass overflow the ratio m_B/m_A, so
+    there is no floating-point two-point basis: the certificate refuses and
+    the eigensolver fallback gives the norm."""
+    grid = build_grid(1, 3)
+    values = np.ones(grid.cell_count)
+    values[:2] = 2.0 ** -550, 2.0 ** 550
+    sigma = Weight(values, grid)
+    T = random_simple_shift(1, 4, grid)
+    assert shifts._haar_rows(T, sigma, None) is None
+    norm = operator_norm(T, sigma, None, method="dense-svd")
+    assert eigvalsh_calls == [(8, 8)]
+    assert norm == pytest.approx(_full_svd_norm(T, sigma, None), rel=1e-12)
+
+
+def _dense_factors(T, sigma, mu):
+    """The factors C, G of M = C G^T as dense n x K arrays."""
+    C, G = _profile_factors(T)
+    a, b = shifts._measure_scalings(T.grid, sigma, mu)
+    return C * b[:, None], G * (a * T.grid.cell_volume)[:, None]
 
 
 @st.composite
-def factored_cases(draw):
-    """A random simple shift on d=1, N <= 7 (tau 1..3, separated or not) or
-    d=2, N <= 4, kept on a random subset of its family levels with K <= n/2
-    (at d=1, tau=1 that drops level N-1 unless it is alone), possibly with
-    some or all cubes' terms zeroed, and each side None, w or its dual."""
+def shift_cases(draw):
+    """A shift on d=1, N <= 7 or d=2, N <= 4, and each side None, w or its
+    dual: a random simple shift (tau 1..3, separated or not) kept on a
+    random subset of its family levels, a generic shift, a martingale
+    transform, a random simple shift with some cubes' terms zeroed, or a
+    zero shift."""
     grid = draw(grids())
     tau, seed = draw(st.integers(1, min(grid.N, 3))), draw(SEEDS)
-    T = random_simple_shift(tau, seed, grid, separated=draw(st.booleans()))
-    levels = sorted(draw(st.sets(st.sampled_from(T.levels), min_size=1)))
-    if grid.d == 1 and tau == 1 and len(levels) > 1:
-        levels = [j for j in levels if j != grid.N - 1]
-    T = SimpleHaarShift(grid, tau, levels, T.g, T.gamma, separated=T.separated, validate=False)
-    kind = draw(st.sampled_from(("random", "masked", "zero")))
     rng = np.random.default_rng(seed)
-    share = {"random": 1.0, "masked": 0.5, "zero": 0.0}[kind]      # of cubes kept
-    keep = {j: rng.random(grid.level_count(j)) < share for j in levels}
+    kind = draw(st.sampled_from(("random", "generic", "martingale", "masked", "zero")))
+    if kind == "generic":
+        T = random_generic(grid, rng, count=draw(st.integers(1, 40)))
+    elif kind == "martingale":
+        T = martingale_transform(random_signs(grid, seed), grid, separated=draw(st.booleans()))
+    elif kind == "zero":
+        T = zero_shift(grid, tau)
+    else:
+        T = random_simple_shift(tau, seed, grid, separated=draw(st.booleans()))
+        levels = sorted(draw(st.sets(st.sampled_from(T.levels), min_size=1)))
+        T = SimpleHaarShift(grid, tau, levels, T.g, T.gamma, separated=T.separated,
+                            validate=False)
+        if kind == "masked":
+            T = masked(T, {j: rng.random(grid.level_count(j)) < 0.5 for j in levels})
     w = random_a2_weight(draw(st.integers(0, 2)), seed, grid)
     sides = st.sampled_from((None, w, dual_weight(w)))
-    return masked(T, keep), draw(sides), draw(sides), not all(m.all() for m in keep.values())
+    return T, draw(sides), draw(sides)
 
 
-@given(factored_cases())
+@given(shift_cases())
 @settings(max_examples=80, deadline=None)
 def test_row_sparse_factors_match_the_dense_oracle(case):
     """The row-sparse factors hold the dense factors' nonzeros, and C G^T is
     `dense_matrix`; their products match the dense ones to 1e-14 of
-    |C| |G|^T |x|; each Gram matrix lies within gamma_n |F|^T |F| of the exact
-    one (an extended-precision product) and so within twice that of the dense
-    F^T F, with exact zeros wherever |F|^T |F| is zero, as F^T F has; a
-    zeroed cube leaves G^T G singular."""
-    T, sigma, mu, zeroed = case
+    |C| |G|^T |x|."""
+    T, sigma, mu = case
     factors = shifts._low_rank_factors(T, sigma, mu)
     C, G = _dense_factors(T, sigma, mu)
     n, K = C.shape
-    assert factors.K == K and K <= n // 2 and factors.cols.shape == factors.C.shape
+    assert factors.K == K and factors.cols.shape == factors.C.shape
     for sparse, dense in ((factors.C, C), (factors.G, G)):
         assert np.array_equal(np.take_along_axis(dense, factors.cols, axis=1), sparse)
         assert np.count_nonzero(dense) == np.count_nonzero(sparse)
@@ -279,20 +333,130 @@ def test_row_sparse_factors_match_the_dense_oracle(case):
     for got, want, scale in ((forward(x), C @ (G.T @ x), np.abs(C) @ (np.abs(G).T @ np.abs(x))),
                              (backward(x), G @ (C.T @ x), np.abs(G) @ (np.abs(C).T @ np.abs(x)))):
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+# the two-point splits of a cube's children by local row-major offset: at d=2
+# the halves by the first index, then each half by the second
+SPLITS = {1: [((0,), (1,))], 2: [((0, 1), (2, 3)), ((0,), (1,)), ((2,), (3,))]}
+
+
+def _exact_haar_basis(grid, sigma):
+    """W in long double from its definition: column 0 is the constant
+    1/sqrt(m(root)) and column 2^(p d) + E flat(P) + e the two-point function
+    (m_B 1_A - m_A 1_B) / sqrt(m_A m_B (m_A + m_B)) of split e of P's
+    children, each times a |cell|, for the masses m = (a |cell|)^2."""
+    d, N, n = grid.d, grid.N, grid.cell_count
+    a, _ = shifts._measure_scalings(grid, sigma, None)
+    root = (a * grid.cell_volume).astype(np.longdouble)
+    m = root * root
+    W = np.zeros((n, n), dtype=np.longdouble)
+    W[:, 0] = root / np.sqrt(m.sum())
+    for p in range(N):
+        cube = ancestor_map(d, N, p)
+        child = descendant_offset(d, p, p + 1, ancestor_map(d, N, p + 1))
+        for e, (A, B) in enumerate(SPLITS[d]):
+            in_a, in_b = np.isin(child, A), np.isin(child, B)
+            m_a, m_b = (np.zeros(grid.level_count(p), dtype=np.longdouble) for _ in range(2))
+            np.add.at(m_a, cube[in_a], m[in_a])
+            np.add.at(m_b, cube[in_b], m[in_b])
+            f = np.where(in_a, m_b[cube], 0.0) - np.where(in_b, m_a[cube], 0.0)
+            f = f / np.sqrt(m_a * m_b * (m_a + m_b))[cube]
+            W[np.arange(n), (1 << (p * d)) + len(SPLITS[d]) * cube + e] = root * f
+    return W
+
+
+def _slot_columns(rows):
+    """The column of W that each slot holds at each Morton-ordered cell:
+    slot start + E r + e of level p is column 2^(p d) + E flat(P) + e, P the
+    r-th level-p cube of the cell's support cube in Morton order (column 0
+    for the constant)."""
+    d, N, n = rows.grid.d, rows.grid.N, rows.grid.cell_count
+    E = len(SPLITS[d])
+    cols = np.zeros(rows.Y.shape, dtype=np.intp)
+    for p, low, start, stop in rows.levels[1:]:
+        # in Morton order a level-p cube's cells are consecutive
+        cubes = ancestor_flat(d, N, p, rows.cells[::1 << ((N - p) * d)])
+        count = 1 << (low * d)
+        col = (1 << (p * d)) + E * cubes.reshape(count, -1, 1) + np.arange(E)
+        cols[start:stop] = np.repeat(col.reshape(count, -1).T, n // count, axis=1)
+    return cols
+
+
+def _dense_rows(rows):
+    """Y^, Z and the slot mask of a `_HaarRows` as n x n arrays by cell."""
+    n = rows.grid.cell_count
+    cols = _slot_columns(rows)
+    out = [np.zeros((n, n)) for _ in range(2)] + [np.zeros((n, n), dtype=bool)]
+    for F, values in zip(out, (rows.Y, rows.Z, True)):
+        F[rows.cells[None, :], cols] = values
+    return out
+
+
+def _dense_tree_gram(rows, grams):
+    """The tree Gram blocks scattered into an n x n symmetric array, and the
+    mask of the entries they hold."""
+    n, d = rows.grid.cell_count, rows.grid.d
+    cols = _slot_columns(rows)
+    H, pattern = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    for (_, low, start, stop), block in zip(rows.levels, grams):
+        cells = n >> (low * d)
+        for q in range(block.shape[0]):
+            here = cols[:stop, q * cells]
+            H[np.ix_(here[start:], here)] = block[q]
+            H[np.ix_(here[:start], here[start:])] = block[q][:, :start].T
+            pattern[np.ix_(here[start:], here)] = pattern[np.ix_(here, here[start:])] = True
+    return H, pattern
+
+
+@given(shift_cases())
+@settings(max_examples=50, deadline=None)
+def test_haar_route_matches_the_dense_oracle(case):
+    """W is orthogonal; Y^ lies within rho Z of M W formed in long double on
+    its slots and is negligible off them; the tree Gram lies within
+    gamma_n |Y^|^T |Y^| of the exact Y^T Y^, which is zero off its pattern;
+    err covers gamma_n ||Y^||^2 + e (2 |Y^| + e), e = rho |Z|; and the tree
+    verdict is `np.linalg.cholesky`'s on the finest-first permuted matrix
+    at s^2 (1 +- 1e-6)."""
+    T, sigma, mu = case
+    grid = T.grid
+    n, d = grid.cell_count, grid.d
+    W = _exact_haar_basis(grid, sigma)
+    assert np.abs(W.T @ W - np.eye(n)).max() <= 1e-13
+    C, G = _profile_factors(T)
+    a, b = shifts._measure_scalings(grid, sigma, mu)
+    ld = np.longdouble
+    scale = b.astype(ld)[:, None], (a * grid.cell_volume).astype(ld)[None, :]
+    M = scale[0] * (C.astype(ld) @ G.astype(ld).T) * scale[1]
+    Y = M @ W
+    # the long-double rounding, far below rho Z
+    slack = 1e-16 * ((scale[0] * (np.abs(C).astype(ld) @ np.abs(G).astype(ld).T) * scale[1])
+                     @ np.abs(W))
+    rows = shifts._haar_rows(T, sigma, mu)
+    got, Z, on = _dense_rows(rows)
+    assert np.all(np.abs(got - Y)[on] <= (rows.rho * Z + slack)[on])
+    assert np.all(np.abs(Y)[~on] <= slack[~on])
+    grams = shifts._tree_gram(rows)
+    H, pattern = _dense_tree_gram(rows, grams)
+    exact = got.astype(ld).T @ got.astype(ld)
     gn = shifts._gamma(n)
-    for got, F in zip(shifts._factor_grams(factors), (C, G)):
-        magnitude = np.abs(F).T @ np.abs(F)
-        bound = gn * magnitude / (1.0 - gn)
-        exact = F.astype(np.longdouble).T @ F.astype(np.longdouble)
-        assert np.all(np.abs(got - exact) <= bound * (1.0 + 1e-9))
-        assert np.all(np.abs(got - F.T @ F) <= 2.0 * bound)
-        assert not got[magnitude == 0.0].any() and not (F.T @ F)[magnitude == 0.0].any()
-    if zeroed:
-        with pytest.raises(np.linalg.LinAlgError):
-            shifts._factored_gram(factors)
-    else:
-        H, err = shifts._factored_gram(factors)
-        assert H.shape == (K, K) and 0.0 < err < np.inf
+    assert np.all(np.abs(H - exact) <= gn * (np.abs(got).T @ np.abs(got)) * (1.0 + 1e-9))
+    assert not exact[~pattern].any()
+    norm_y, norm_abs, norm_z = (float(np.linalg.svd(F, compute_uv=False)[0])
+                                for F in (got, np.abs(got), Z))
+    e = rows.rho * norm_z
+    err = shifts._certificate_error(rows)
+    assert err >= (gn * norm_abs ** 2 + e * (2.0 * norm_y + e)) * (1.0 - 1e-12)
+    s = _full_svd_norm(T, sigma, mu)
+    # finest level first: column c is at level (bit_length(c) - 1) // d
+    order = np.argsort([-((c.bit_length() - 1) // d) for c in range(n)], kind="stable")
+    for t in (s * s * (1.0 + 1e-6), s * s * (1.0 - 1e-6)):
+        shifted = t * np.eye(n) - H[np.ix_(order, order)]
+        try:
+            np.linalg.cholesky(shifted)
+            dense = True
+        except np.linalg.LinAlgError:
+            dense = False
+        assert shifts._tree_cholesky(rows, grams, t) == dense == (s > 0.0 and t > s * s)
 
 
 @st.composite
