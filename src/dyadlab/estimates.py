@@ -55,7 +55,7 @@ from .corona import (
     CubeSet,
     pn_alpha,
 )
-from .shifts import SimpleHaarShift, _profile_columns, _weak_type, operator_norm
+from .shifts import SimpleHaarShift, _weak_type, operator_norm
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +80,22 @@ class TestingReport:
     to_dict = report_dict
 
 
+def _profile_columns(T):
+    """(g, gamma, level): T's profiles on the cells, one column per family
+    level and term by ascending level, each cell holding the profile of its
+    cube at that level; level gives each column's family level.  T's
+    adjoint has the same columns with g and gamma swapped."""
+    d, N, tau = T.grid.d, T.grid.N, T.tau
+
+    def on_cells(profiles):
+        return np.concatenate([np.zeros((T.grid.cell_count, 0))] + [
+            expand(scatter_subcells(np.moveaxis(profiles[j], 0, -1), d, tau), d, N - j - tau)
+            for j in T.levels], axis=1)
+
+    level = np.repeat(T.levels, [T.g[j].shape[0] for j in T.levels])
+    return on_cells(T.g), on_cells(T.gamma), level
+
+
 class _IndicatorScan:
     """T(sigma 1_Q') on the cells of the cubes Q around Q', for every cube Q'.
 
@@ -88,17 +104,18 @@ class _IndicatorScan:
     so its full-pairing output is exact there) plus, for each family level
     a < j', the ancestor pairing <sigma 1_Q', g_{P_a(Q')}> times gamma on
     P_a(Q').  `fields` evaluates the rule; the testing constants integrate
-    its output against mu.
+    its output against mu.  `columns` are T's `_profile_columns`.
     """
 
-    def __init__(self, T: SimpleHaarShift, sigma: Weight | None, mu: Weight | None):
+    def __init__(self, T: SimpleHaarShift, sigma: Weight | None, mu: Weight | None,
+                 columns):
         grid = self.grid = T.grid
         d, N, tau = grid.d, grid.N, T.tau
         self.tau = tau
         self.sigma_sums = _measure(grid, sigma).sums
         self.mu_sums = _measure(grid, mu).sums
 
-        g, self.gamma, self.level = _profile_columns(T)
+        g, self.gamma, self.level = columns
         # cube integrals of g sigma; at each level j' deeper than a column's
         # level a they are the pairings <sigma 1_Q', g_{P_a(Q')}>, the only
         # entries `fields` reads
@@ -186,9 +203,11 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     in the order: Q's level, the depth then local offset of Q', the depth
     then local offset of Q'', then Q's index.
     """
-    scan = _IndicatorScan(T, sigma, mu)
+    g, gamma, level = _profile_columns(T)
+    scan = _IndicatorScan(T, sigma, mu, (g, gamma, level))
     c_t1, wit_t1 = _t1_constant(scan)
-    c_tstar1, wit_tstar1 = _t1_constant(_IndicatorScan(T.adjoint(), mu, sigma))
+    c_tstar1, wit_tstar1 = _t1_constant(_IndicatorScan(T.adjoint(), mu, sigma,
+                                                       (gamma, g, level)))
     c_wb, wit_wb = _wb_constant(scan)
     full = operator_norm(T, sigma, mu, method=norm_method)
     return TestingReport(

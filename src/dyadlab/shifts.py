@@ -11,10 +11,10 @@ pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces
 (matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
-runs the same loop once, through the row-sparse factors of the shift, and
-certifies its value with one Cholesky factorization over the tree of
-dyadic cubes: see `operator_norm`), the dyadic Calderon-Zygmund
-decomposition, and a weak-L1 superlevel diagnostic.
+runs the same loop once, on the shift's matrix in the sigma-weighted Haar
+basis, and certifies its value with one Cholesky factorization of that
+matrix's Gram over the tree of dyadic cubes: see `operator_norm`), the
+dyadic Calderon-Zygmund decomposition, and a weak-L1 superlevel diagnostic.
 
 The certificate works in the sigma-weighted Haar basis, the basis of the
 Nazarov-Treil-Volberg T1 theorem.  With the masses m_i = a_i^2 |cell|^2,
@@ -52,7 +52,6 @@ from .grid import (
     GridFunction,
     _HAAR_SIGNS,
     ancestor_flat,
-    ancestor_map,
     assemble_levels,
     check_natural,
     cube_view,
@@ -419,17 +418,17 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     `dense-svd` is the oracle for grids of at most 4096 cells; `auto` picks
     the oracle when it is available.
 
-    The oracle runs the loop once (same `tol`, `max_iter` and `seed`)
-    through the row-sparse n x K factors of M = C G^T (`_low_rank_factors`,
-    M the matrix of `dense_matrix`), by one bincount and one gather per
-    product, and takes s = |C G^T v| for its unit right Ritz vector v.  One
-    certificate serves every shift (`_certifies`): a Cholesky factorization
-    of s^2 (1 + eps) I - H^, H^ the Gram matrix of Y = M W in the
-    sigma-weighted Haar basis (`_haar_rows`, `_tree_gram`), run supernode by
-    supernode over the tree of support cubes (`_tree_cholesky`) in
-    O(n (N width)^2) work, width a supernode's slots; no n x n array is
-    formed (eps' at most 2.0e-10 on the two-weight suite rows 0-199).  When
-    it refuses, the basis is not defined in floating point, or the loop
+    The oracle works on one matrix, Y^ = fl(M W) (`_haar_rows`; M the
+    matrix of `dense_matrix`, W the sigma-weighted Haar basis, so
+    |M| = |M W|).  It runs the loop once (same `tol`, `max_iter` and `seed`)
+    on x -> Y^ x and y -> Y^T y (`_haar_products`) and takes s = |Y^ v| for
+    its unit right Ritz vector v.  The certificate (`_certifies`) factors
+    the same Y^: a Cholesky factorization of s^2 (1 + eps) I - H^,
+    H^ = fl(Y^T Y^) (`_tree_gram`), run supernode by supernode over the tree
+    of support cubes (`_tree_cholesky`) in O(n (N width)^2) work, width a
+    supernode's slots; no n x n array is formed (eps' at most 2.0e-10 on the
+    two-weight suite rows 0-199).  When the basis is not defined in floating
+    point, no loop runs; then, or when the certificate refuses or the loop
     raises (s = 0), the norm is the square root of the top eigenvalue of
     M^T M from LAPACK's symmetric eigensolver.  A wrong Krylov value
     therefore never passes, the dense branch never raises
@@ -442,15 +441,16 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
         n = T.grid.cell_count
         if n > _DENSE_CELLS:
             raise ShiftError("dense matrix limited to grids with at most 4096 cells")
-        factors = _low_rank_factors(T, sigma, mu)
-        forward, backward = _factor_products(factors)
-        try:
-            _, v = _golub_kahan(forward, backward, n, tol, max_iter, seed)
-            s = _norm(forward(v))
-        except OperatorNormError:
-            s = 0.0
-        if s > 0.0 and _certifies(_haar_rows(T, sigma, mu), s):
-            return s
+        rows = _haar_rows(T, sigma, mu)
+        if rows is not None:
+            forward, backward = _haar_products(rows)
+            try:
+                _, v = _golub_kahan(forward, backward, n, tol, max_iter, seed)
+                s = _norm(forward(v))
+            except OperatorNormError:
+                s = 0.0
+            if _certifies(rows, s):
+                return s
         M = dense_matrix(T, sigma, mu)
         gram = M.T @ M
         del M
@@ -467,60 +467,6 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
         lambda w: a * T_adj.apply_values(b * w),
         grid.cell_count, tol=tol, max_iter=max_iter, seed=seed,
     )
-
-
-class _RowSparse(NamedTuple):
-    """Row-sparse n x K factors of M = C G^T: cell i holds C[i] and G[i] in
-    columns cols[i], one slot per (family level, term), by ascending level."""
-    C: np.ndarray
-    G: np.ndarray
-    cols: np.ndarray
-    K: int
-    grid: DyadicGrid
-
-
-def _profile_columns(T):
-    """(g, gamma, level): T's profiles on the cells, one column per family
-    level and term by ascending level, each cell holding the profile of its
-    cube at that level; level gives each column's family level."""
-    d, N, tau = T.grid.d, T.grid.N, T.tau
-
-    def on_cells(profiles):
-        return np.concatenate([np.zeros((T.grid.cell_count, 0))] + [
-            expand(scatter_subcells(np.moveaxis(profiles[j], 0, -1), d, tau), d, N - j - tau)
-            for j in T.levels], axis=1)
-
-    level = np.repeat(T.levels, [T.g[j].shape[0] for j in T.levels])
-    return on_cells(T.g), on_cells(T.gamma), level
-
-
-def _low_rank_factors(T, sigma, mu):
-    """C = diag(b) Gamma and G = diag(a |cell|) G0 with M = C G^T (a, b as in
-    `dense_matrix`), one column per (level, term, cube), numbered col +
-    count * term + cube, holding the expanded profile on the cube's cells.
-    A cell lies in one cube per level, so only its (level, term) slots are
-    stored; a shift with no family cube gives K = 0 columns."""
-    grid = T.grid
-    d, N = grid.d, grid.N
-    a, b = _measure_scalings(grid, sigma, mu)
-    g, gamma, _ = _profile_columns(T)
-    cols, K = [np.zeros((grid.cell_count, 0), dtype=np.intp)], 0
-    for j in T.levels:
-        terms, count = T.g[j].shape[:2]
-        cols.append(K + count * np.arange(terms) + ancestor_map(d, N, j)[:, None])
-        K += terms * count
-    return _RowSparse(gamma * b[:, None], g * (a * grid.cell_volume)[:, None],
-                      np.hstack(cols), K, grid)
-
-
-def _factor_products(f):
-    """x -> C (G^T x) and y -> G (C^T y): one bincount, then one gather."""
-    flat = f.cols.ravel()
-
-    def through(A, B):
-        return lambda x: np.einsum("ij,ij->i", A, np.bincount(
-            flat, weights=(B * x[:, None]).ravel(), minlength=f.K)[f.cols])
-    return through(f.C, f.G), through(f.G, f.C)
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -689,6 +635,33 @@ def _haar_rows(T, sigma, mu):
     terms = max([T.g[j].shape[0] for j in T.levels], default=0)
     m = 4 * N * d + N + tau * (d + 1) + terms + 12
     return _HaarRows(rows[0], rows[1], z[N], levels, _gamma(m) / (1.0 - _gamma(m)), grid)
+
+
+def _haar_products(rows):
+    """x -> Y^ x and y -> Y^T y, one einsum each: x by function (level by
+    level, then support cube in Morton order, then slot), y by Morton cell
+    position.  Every support cube is a union of the finest ones (level
+    `fine`), so index[slot, q] names the function a slot holds on the cells
+    of the finest support cube q: a gather feeds the forward product and a
+    bincount sums the backward one."""
+    d, n = rows.grid.d, rows.grid.cell_count
+    fine = rows.levels[-1][1]
+    cubes = np.arange(1 << (fine * d))
+    index, offset = [], 0
+    for _, low, start, stop in rows.levels:
+        index.append(offset + (stop - start) * (cubes >> ((fine - low) * d))
+                     + np.arange(stop - start)[:, None])
+        offset += (stop - start) << (low * d)
+    index = np.concatenate(index)
+    Y = rows.Y.reshape(index.shape + (-1,))
+
+    def forward(x):
+        return np.einsum("sqc,sq->qc", Y, x[index]).ravel()
+
+    def backward(y):
+        return np.bincount(index.ravel(), weights=np.einsum(
+            "sqc,qc->sq", Y, y.reshape(len(cubes), -1)).ravel(), minlength=n)
+    return forward, backward
 
 
 def _tree_gram(rows):

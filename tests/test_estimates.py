@@ -35,12 +35,14 @@ from dyadlab import (
 )
 from dyadlab.corona import pn_alpha
 from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
-                               ProfileFamily, _IndicatorScan, affine_fit, fit_slope)
+                               ProfileFamily, _IndicatorScan, _profile_columns, affine_fit,
+                               fit_slope)
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
 from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
 from dyadlab.weights import _measure
 from dyadlab.estimates import testing_constants as eval_testing_constants
+import dyadlab.estimates as estimates
 import dyadlab.experiments as exp
 
 from helpers import cube_set, masked, random_generic, stopping_descendants
@@ -199,7 +201,7 @@ def test_indicator_scan_fields_are_t_of_sigma_indicators(shape, tau, separated, 
     T = random_simple_shift(tau, seed + 1, g, separated=separated)
     T_abs = SimpleHaarShift(g, tau, T.levels, {a: np.abs(T.g[a]) for a in T.levels},
                             {a: np.abs(T.gamma[a]) for a in T.levels}, validate=False)
-    scan = _IndicatorScan(T, pick[sigma_kind], pick[mu_kind])
+    scan = _IndicatorScan(T, pick[sigma_kind], pick[mu_kind], _profile_columns(T))
     density = _measure(g, pick[sigma_kind]).values
     for jq in range(N + 1):
         for dp in range(min(tau - 1, N - jq) + 1):
@@ -211,6 +213,24 @@ def test_indicator_scan_fields_are_t_of_sigma_indicators(shape, tau, separated, 
                     scale = Q.cell_values(T_abs.apply_values(f)).max()
                     err = np.abs(fields[Q.flat, rel] - Q.cell_values(T.apply_values(f))).max()
                     assert err <= 1e-13 * scale
+
+
+def test_testing_constants_expand_the_profiles_once(monkeypatch):
+    """The adjoint's profile columns are T's with g and gamma swapped, so
+    one `testing_constants` call expands the profiles once."""
+    T, sigma, mu = exp.two_weight_instance(5, depth=6)
+    g, gamma, level = _profile_columns(T)
+    for want, got in zip((gamma, g, level), _profile_columns(T.adjoint())):
+        assert np.array_equal(want, got)
+    calls = []
+
+    def counting(shift):
+        calls.append(shift)
+        return _profile_columns(shift)
+
+    monkeypatch.setattr(estimates, "_profile_columns", counting)
+    eval_testing_constants(T, sigma, mu, norm_method="power-iteration")
+    assert calls == [T]
 
 
 def test_necessity_on_sample_instances():

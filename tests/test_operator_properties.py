@@ -1,26 +1,27 @@
 """Operator-level identities and the dense norm oracle against independent checks.
 
-The `dense-svd` norm runs the Krylov loop once, through M = C G^T with
-row-sparse factors (one value and column per cell and (level, term)), by
-gathers and bincounts, and certifies its value s, a lower bound for |M|, in
-the sigma-weighted Haar basis.  W, the constant and the two-point functions
-of every cube for the masses m = (a |cell|)^2 in `dense_matrix` coordinates,
-is orthogonal, so |M| = |M W|; Y = M W has nonzeros only where a column's
-support holds the cell, and Y^T Y only between nested supports, so one
-Cholesky factorization of s^2 (1 + eps) I - H^ runs over the tree of
-supports with no fill.  `_dense_factors` builds the factors as dense n x K
-arrays and is their oracle: the row-sparse values are its nonzeros and the
-products match its products.  A test-side W built from its definition (in
-long double, by the triple product) is the oracle of the Haar route: it is
-orthogonal, Y^ lies within rho Z (Z the shadow, the same construction on
-absolute values) of M W formed in extended precision on its slots and is
-negligible off them, the tree Gram lies within gamma_n |Y^|^T |Y^| of the
-exact Y^T Y^ with exact zeros off the nested pattern, err covers its Gram
-and Y^ terms, and the tree verdict is `np.linalg.cholesky`'s on the
-finest-first permuted dense matrix at s^2 (1 +- 1e-6).  Only a refused
-certificate (s = 0 from a zero shift or an unconverged Krylov run, or
-masses whose two-point ratios overflow) builds M and takes LAPACK's
-symmetric eigensolver.  The route tests count Krylov
+The `dense-svd` norm works on one matrix, Y^ = fl(M W) in the
+sigma-weighted Haar basis: it runs the Krylov loop once on Y^, by one gather
+and one einsum forward and one einsum and one bincount backward, and
+certifies the value s, a lower bound for |M|, on the same Y^.  W, the
+constant and the two-point functions of every cube for the masses
+m = (a |cell|)^2 in `dense_matrix` coordinates, is orthogonal, so
+|M| = |M W|; Y = M W has nonzeros only where a column's support holds the
+cell, and Y^T Y only between nested supports, so one Cholesky factorization
+of s^2 (1 + eps) I - H^ runs over the tree of supports with no fill.
+`_dense_rows` scatters Y^ into an n x n array and is the oracle of its
+products, once its columns are renumbered the products' way.  A test-side W
+built from its definition (in long double, by the triple product) is the
+oracle of the Haar route: it is orthogonal, Y^ lies within rho Z (Z the
+shadow, the same construction on absolute values) of M W formed in extended
+precision on its slots and is negligible off them, the tree Gram lies within
+gamma_n |Y^|^T |Y^| of the exact Y^T Y^ with exact zeros off the nested
+pattern, err covers its Gram and Y^ terms, and the tree verdict is
+`np.linalg.cholesky`'s on the finest-first permuted dense matrix at
+s^2 (1 +- 1e-6).  Only a refused certificate (s = 0 from a zero shift or an
+unconverged Krylov run) or a basis that does not exist in floating point
+(masses whose two-point ratios overflow, where no Krylov run happens) builds
+M and takes LAPACK's symmetric eigensolver.  The route tests count Krylov
 runs, `dense_matrix`, `apply_values` and eigensolver calls; the suite prefix
 must certify without M; a tracemalloc guard keeps a tau=1 N=10 norm below
 one n x n array; and sigma scaled by 2^+-600 scales the norm exactly and
@@ -121,7 +122,7 @@ def eigvalsh_calls(monkeypatch):
 def test_certificate_refuses_a_value_below_the_norm():
     """The tree certificate passes the full SVD's norm and refuses it less
     1e-6, and 0, at tau=1 and tau=2 on 128 cells: 8 and 14 Haar slots a
-    cell, against 6 (level, term) slots of the tau=2 Krylov factors."""
+    cell."""
     for i, slots in ((3, 8), (4, 14)):
         T, sigma, mu = exp.two_weight_instance(i, depth=7)
         s = _full_svd_norm(T, sigma, mu)
@@ -130,7 +131,6 @@ def test_certificate_refuses_a_value_below_the_norm():
         assert shifts._certifies(rows, s)
         assert not shifts._certifies(rows, s * (1.0 - 1e-6))
         assert not shifts._certifies(rows, 0.0)
-    assert shifts._low_rank_factors(T, sigma, mu).cols.shape == (128, 6)
 
 
 def test_zero_shift_takes_the_eigensolver_fallback(eigvalsh_calls):
@@ -184,12 +184,14 @@ def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_c
     assert eigvalsh_calls == []
 
 
-@pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked", "unconverged"])
+@pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked", "unconverged",
+                                  "overflow"])
 def test_the_n_by_n_route_builds_m_once(case, dense_builds):
     """Only the fallback builds M: a generic shift, the d=2 martingale
-    transform and a masked shift (zeroed cubes, so G^T G is singular)
-    certify without it, while the zero shift and an unconverged Krylov run
-    (s = 0) build it once.  Either way the Krylov loop runs once."""
+    transform and a masked shift (zeroed cubes, so rank-deficient) certify
+    without it, while the zero shift and an unconverged Krylov run (s = 0)
+    build it once.  The Krylov loop runs once when the basis exists; sibling
+    masses 2^+-550 apart overflow it, and M is built with no Krylov run."""
     grid = build_grid(1, 6) if case != "martingale_d2" else build_grid(2, 3)
     w = random_a2_weight(1, 5, grid)
     sigma, mu, max_iter = w, dual_weight(w), 10_000
@@ -203,11 +205,17 @@ def test_the_n_by_n_route_builds_m_once(case, dense_builds):
         rng = np.random.default_rng(3)
         T = masked(random_simple_shift(2, 11, grid),
                    {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
-    else:
+    elif case == "unconverged":
         (T, sigma, mu), max_iter = exp.two_weight_instance(5, depth=7), 2
+    else:
+        grid = build_grid(1, 3)
+        values = np.ones(grid.cell_count)
+        values[:2] = 2.0 ** -550, 2.0 ** 550
+        T, sigma, mu = random_simple_shift(1, 4, grid), Weight(values, grid), None
     norm = operator_norm(T, sigma, mu, method="dense-svd", max_iter=max_iter)
-    built = int(case in ("zero", "unconverged"))
-    assert dense_builds == {"_golub_kahan": 1, "dense_matrix": built, "apply_values": built}
+    built = int(case in ("zero", "unconverged", "overflow"))
+    krylov = int(case != "overflow")
+    assert dense_builds == {"_golub_kahan": krylov, "dense_matrix": built, "apply_values": built}
     assert norm == pytest.approx(_full_svd_norm(T, sigma, mu), rel=1e-12, abs=0.0)
 
 
@@ -276,13 +284,6 @@ def test_a_basis_that_overflows_refuses(eigvalsh_calls):
     assert norm == pytest.approx(_full_svd_norm(T, sigma, None), rel=1e-12)
 
 
-def _dense_factors(T, sigma, mu):
-    """The factors C, G of M = C G^T as dense n x K arrays."""
-    C, G = _profile_factors(T)
-    a, b = shifts._measure_scalings(T.grid, sigma, mu)
-    return C * b[:, None], G * (a * T.grid.cell_volume)[:, None]
-
-
 @st.composite
 def shift_cases(draw):
     """A shift on d=1, N <= 7 or d=2, N <= 4, and each side None, w or its
@@ -310,29 +311,6 @@ def shift_cases(draw):
     w = random_a2_weight(draw(st.integers(0, 2)), seed, grid)
     sides = st.sampled_from((None, w, dual_weight(w)))
     return T, draw(sides), draw(sides)
-
-
-@given(shift_cases())
-@settings(max_examples=80, deadline=None)
-def test_row_sparse_factors_match_the_dense_oracle(case):
-    """The row-sparse factors hold the dense factors' nonzeros, and C G^T is
-    `dense_matrix`; their products match the dense ones to 1e-14 of
-    |C| |G|^T |x|."""
-    T, sigma, mu = case
-    factors = shifts._low_rank_factors(T, sigma, mu)
-    C, G = _dense_factors(T, sigma, mu)
-    n, K = C.shape
-    assert factors.K == K and factors.cols.shape == factors.C.shape
-    for sparse, dense in ((factors.C, C), (factors.G, G)):
-        assert np.array_equal(np.take_along_axis(dense, factors.cols, axis=1), sparse)
-        assert np.count_nonzero(dense) == np.count_nonzero(sparse)
-    M = dense_matrix(T, sigma, mu)
-    assert np.all(np.abs(C @ G.T - M) <= 1e-14 * (np.abs(C) @ np.abs(G).T))
-    forward, backward = shifts._factor_products(factors)
-    x = np.random.default_rng(n + K).standard_normal(n)
-    for got, want, scale in ((forward(x), C @ (G.T @ x), np.abs(C) @ (np.abs(G).T @ np.abs(x))),
-                             (backward(x), G @ (C.T @ x), np.abs(G) @ (np.abs(C).T @ np.abs(x)))):
-        assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
 
 # the two-point splits of a cube's children by local row-major offset: at d=2
@@ -390,6 +368,35 @@ def _dense_rows(rows):
     for F, values in zip(out, (rows.Y, rows.Z, True)):
         F[rows.cells[None, :], cols] = values
     return out
+
+
+def _function_columns(rows):
+    """The column of W behind each function coordinate of `_haar_products`
+    (level by level, then support cube in Morton order, then slot): a slot
+    holds one function on all the cells of its support cube."""
+    n, d = rows.grid.cell_count, rows.grid.d
+    cols = _slot_columns(rows)
+    return np.concatenate([cols[start:stop, ::n >> (low * d)].T.ravel()
+                           for _, low, start, stop in rows.levels])
+
+
+@given(shift_cases())
+@settings(max_examples=80, deadline=None)
+def test_haar_products_match_the_dense_oracle(case):
+    """The function coordinates number the columns of Y^ one to one, and
+    the forward and backward products are those of the n x n Y^ (cells in
+    Morton order, columns renumbered the products' way) to 1e-14 of
+    |Y^| |x|."""
+    T, sigma, mu = case
+    rows = shifts._haar_rows(T, sigma, mu)
+    n = T.grid.cell_count
+    columns = _function_columns(rows)
+    assert np.array_equal(np.sort(columns), np.arange(n))
+    Y = _dense_rows(rows)[0][rows.cells][:, columns]
+    forward, backward = shifts._haar_products(rows)
+    x = np.random.default_rng(n).standard_normal(n)
+    for got, A in ((forward(x), Y), (backward(x), Y.T)):
+        assert np.all(np.abs(got - A @ x) <= 1e-14 * (np.abs(A) @ np.abs(x)))
 
 
 def _dense_tree_gram(rows, grams):
