@@ -10,14 +10,16 @@ All scans share one trick: per-level "suffix" cell arrays accumulate the
 output fields of all family levels at or below a level j, so quantities
 indexed by every cube of the grid cost O(N 2^(Nd)) in total instead of one
 operator application per cube.  Indicator testing (the T1-style and
-weak-boundedness constants) reads T(sigma 1_Q') by one rule: the suffix field
-on Q', plus each ancestor pairing <sigma 1_Q', g_P> times gamma_P on the
-family cube P above Q'; a brute-force oracle on small grids pins the fast
-path down in the tests.
+weak-boundedness constants) works in the sigma-weighted Haar basis of the
+Nazarov-Treil-Volberg T1 theorem: T(sigma 1_Q') is read from the shift's
+matrix in that basis, Y^ (`shifts._haar_rows`), which the `dense-svd` norm
+shares; a brute-force oracle on small grids pins the fast path down in the
+tests.
 
-Cube and cell masses come only from a Weight's cached pyramids: w(Q) is
-`w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each holds the
-cell masses.  A measure argument of None means Lebesgue measure;
+Elsewhere, cube and cell masses come only from a Weight's cached pyramids:
+w(Q) is `w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each
+holds the cell masses; the testing constants use their basis's own masses.
+A measure argument of None means Lebesgue measure;
 `weights._measure` resolves it, for this module and `shifts` alike, to the
 constant-one Weight.
 """
@@ -34,7 +36,6 @@ from .grid import (
     DyadicGrid,
     GridError,
     GridFunction,
-    ancestor_flat,
     ancestor_map,
     assemble_levels,
     check_cube,
@@ -48,14 +49,15 @@ from .grid import (
     subcell_matrix,
     suffix_sweep,
 )
-from .weights import Weight, _measure, a_infty_modulus, two_weight_a2
+from .weights import Weight, WeightError, _measure, a_infty_modulus, two_weight_a2
 from .corona import (
     CoronaDecomposition,
     CoronaStructureError,
     CubeSet,
     pn_alpha,
 )
-from .shifts import SimpleHaarShift, _weak_type, operator_norm
+from .shifts import (_DENSE_CELLS, SimpleHaarShift, _dense_norm, _haar_rows, _weak_type,
+                     operator_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -80,111 +82,94 @@ class TestingReport:
     to_dict = report_dict
 
 
-def _profile_columns(T):
-    """(g, gamma, level): T's profiles on the cells, one column per family
-    level and term by ascending level, each cell holding the profile of its
-    cube at that level; level gives each column's family level.  T's
-    adjoint has the same columns with g and gamma swapped."""
-    d, N, tau = T.grid.d, T.grid.N, T.tau
-
-    def on_cells(profiles):
-        return np.concatenate([np.zeros((T.grid.cell_count, 0))] + [
-            expand(scatter_subcells(np.moveaxis(profiles[j], 0, -1), d, tau), d, N - j - tau)
-            for j in T.levels], axis=1)
-
-    level = np.repeat(T.levels, [T.g[j].shape[0] for j in T.levels])
-    return on_cells(T.g), on_cells(T.gamma), level
+def _slots_under(rows, p: int, j: int) -> np.ndarray:
+    """Y^'s level-p slots under each level-j cube Q on Q's cells, shape
+    (count at j, cubes under Q, E, cells of Q) in Morton order: a level-p
+    slot lives on the level max(p - tau + 1, 0) ancestor, here Q or above."""
+    d, N = rows.grid.d, rows.grid.N
+    _, low, start, stop = rows.levels[p + 1]
+    A, L = 1 << ((j - low) * d), 1 << ((p - j) * d)
+    view = rows.Y[start:stop].reshape(A, L, -1, 1 << (low * d), A, 1 << ((N - j) * d))
+    return np.einsum("aleqax->qalex", view).reshape(-1, L, view.shape[2], view.shape[-1])
 
 
-class _IndicatorScan:
-    """T(sigma 1_Q') on the cells of the cubes Q around Q', for every cube Q'.
-
-    One rule gives T(sigma 1_Q') for Q' at level j': the suffix field S_j' on
-    Q' (a family cube at a level >= j' holds all of sigma 1_Q' or none of it,
-    so its full-pairing output is exact there) plus, for each family level
-    a < j', the ancestor pairing <sigma 1_Q', g_{P_a(Q')}> times gamma on
-    P_a(Q').  `fields` evaluates the rule; the testing constants integrate
-    its output against mu.  `columns` are T's `_profile_columns`.
-    """
-
-    def __init__(self, T: SimpleHaarShift, sigma: Weight | None, mu: Weight | None,
-                 columns):
-        grid = self.grid = T.grid
-        d, N, tau = grid.d, grid.N, T.tau
-        self.tau = tau
-        self.sigma_sums = _measure(grid, sigma).sums
-        self.mu_sums = _measure(grid, mu).sums
-
-        g, self.gamma, self.level = columns
-        # cube integrals of g sigma; at each level j' deeper than a column's
-        # level a they are the pairings <sigma 1_Q', g_{P_a(Q')}>, the only
-        # entries `fields` reads
-        self.pairings = integral_pyramid(g * self.sigma_sums[N][:, None], d, N)
-        self.suffix = dict(suffix_sweep(
-            T.output_fields(T.pairing_coefficients(self.sigma_sums)), d, N, tau))
-        # T(sigma 1_Q) on Q itself, per level: T1 and the dp=0 block of WB
-        self.own = [self.fields(j, 0) for j in range(N + 1)]
-
-    def fields(self, jq: int, dp: int) -> np.ndarray:
-        """T(sigma 1_Q') on the cells of Q, for every level-jq cube Q and each
-        depth-dp descendant Q' of Q: shape (count at jq, 2^(dp d), cells of Q),
-        Q' and the cells in local row-major order."""
-        d, N = self.grid.d, self.grid.N
-        jp, t = jq + dp, N - jq
-        rel, cells = np.arange(1 << (dp * d)), np.arange(1 << (t * d))
-        q1 = descendant_flat(d, jq, jp, np.arange(self.grid.level_count(jq))[:, None], rel)
-        k = np.searchsorted(self.level, jp)        # the columns of family levels above Q'
-        # (Q', cell of Q, column): the cell lies in the column's cube P_a(Q')
-        depth = np.maximum(self.level[:k] - jq, 0)
-        inside = (ancestor_flat(d, t, depth, cells[:, None])
-                  == ancestor_flat(d, dp, depth, rel[:, None, None]))
-        own = ancestor_flat(d, t, dp, cells) == rel[:, None]
-        return (np.where(own, subcell_matrix(self.suffix[jp], d, t)[:, None, :], 0.0)
-                + np.einsum("cpk,cxk,pxk->cpx", self.pairings[jp][q1, :k],
-                            subcell_matrix(self.gamma, d, t)[..., :k], inside))
+def _indicator_sums(rows) -> list:
+    """B[k], k = 0..N, in Morton cell order: b T(m 1_Q) / m(Q) on each
+    level-k cube Q.  1_Q / m(Q) is w_0 w_0 plus w_P(Q) w_P over Q's
+    ancestors P, whose slots Q's cells hold: one running sum per cell."""
+    d = rows.grid.d
+    B = [rows.w[0][0, 0, 0] * rows.Y[0]]
+    for p in range(rows.grid.N):
+        slots = _slots_under(rows, p, p)
+        count, E = slots.shape[0], slots.shape[2]
+        coef = rows.w[p + 1][:, 0].reshape(count, 1 << d, E)
+        step = np.einsum("qce,qecx->qcx", coef, slots.reshape(count, E, 1 << d, -1))
+        B.append(B[-1] + step.ravel())
+    return B
 
 
-def _t1_constant(scan: _IndicatorScan):
-    d, N = scan.grid.d, scan.grid.N
+def _indicator_fields(rows, B: np.ndarray, j: int, depth: int) -> np.ndarray:
+    """b T(m 1_Q') / m(Q') on the cells of each level-j cube Q for each Q' at
+    most `depth` < tau levels below, shape (count at j, Q' by depth then Morton
+    offset, cells of Q): B[j]'s running sum goes on with Q''s ancestors."""
+    count = rows.mass[j].size
+    out = [B.reshape(count, 1, -1)]
+    for p in range(j, j + depth):
+        coef = rows.w[p + 1][:, 0].reshape(count, out[-1].shape[1], 1 << rows.grid.d, -1)
+        step = np.einsum("qlce,qlex->qlcx", coef, _slots_under(rows, p, j))
+        out.append((out[-1][:, :, None] + step).reshape(count, -1, B.size // count))
+    return np.concatenate(out, axis=1)
 
-    def rows():
-        for j, own in enumerate(scan.own):
-            f = own[:, 0]
-            mu = subcell_matrix(scan.mu_sums[N], d, N - j)
-            yield j, (f * f * mu).sum(axis=1) / scan.sigma_sums[j], None
 
-    best, wit = level_argmax(scan.grid, rows())
+def _t1_supremum(rows, B: list):
+    """C_T1 and its `level_argmax` witness from the `_indicator_sums` B:
+    C_T1^2 = max_Q m(Q) sum_Q B^2.  Values within Y^'s rounding bound rho
+    of the maximum count as equal to it, so that an exact tie stays a tie."""
+    values = [(m * np.square(field).reshape(m.size, -1).sum(1))[np.argsort(z)]
+              for m, field, z in zip(rows.mass, B, rows.z)]
+    top = max(v.max() for v in values)
+    best, wit = level_argmax(rows.grid, ((k, np.where(v >= top * (1.0 - rows.rho), top, v), None)
+                                         for k, v in enumerate(values)))
     return math.sqrt(max(best, 0.0)), wit
 
 
-def _wb_constant(scan: _IndicatorScan):
-    grid, tau = scan.grid, scan.tau
-    d, N = grid.d, grid.N
-    best, wit = 0.0, (grid.root(), grid.root())
-    for jq in range(N + 1):
-        depths = range(min(tau - 1, N - jq) + 1)
-        base = np.arange(grid.level_count(jq))
-        # flats of the depth-e cubes under each Q, shape (offset, Q)
-        under = [descendant_flat(d, jq, jq + e, base, np.arange(1 << (e * d))[:, None])
-                 for e in depths]
-        levels2 = jq + np.repeat(depths, [u.shape[0] for u in under])
-        flats2 = np.concatenate(under)
-        mu = subcell_matrix(scan.mu_sums[N], d, N - jq)
-        for dp in depths:
-            fields = scan.own[jq] if dp == 0 else scan.fields(jq, dp)
-            pyr = integral_pyramid(np.moveaxis(fields * mu[:, None, :], -1, 0), d, N - jq)
-            sigma = scan.sigma_sums[jq + dp][under[dp]][:, None]
-            # axes (Q' offset, Q'' depth then offset, Q): argmax keeps the
-            # first maximal pair in that order
-            ratio = np.concatenate([
-                np.abs(pyr[ds].transpose(2, 0, 1))
-                / np.sqrt(sigma * scan.mu_sums[jq + ds][under[ds]]) for ds in depths], axis=1)
-            p, s, c = np.unravel_index(np.argmax(ratio), ratio.shape)
-            if ratio[p, s, c] > best:
-                best = float(ratio[p, s, c])
-                wit = (grid.cube(jq + dp, int(under[dp][p, c])),
-                       grid.cube(int(levels2[s]), int(flats2[s, c])))
-    return best, wit
+def _wb_supremum(rows, mu_mass: list, B: list, tau: int):
+    """C_WB and its witness: sqrt(m(Q')) |sum_{x in Q''} b_x F(x)| / sqrt(mu(Q''))
+    is the ratio, F the `_indicator_fields` of Q'; ties as in `_t1_supremum`."""
+    grid, d, N = rows.grid, rows.grid.d, rows.grid.N
+    morton = [np.argsort(z) for z in rows.z]        # Morton position of each flat index
+    depths = range(min(tau, N + 1))
+    # cubes under a cube by depth then row-major offset, and their field index
+    under = [(e, r) for e in depths for r in range(1 << (e * d))]
+    order = np.concatenate([((1 << (e * d)) - 1) // ((1 << d) - 1) + morton[e] for e in depths])
+    ratios = []
+    for j in range(N + 1):
+        count, deep = rows.mass[j].size, min(tau - 1, N - j)
+        fields = _indicator_fields(rows, B[j], j, deep) * rows.b.reshape(count, 1, -1)
+        width = fields.shape[1]
+        ratio = np.concatenate([
+            np.abs(fields.reshape(count, width, 1 << (e * d), -1).sum(axis=3))
+            / np.sqrt(mu_mass[j + e]).reshape(count, 1, -1) for e in range(deep + 1)], axis=2)
+        ratio *= np.concatenate([np.sqrt(rows.mass[j + e]).reshape(count, -1)
+                                 for e in range(deep + 1)], axis=1)[:, :, None]
+        ratios.append(ratio[np.ix_(morton[j], order[:width], order[:width])].transpose(1, 2, 0))
+    best = max(float(r.max()) for r in ratios)
+    for j, ratio in enumerate(ratios):
+        hits = ratio >= best * (1.0 - rows.rho)
+        if hits.any():
+            *pair, c = np.unravel_index(np.argmax(hits), hits.shape)
+            return best, tuple(grid.cube(j + e, int(descendant_flat(d, j, j + e, int(c), r)))
+                               for e, r in (under[k] for k in pair))
+    return best, (grid.root(), grid.root())
+
+
+def _read_rows(name: str, T, sigma, mu):
+    """`_haar_rows` and `_indicator_sums` of (T, sigma, mu); WeightError names `name`."""
+    rows = _haar_rows(T, sigma, mu)
+    if rows is None:
+        raise WeightError(f"{name} has no Haar basis in floating point: a cell mass is not "
+                          "a positive normal number, or a two-point value over- or underflows")
+    return rows, _indicator_sums(rows)
 
 
 def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | None,
@@ -198,18 +183,22 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     is a restricted-supremum lower bound for the norm of f -> T(sigma f) from
     L2(sigma) to L2(mu).
 
-    All three read T(sigma 1_Q') on Q from `_IndicatorScan.fields`.  The T1
-    witnesses follow `level_argmax`; the WB witness is the first maximal pair
-    in the order: Q's level, the depth then local offset of Q', the depth
-    then local offset of Q'', then Q's index.
+    All three are read from the shift's matrix in the sigma-weighted Haar
+    basis, Y^ (`shifts._haar_rows`, with its own masses), built for (T*, mu,
+    sigma) and for (T, sigma, mu), which the `dense-svd` norm shares; a
+    measure with no such basis in floats raises WeightError.  T1 witnesses
+    follow `level_argmax`; the WB witness is the first maximal pair in the
+    order: Q's level, Q' depth then offset, Q'' depth then offset, Q's index.
     """
-    g, gamma, level = _profile_columns(T)
-    scan = _IndicatorScan(T, sigma, mu, (g, gamma, level))
-    c_t1, wit_t1 = _t1_constant(scan)
-    c_tstar1, wit_tstar1 = _t1_constant(_IndicatorScan(T.adjoint(), mu, sigma,
-                                                       (gamma, g, level)))
-    c_wb, wit_wb = _wb_constant(scan)
-    full = operator_norm(T, sigma, mu, method=norm_method)
+    dual, B = _read_rows("mu", T.adjoint(), mu, sigma)
+    (c_tstar1, wit_tstar1), mu_mass = _t1_supremum(dual, B), dual.mass
+    del dual, B             # read first and dropped: one Y^ alive at a time
+    rows, B = _read_rows("sigma", T, sigma, mu)
+    c_t1, wit_t1 = _t1_supremum(rows, B)
+    c_wb, wit_wb = _wb_supremum(rows, mu_mass, B, T.tau)
+    full = (_dense_norm(T, sigma, mu, rows)
+            if norm_method in ("auto", "dense-svd") and T.grid.cell_count <= _DENSE_CELLS
+            else operator_norm(T, sigma, mu, method=norm_method))
     return TestingReport(
         c_wb=c_wb, c_t1=c_t1, c_tstar1=c_tstar1, full_norm=full, tau=T.tau,
         witnesses={"t1": wit_t1, "tstar1": wit_tstar1, "wb": list(wit_wb)},

@@ -28,7 +28,8 @@ max(p - tau + 1, 0) ancestor of P (the support rule), a cell holds
 N=10, tau = 1, 2, 3), and (M W)^T (M W) meets only columns whose supports
 nest.  Eliminating the finest level first, each cube's columns meet only
 their ancestors' columns, which already meet each other: no fill, so the
-Cholesky factorization runs cube by cube with no n x n array.
+Cholesky factorization runs cube by cube with no n x n array.  The same
+Y^ and its basis give `estimates.testing_constants` T(sigma 1_Q) on Q.
 
 A reduction whose value reaches an output is a fixed-order numpy reduction
 (`np.einsum`, `np.bincount`, `pool`), never a BLAS dot or norm, whose partial
@@ -438,24 +439,9 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     if method == "auto":
         method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
     if method == "dense-svd":
-        n = T.grid.cell_count
-        if n > _DENSE_CELLS:
+        if T.grid.cell_count > _DENSE_CELLS:
             raise ShiftError("dense matrix limited to grids with at most 4096 cells")
-        rows = _haar_rows(T, sigma, mu)
-        if rows is not None:
-            forward, backward = _haar_products(rows)
-            try:
-                _, v = _golub_kahan(forward, backward, n, tol, max_iter, seed)
-                s = _norm(forward(v))
-            except OperatorNormError:
-                s = 0.0
-            if _certifies(rows, s):
-                return s
-        M = dense_matrix(T, sigma, mu)
-        gram = M.T @ M
-        del M
-        top = float(np.linalg.eigvalsh(gram)[-1])
-        return math.sqrt(top) if top > 0.0 else 0.0
+        return _dense_norm(T, sigma, mu, _haar_rows(T, sigma, mu), tol, max_iter, seed)
     if method != "power-iteration":
         raise ShiftError(f"unknown method {method!r}")
 
@@ -467,6 +453,25 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
         lambda w: a * T_adj.apply_values(b * w),
         grid.cell_count, tol=tol, max_iter=max_iter, seed=seed,
     )
+
+
+def _dense_norm(T, sigma, mu, rows, tol: float = 1e-8, max_iter: int = 10_000,
+                seed: int = _POWER_SEED) -> float:
+    """The `dense-svd` branch of `operator_norm`, given T's `_haar_rows`."""
+    if rows is not None:
+        forward, backward = _haar_products(rows)
+        try:
+            _, v = _golub_kahan(forward, backward, T.grid.cell_count, tol, max_iter, seed)
+            s = _norm(forward(v))
+        except OperatorNormError:
+            s = 0.0
+        if _certifies(rows, s):
+            return s
+    M = dense_matrix(T, sigma, mu)
+    gram = M.T @ M
+    del M
+    top = float(np.linalg.eigvalsh(gram)[-1])
+    return math.sqrt(top) if top > 0.0 else 0.0
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -488,18 +493,22 @@ def _gamma(k: int) -> float:
 
 class _HaarRows(NamedTuple):
     """Y^ = fl(M W) row-sparse, slot-major: the cell in Morton position i
-    (flat index cells[i]) holds Y[:, i] and its shadow Z[:, i].  Slots run
+    (flat index z[N][i]) holds Y[:, i] and its shadow Z[:, i].  Slots run
     by ascending function level p (-1 for the constant); `levels` holds
     (p, a, start, stop) per level: slot start + E r + e of a cell is the
     function of pattern e on the r-th level-p cube, in Morton order, of the
     cell's level-a ancestor (its support cube).  rho bounds |Y^ - M W| <=
-    rho Z entrywise."""
+    rho Z entrywise.  In Morton order: z[l] maps level l to flat indices, mass[l]
+    holds its cube masses, w the `_two_point_values`, b the cell scalings."""
     Y: np.ndarray
     Z: np.ndarray
-    cells: np.ndarray
+    z: list
     levels: tuple
     rho: float
     grid: DyadicGrid
+    mass: list
+    w: list
+    b: np.ndarray
 
 
 def _haar_layout(d: int, N: int, tau: int):
@@ -582,8 +591,8 @@ def _haar_rows(T, sigma, mu):
     grid = T.grid
     d, N, tau, n = grid.d, grid.N, T.tau, grid.cell_count
     z, levels = _haar_layout(d, N, tau)
-    a, b = _measure_scalings(grid, sigma, mu)
-    root = (a * grid.cell_volume)[z[N]]
+    a, b = (x[z[N]] for x in _measure_scalings(grid, sigma, mu))     # Morton order
+    root = a * grid.cell_volume
     mass = [root * root]
     with np.errstate(all="ignore"):
         for _ in range(N):
@@ -627,14 +636,15 @@ def _haar_rows(T, sigma, mu):
             width, K = 1 << ((p - j) * d), coef.shape[3]
             coef = coef.reshape(-1, width, 2, E, K).transpose(2, 0, 1, 3, 4).reshape(
                 2, -1, width * E, K)
-            out = coef * gamma[j] if K == 1 else np.matmul(coef, gamma[j])
+            out = np.einsum("scik,sckx->scix", coef, gamma[j])
             diagonal = _on_cubes(block, R // width)
             diagonal += out.reshape(diagonal.shape)
         rows[:, start:stop].reshape(2, R, E, count, -1)[...] = block.transpose(0, 2, 3, 1, 4)
-    rows *= b[z[N]]
+    rows *= b
     terms = max([T.g[j].shape[0] for j in T.levels], default=0)
     m = 4 * N * d + N + tau * (d + 1) + terms + 12
-    return _HaarRows(rows[0], rows[1], z[N], levels, _gamma(m) / (1.0 - _gamma(m)), grid)
+    return _HaarRows(rows[0], rows[1], z, levels, _gamma(m) / (1.0 - _gamma(m)), grid,
+                     mass, w, b)
 
 
 def _haar_products(rows):

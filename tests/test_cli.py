@@ -219,19 +219,25 @@ _SMALL_SWEEP = {"grid": {"d": 1, "N": 4}, "weights": [{"family": "power", "a": 0
 
 @pytest.mark.parametrize("with_testing", [False, True])
 def test_sweep_row_computes_its_norm_once(monkeypatch, with_testing):
-    """With testing on, the row's norm is the testing report's full norm."""
+    """With testing on, the row's norm is the testing report's full norm,
+    whose `dense-svd` branch runs on the report's own Haar rows."""
     import dyadlab.estimates
     import dyadlab.experiments as exp
 
-    calls, real = [], exp.operator_norm
+    calls, real, real_dense = [], exp.operator_norm, dyadlab.estimates._dense_norm
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("method"))
         return real(*args, **kwargs)
 
+    def counted_dense(*args, **kwargs):
+        calls.append("dense-svd")
+        return real_dense(*args, **kwargs)
+
     monkeypatch.delenv("DYADLAB_WORKERS", raising=False)     # rows in this process
     monkeypatch.setattr(exp, "operator_norm", counted)
     monkeypatch.setattr(dyadlab.estimates, "operator_norm", counted)
+    monkeypatch.setattr(dyadlab.estimates, "_dense_norm", counted_dense)
     cfg = ExperimentConfig.from_dict({**_SMALL_SWEEP, "norm_method": "dense-svd",
                                       "with_testing": with_testing})
     (row,) = exp.run_sweep(cfg)

@@ -35,14 +35,15 @@ from dyadlab import (
 )
 from dyadlab.corona import pn_alpha
 from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
-                               ProfileFamily, _IndicatorScan, _profile_columns, affine_fit,
+                               ProfileFamily, _indicator_fields, _indicator_sums, affine_fit,
                                fit_slope)
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
 from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
-from dyadlab.weights import _measure
+from dyadlab.weights import WeightError, _measure
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.estimates as estimates
+import dyadlab.shifts as shifts
 import dyadlab.experiments as exp
 
 from helpers import cube_set, masked, random_generic, stopping_descendants
@@ -188,49 +189,112 @@ def test_fast_constants_match_oracle_on_any_measure_pair(shape, tau, n, seed, si
        st.integers(1, 3), st.booleans(), st.integers(0, 3), st.integers(0, 10**6),
        st.sampled_from(("none", "weight", "dual")), st.sampled_from(("none", "weight", "dual")))
 @settings(max_examples=60, deadline=None)
-def test_indicator_scan_fields_are_t_of_sigma_indicators(shape, tau, separated, n, seed,
-                                                          sigma_kind, mu_kind):
-    """`fields(jq, dp)` holds T(sigma 1_Q') on the cells of Q for every level-jq
-    cube Q and depth-dp cube Q' under it (every jq and dp the scan uses), to
-    1e-13 of the same field with |g| and |gamma|."""
+def test_indicator_fields_are_t_of_sigma_indicators(shape, tau, separated, n, seed,
+                                                    sigma_kind, mu_kind):
+    """Read from Y^, m(Q') times `_indicator_fields` is b_x T(sigma 1_Q')(x)
+    for every cube Q, every Q' at most tau-1 levels below it and every cell
+    x of Q, to 1e-13 of the same field with |g| and |gamma|.  Cubes and
+    cells are located through the layout's Morton maps and checked to
+    nest."""
     d, N = shape
     tau = min(tau, N)
     g = build_grid(d, N)
     w = random_a2_weight(n, seed, g)
     pick = {"none": None, "weight": w, "dual": dual_weight(w)}
+    sigma, mu = pick[sigma_kind], pick[mu_kind]
     T = random_simple_shift(tau, seed + 1, g, separated=separated)
     T_abs = SimpleHaarShift(g, tau, T.levels, {a: np.abs(T.g[a]) for a in T.levels},
                             {a: np.abs(T.gamma[a]) for a in T.levels}, validate=False)
-    scan = _IndicatorScan(T, pick[sigma_kind], pick[mu_kind], _profile_columns(T))
-    density = _measure(g, pick[sigma_kind]).values
+    rows = shifts._haar_rows(T, sigma, mu)
+    B = _indicator_sums(rows)
+    density = _measure(g, sigma).values
+    b = np.sqrt(_measure(g, mu).values * g.cell_volume)
     for jq in range(N + 1):
-        for dp in range(min(tau - 1, N - jq) + 1):
-            fields = scan.fields(jq, dp)
-            assert fields.shape == (g.level_count(jq), 1 << (dp * d), 1 << ((N - jq) * d))
-            for Q in g.cubes(jq):
-                for rel in range(1 << (dp * d)):
-                    f = GridFunction.indicator(_descendant(Q, dp, rel)).values * density
-                    scale = Q.cell_values(T_abs.apply_values(f)).max()
-                    err = np.abs(fields[Q.flat, rel] - Q.cell_values(T.apply_values(f))).max()
-                    assert err <= 1e-13 * scale
+        depth = min(tau - 1, N - jq)
+        fields = _indicator_fields(rows, B[jq], jq, depth)
+        width = sum(1 << (e * d) for e in range(depth + 1))
+        assert fields.shape == (g.level_count(jq), width, 1 << ((N - jq) * d))
+        for q in range(g.level_count(jq)):
+            Q = g.cube(jq, int(rows.z[jq][q]))
+            cells = rows.z[N][q * fields.shape[2]:(q + 1) * fields.shape[2]]
+            assert all(Q.contains(g.cube(N, int(x))) for x in cells)
+            k = 0
+            for e in range(depth + 1):
+                for r in range(1 << (e * d)):
+                    pos = (q << (e * d)) + r
+                    Qp = g.cube(jq + e, int(rows.z[jq + e][pos]))
+                    assert Q.contains(Qp)
+                    f = GridFunction.indicator(Qp).values * density
+                    scale = (b * T_abs.apply_values(f))[cells].max()
+                    got = rows.mass[jq + e][pos] * fields[q, k]
+                    assert np.abs(got - (b * T.apply_values(f))[cells]).max() <= 1e-13 * scale
+                    k += 1
 
 
-def test_testing_constants_expand_the_profiles_once(monkeypatch):
-    """The adjoint's profile columns are T's with g and gamma swapped, so
-    one `testing_constants` call expands the profiles once."""
+def test_testing_constants_build_two_haar_matrices(monkeypatch):
+    """One `dense-svd` call builds Y^ for (T*, mu, sigma), then for (T,
+    sigma, mu), runs one Krylov loop on the second and builds no dense
+    matrix; a `power-iteration` call builds the same two."""
     T, sigma, mu = exp.two_weight_instance(5, depth=6)
-    g, gamma, level = _profile_columns(T)
-    for want, got in zip((gamma, g, level), _profile_columns(T.adjoint())):
-        assert np.array_equal(want, got)
-    calls = []
+    builds, counts = [], {"_golub_kahan": 0, "dense_matrix": 0}
+    haar_rows = shifts._haar_rows
 
-    def counting(shift):
-        calls.append(shift)
-        return _profile_columns(shift)
+    def counting_rows(shift, s, m):
+        builds.append((shift, s, m))
+        return haar_rows(shift, s, m)
 
-    monkeypatch.setattr(estimates, "_profile_columns", counting)
-    eval_testing_constants(T, sigma, mu, norm_method="power-iteration")
-    assert calls == [T]
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (shifts, estimates):
+        monkeypatch.setattr(module, "_haar_rows", counting_rows)
+    for name in counts:
+        monkeypatch.setattr(shifts, name, counting(name, getattr(shifts, name)))
+    for method, krylov in (("dense-svd", 1), ("power-iteration", 1)):
+        builds.clear()
+        counts.update(_golub_kahan=0, dense_matrix=0)
+        eval_testing_constants(T, sigma, mu, norm_method=method)
+        assert len(builds) == 2
+        (first, s1, m1), (second, s2, m2) = builds
+        assert second is T and (s2, m2) == (sigma, mu) and (s1, m1) == (mu, sigma)
+        assert all(np.array_equal(first.g[j], T.gamma[j])
+                   and np.array_equal(first.gamma[j], T.g[j]) for j in T.levels)
+        assert counts == {"_golub_kahan": krylov, "dense_matrix": 0}
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_testing_constants_are_scale_safe(k):
+    """(sigma 2^k, mu 2^-k) keeps every testing constant; (sigma 2^k, mu)
+    scales them and the norm by 2^(k/2).  Nothing over- or underflows: the
+    constants are read as ratios of Haar-basis quantities."""
+    for i in (1, 4):
+        T, sigma, mu = exp.two_weight_instance(i, depth=6)
+        base = eval_testing_constants(T, sigma, mu, norm_method="dense-svd")
+        up, down = (Weight(w.values * 2.0 ** e, T.grid) for w, e in ((sigma, k), (mu, -k)))
+        both = eval_testing_constants(T, up, down, norm_method="dense-svd")
+        one = eval_testing_constants(T, up, mu, norm_method="dense-svd")
+        for key in ("c_t1", "c_tstar1", "c_wb"):
+            assert getattr(both, key) == pytest.approx(getattr(base, key), rel=1e-12, abs=0.0)
+        for key in ("c_t1", "c_tstar1", "c_wb", "full_norm"):
+            assert getattr(one, key) == pytest.approx(getattr(base, key) * 2.0 ** (k // 2),
+                                                      rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
+def test_a_weight_with_no_haar_basis_raises_weight_error(method):
+    """Sibling cells 2^1100 apart in mass leave no floating-point Haar
+    basis, on either side of the pair."""
+    grid = build_grid(1, 3)
+    values = np.ones(grid.cell_count)
+    values[:2] = 2.0 ** -550, 2.0 ** 550
+    w = Weight(values, grid)
+    T = random_simple_shift(1, 4, grid)
+    for sigma, mu in ((w, None), (w, dual_weight(w)), (None, w)):
+        with pytest.raises(WeightError, match="no Haar basis"):
+            eval_testing_constants(T, sigma, mu, norm_method=method)
 
 
 def test_necessity_on_sample_instances():

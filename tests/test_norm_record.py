@@ -3,8 +3,9 @@
 
 The cases are the two-weight suite rows 0-23 at depth 8 and, at d=2 N=4, a
 tau=1 and a tau=2 random shift and a martingale transform under an
-independent cascade pair.  The indicator scans make no BLAS reduction, so
-their constants and witnesses compare exactly.  Dense norms compare at 1e-12
+independent cascade pair.  The testing constants are read from the
+sigma-weighted Haar rows, whose every sum is a fixed-order numpy reduction,
+not a BLAS one, so the constants and witnesses compare exactly.  Dense norms compare at 1e-12
 relative, and power norms at 1e-9, since a reordered reduction can move the
 step at which the Krylov loop stops.
 

@@ -353,7 +353,7 @@ def _slot_columns(rows):
     cols = np.zeros(rows.Y.shape, dtype=np.intp)
     for p, low, start, stop in rows.levels[1:]:
         # in Morton order a level-p cube's cells are consecutive
-        cubes = ancestor_flat(d, N, p, rows.cells[::1 << ((N - p) * d)])
+        cubes = ancestor_flat(d, N, p, rows.z[-1][::1 << ((N - p) * d)])
         count = 1 << (low * d)
         col = (1 << (p * d)) + E * cubes.reshape(count, -1, 1) + np.arange(E)
         cols[start:stop] = np.repeat(col.reshape(count, -1).T, n // count, axis=1)
@@ -366,7 +366,7 @@ def _dense_rows(rows):
     cols = _slot_columns(rows)
     out = [np.zeros((n, n)) for _ in range(2)] + [np.zeros((n, n), dtype=bool)]
     for F, values in zip(out, (rows.Y, rows.Z, True)):
-        F[rows.cells[None, :], cols] = values
+        F[rows.z[-1][None, :], cols] = values
     return out
 
 
@@ -392,7 +392,7 @@ def test_haar_products_match_the_dense_oracle(case):
     n = T.grid.cell_count
     columns = _function_columns(rows)
     assert np.array_equal(np.sort(columns), np.arange(n))
-    Y = _dense_rows(rows)[0][rows.cells][:, columns]
+    Y = _dense_rows(rows)[0][rows.z[-1]][:, columns]
     forward, backward = shifts._haar_products(rows)
     x = np.random.default_rng(n).standard_normal(n)
     for got, A in ((forward(x), Y), (backward(x), Y.T)):
