@@ -49,7 +49,8 @@ from .grid import (
     subcell_matrix,
     suffix_sweep,
 )
-from .weights import Weight, WeightError, _measure, a_infty_modulus, two_weight_a2
+from .weights import (Weight, WeightError, _in_window, _measure, _times_two_to,
+                      a_infty_modulus, two_weight_a2)
 from .corona import (
     CoronaDecomposition,
     CoronaStructureError,
@@ -189,7 +190,10 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     measure with no such basis in floats raises WeightError.  T1 witnesses
     follow `level_argmax`; the WB witness is the first maximal pair in the
     order: Q's level, Q' depth then offset, Q'' depth then offset, Q's index.
+    Like `operator_norm`, it works on the measures moved into
+    `weights._in_window` and scales the four values back.
     """
+    (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
     dual, B = _read_rows("mu", T.adjoint(), mu, sigma)
     (c_tstar1, wit_tstar1), mu_mass = _t1_supremum(dual, B), dual.mass
     del dual, B             # read first and dropped: one Y^ alive at a time
@@ -199,6 +203,8 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     full = (_dense_norm(T, sigma, mu, rows)
             if norm_method in ("auto", "dense-svd") and T.grid.cell_count <= _DENSE_CELLS
             else operator_norm(T, sigma, mu, method=norm_method))
+    c_wb, c_t1, c_tstar1, full = (_times_two_to(x, k_sigma + k_mu)
+                                  for x in (c_wb, c_t1, c_tstar1, full))
     return TestingReport(
         c_wb=c_wb, c_t1=c_t1, c_tstar1=c_tstar1, full_norm=full, tau=T.tau,
         witnesses={"t1": wit_t1, "tstar1": wit_tstar1, "wb": list(wit_wb)},

@@ -9,14 +9,13 @@ suites; reruns must reproduce them.
 from __future__ import annotations
 
 import os
-import sys
 from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
 
 from .grid import (DyadicCube, DyadicGrid, GridError, GridFunction, build_grid, check_natural,
-                   report_dict)
+                   check_real, report_dict)
 from .weights import Weight, WeightError, dual_weight, power_weight, random_a2_weight
 from .shifts import (
     ShiftError,
@@ -478,13 +477,9 @@ def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
         raise WeightError(f"unknown weight family {family!r}")
     _known_keys(spec, _WEIGHT_KEYS[family], WeightError, f"{family!r} weight")
 
-    def read(key, default=None, kind=(int, float)):
-        value = spec.get(key, default)
-        if isinstance(value, kind) and (kind is str or not isinstance(value, bool)
-                                        and abs(value) <= sys.float_info.max):  # NaN fails
-            return value
-        raise WeightError(f"{family!r} weight field {key!r} must be a "
-                          f"{'string' if kind is str else 'finite number'}, not {value!r}")
+    def read(key, default=None):
+        return check_real(spec.get(key, default), f"{family!r} weight field {key!r}",
+                          WeightError)
 
     if family == "constant":
         value = float(read("value", 1.0))
@@ -495,7 +490,9 @@ def build_config_weight(spec: dict, grid: DyadicGrid) -> tuple[str, Weight]:
     if family == "cascade":
         n, seed = read("n"), check_natural(spec.get("seed", 0), "seed", WeightError)
         return f"cascade:n={n}:seed={seed}", random_a2_weight(n, seed, grid)
-    path = read("path", kind=str)
+    path = spec.get("path")
+    if not isinstance(path, str):
+        raise WeightError(f"{family!r} weight field 'path' must be a string, not {path!r}")
     w = load_weight(path)
     if w.grid != grid:
         raise WeightError(f"weight file {path} is on the d={w.grid.d}, N={w.grid.N} "

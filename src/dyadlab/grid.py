@@ -16,6 +16,7 @@ of a report with its witness cubes (`report_dict`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -37,6 +38,19 @@ def check_natural(value, name: str, error: type[Exception]) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise error(f"{name} must be a non-negative integer, not {value!r}")
     return int(value)
+
+
+def check_real(value, name: str, error: type[Exception]):
+    """`value` itself; raises `error` unless it is a finite real number.
+
+    The one rule for the real parameters of generators and configs.  A bool
+    would read as 0 or 1, a string or None would fail later with a bare
+    TypeError, and an int too large for a float counts as not finite.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not abs(value) <= sys.float_info.max):       # NaN fails too
+        raise error(f"{name} must be a finite number, not {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

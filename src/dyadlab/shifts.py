@@ -63,7 +63,7 @@ from .grid import (
     scatter_subcells,
     subcell_matrix,
 )
-from .weights import Weight, _measure
+from .weights import Weight, _in_window, _measure, _times_two_to
 
 
 class ShiftError(ValueError):
@@ -435,24 +435,36 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     therefore never passes, the dense branch never raises
     `OperatorNormError`, and M = 0 (s = 0) gives +0.0 through the fallback,
     never NaN.
+
+    Either method runs on sigma and mu moved into `weights._in_window` by
+    exact powers of four, and scales the value (or the bracket) back.
     """
     if method == "auto":
         method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
+    (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
+    k = k_sigma + k_mu
     if method == "dense-svd":
         if T.grid.cell_count > _DENSE_CELLS:
             raise ShiftError("dense matrix limited to grids with at most 4096 cells")
-        return _dense_norm(T, sigma, mu, _haar_rows(T, sigma, mu), tol, max_iter, seed)
+        return _times_two_to(_dense_norm(T, sigma, mu, _haar_rows(T, sigma, mu), tol,
+                                         max_iter, seed), k)
     if method != "power-iteration":
         raise ShiftError(f"unknown method {method!r}")
 
     grid = T.grid
     a, b = _measure_scalings(grid, sigma, mu)
     T_adj = T.adjoint()
-    return power_iteration_norm(
-        lambda v: b * T.apply_values(a * v),
-        lambda w: a * T_adj.apply_values(b * w),
-        grid.cell_count, tol=tol, max_iter=max_iter, seed=seed,
-    )
+    try:
+        return _times_two_to(power_iteration_norm(
+            lambda v: b * T.apply_values(a * v),
+            lambda w: a * T_adj.apply_values(b * w),
+            grid.cell_count, tol=tol, max_iter=max_iter, seed=seed,
+        ), k)
+    except OperatorNormError as exc:
+        if k == 0:
+            raise
+        raise OperatorNormError(str(exc), tuple(
+            None if e is None else _times_two_to(e, k) for e in exc.bracket)) from None
 
 
 def _dense_norm(T, sigma, mu, rows, tol: float = 1e-8, max_iter: int = 10_000,

@@ -9,10 +9,17 @@ dyadic target window.
 
 The cascade's A2 has a closed form: with e = fl(1 + delta) - 1 every cube at
 level j has A2 product (1 - e^2)^-(N-j), whatever the signs and d, up to
-rounding.  The bisection decides each step from that closed form and scans
-the realized weight only when the closed form lies within the relative margin
-64 (N+1) eps / (1 - e) of the target, over a hundred times the largest
-rounding deviation measured.
+rounding.  The bisection decides each step from that closed form and realizes
+the weight only when the closed form lies within the relative margin
+m = 64 (N+1) eps / (1 - e) of the target, over a hundred times the largest
+rounding deviation measured.  Such a step reads the root's product
+w(root) w^{-1}(root) instead of scanning every cube whenever
+fl((1 - e)(1 + e)) < 1 - 8 m: every computed product lies within m/16 of its
+closed form (the tests pin this), so a product at level j >= 1 is at most
+(1 - e^2)^j (1 + m/16) < 1 - m/16 times the root's closed form, the computed
+root at least 1 - m/16 times it: the root attains the maximum strictly, and
+the scan would return its product, the same float.  Targets within about
+1e-11 of 1 fail that guard, and their zone steps scan.
 """
 
 from __future__ import annotations
@@ -27,7 +34,9 @@ from .grid import (
     DyadicGrid,
     GridError,
     GridFunction,
+    ancestor_map,
     check_natural,
+    check_real,
     integral_pyramid,
     level_argmax,
     report_dict,
@@ -131,6 +140,40 @@ def _measure(grid: DyadicGrid, w: Weight | None) -> Weight:
     return Weight(np.ones(grid.cell_count), grid) if w is None else w
 
 
+_WINDOW = 128       # measures with every cell value in [2^-128, 2^128] are used as given
+
+
+def _in_window(w: Weight | None) -> tuple[Weight | None, int]:
+    """(w, 0) when w is None or every cell value lies in [2^-_WINDOW, 2^_WINDOW];
+    else (w 4^-k, k), the exact power of four that centres the binary
+    exponents of its smallest and largest cell values on zero.
+
+    A norm or testing constant of f -> T(sigma f) from L2(sigma) to L2(mu) is
+    sqrt(c_sigma c_mu) times the one of (sigma, mu) for (c_sigma sigma,
+    c_mu mu), so `shifts` and `estimates` compute it on the measures in the
+    window and multiply by 2^(k_sigma + k_mu) (`_times_two_to`): squares of
+    norms neither overflow nor become subnormal.  A measure whose values span
+    more than the window stays as it is when the move would leave a value
+    out of the normal range.
+    """
+    if w is None:
+        return w, 0
+    lo, hi = float(w.values.min()), float(w.values.max())
+    if 2.0 ** -_WINDOW <= lo and hi <= 2.0 ** _WINDOW:
+        return w, 0
+    e_lo, e_hi = math.frexp(lo)[1], math.frexp(hi)[1]
+    k = (e_lo + e_hi + 2) // 4
+    if k == 0 or e_lo - 2 * k < -1021 or e_hi - 2 * k > 1024:
+        return w, 0
+    return Weight(np.ldexp(w.values, -2 * k), w.grid), k
+
+
+def _times_two_to(value: float, k: int) -> float:
+    """value 2^k, exact (inf if it overflows)."""
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(value, k))
+
+
 @dataclass(frozen=True)
 class ApReport:
     """Supremum defining the A_p characteristic, with the cube attaining it."""
@@ -185,7 +228,7 @@ def power_weight(a: float, grid: DyadicGrid) -> Weight:
     """
     if grid.d != 1:
         raise WeightError("power weights are defined for d=1 only")
-    if not -1.0 < a < 1.0:
+    if not -1.0 < check_real(a, "exponent", WeightError) < 1.0:
         raise WeightError(f"exponent must lie in (-1, 1), got {a}")
     n = grid.cell_count
     edges = np.arange(n + 1, dtype=np.float64) / n
@@ -234,15 +277,20 @@ def random_a2_weight(n: float, seed: int, grid: DyadicGrid) -> Weight:
 
     Each bisection step asks whether A2(delta) < 2^n.  In exact arithmetic the
     answer depends on delta alone: A2 = (1 - e^2)^-N with e = fl(1 + delta) - 1,
-    whatever the signs and d.  A step therefore realizes the weight and scans
-    its A2 only when that closed form lies within _cascade_a2_margin of the
-    target, where rounding could decide; every other decision, and hence the
-    weight, delta and meta, is the one the full scan gives.  The same rule
-    settles reachability at the cap, and the loop ends once the bracket holds
-    two adjacent floats, after which every step would repeat.  The weight
-    last realized at the upper end is the one returned.
+    whatever the signs and d.  A step therefore realizes the weight only when
+    that closed form lies within m = _cascade_a2_margin of the target, where
+    rounding could decide.  There, if fl((1 - e)(1 + e)) < 1 - 8 m, the root
+    strictly dominates every other cube (see the module docstring), so the
+    step compares w(root) w^{-1}(root), the float the full scan would return;
+    otherwise it scans.  Every decision, and hence the weight, delta and meta,
+    is the one the full scan gives.  The same rule settles reachability at
+    the cap, and the loop ends once the bracket holds two adjacent floats,
+    after which every step would repeat.  The weight last realized at the
+    upper end is the one returned, and its realized_A2 is one full scan.
+    A realization is one gather per level: each cube's parent average times
+    its factor, the products of `scatter_subcells`'s layout in flat order.
     """
-    if n < 0:
+    if check_real(n, "target exponent", WeightError) < 0:
         raise WeightError("target exponent must be nonnegative")
     try:
         target = 2.0 ** n
@@ -255,28 +303,33 @@ def random_a2_weight(n: float, seed: int, grid: DyadicGrid) -> Weight:
     rng = np.random.default_rng(seed)
     # one sign draw per child pair (d=1 has one pair per cube, d=2 has two):
     # draw 1 gives the pair (1 + delta, 2 - (1 + delta)), draw 0 gives
-    # (1 - delta, 2 - (1 - delta)); picks[j] indexes each level-(j+1) child's
-    # factor in that four-entry table, children in local row-major order
-    picks = []
+    # (1 - delta, 2 - (1 - delta)); steps[j] holds each level-(j+1) cube's
+    # parent and the code of its factor in that four-entry table, in flat order
+    steps = []
     for j in range(N):
         up = rng.integers(0, 2, size=(1 << (j * d), 1 << (d - 1)))
-        picks.append(np.concatenate([2 - 2 * up, 3 - 2 * up], axis=1))
+        pick = np.concatenate([2 - 2 * up, 3 - 2 * up], axis=1)
+        steps.append((ancestor_map(d, j + 1, j), scatter_subcells(pick, d, 1)))
 
     def realize(delta: float) -> Weight:
         plus, minus = 1.0 + delta, 1.0 - delta
         table = np.array([plus, 2.0 - plus, minus, 2.0 - minus])
         avg = np.ones(1)
-        for pick in picks:
-            avg = scatter_subcells(avg[:, None] * table[pick], d, 1)
+        for parent, code in steps:
+            avg = avg[parent] * table[code]
         return Weight(GridFunction(grid, avg))
 
     def below_target(delta: float) -> tuple[bool, Weight | None]:
         """Whether realize(delta) has A2 below the target, and that weight if
         the closed form could not decide and it had to be realized."""
-        closed = _cascade_a2_closed_form(delta, N)
-        if abs(closed - target) > target * _cascade_a2_margin(delta, N):
+        closed, margin = _cascade_a2_closed_form(delta, N), _cascade_a2_margin(delta, N)
+        if abs(closed - target) > target * margin:
             return closed < target, None
         w = realize(delta)
+        e = (1.0 + delta) - 1.0
+        if (1.0 - e) * (1.0 + e) < 1.0 - 8.0 * margin:
+            # the root attains the scan's maximum strictly: its product is that float
+            return float(w.sums[0][0]) * float(w.dual_sums[0][0]) < target, w
         return w.a2_characteristic() < target, w
 
     if n == 0:

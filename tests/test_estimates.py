@@ -283,6 +283,46 @@ def test_testing_constants_are_scale_safe(k):
                                                       rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("k_sigma,k_mu", [(300, 300), (-300, -300), (300, -300)])
+def test_far_scaled_measures_scale_the_norms_and_constants(k_sigma, k_mu):
+    """(sigma 4^k_sigma, mu 4^k_mu) gives 2^(k_sigma + k_mu) times every norm
+    and testing constant, with the same witnesses: both measures are moved
+    back into the window by exact powers of four."""
+    scale = 2.0 ** (k_sigma + k_mu)
+    T, sigma, mu = exp.two_weight_instance(1, depth=6)
+    far_sigma, far_mu = (Weight(np.ldexp(w.values, 2 * k), T.grid)
+                         for w, k in ((sigma, k_sigma), (mu, k_mu)))
+    for method in ("dense-svd", "power-iteration"):
+        assert (operator_norm(T, far_sigma, far_mu, method=method)
+                == scale * operator_norm(T, sigma, mu, method=method))
+    base = eval_testing_constants(T, sigma, mu)
+    far = eval_testing_constants(T, far_sigma, far_mu)
+    for key in ("c_wb", "c_t1", "c_tstar1", "full_norm"):
+        assert getattr(far, key) == scale * getattr(base, key) > 0.0
+    assert far.witnesses == base.witnesses
+
+
+def test_far_scaled_bracket_is_scaled_back():
+    T, sigma, mu = exp.two_weight_instance(1, depth=6)
+    far = Weight(np.ldexp(sigma.values, 600), T.grid)
+    brackets = []
+    for s in (sigma, far):
+        with pytest.raises(shifts.OperatorNormError) as err:
+            operator_norm(T, s, mu, max_iter=2)
+        brackets.append(err.value.bracket)
+    assert brackets[1] == tuple(2.0 ** 300 * e for e in brackets[0])
+
+
+def test_constant_measures_far_from_one_give_c_times_the_norm():
+    grid = build_grid(1, 3)
+    T = random_simple_shift(1, 4, grid)
+    for method in ("dense-svd", "power-iteration"):
+        unit = operator_norm(T, None, None, method=method)
+        for c in (1e160, 1e-160, 1e-300):
+            w = Weight(GridFunction.constant(grid, c))
+            assert operator_norm(T, w, w, method=method) == pytest.approx(c * unit, rel=1e-14)
+
+
 @pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
 def test_a_weight_with_no_haar_basis_raises_weight_error(method):
     """Sibling cells 2^1100 apart in mass leave no floating-point Haar

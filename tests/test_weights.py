@@ -17,7 +17,9 @@ from dyadlab import (
     random_a2_weight,
     two_weight_a2,
 )
+from dyadlab.experiments import build_config_weight
 from dyadlab.grid import scatter_subcells
+import dyadlab.weights as weights
 from dyadlab.weights import (
     _CASCADE_DELTA_CAP,
     _cascade_a2_closed_form,
@@ -321,6 +323,16 @@ def test_cascade_bisection_matches_reference_d2(N, n, seed):
     _assert_same_as_reference(n, seed, build_grid(2, N))
 
 
+# the cascade suite's cascade_weight(0..23) at N=12, d=2 cascades at N=6, and
+# a target within 1e-11 of 1, where the root rule's guard fails and every
+# zone step scans the whole weight
+_ROOT_RULE_CASES = [
+    *[(1, 12, i % 8, 3000 + i) for i in range(24)],
+    *[(2, 6, n, seed) for n, seed in [(1, 0), (2, 1), (3, 2), (4, 3), (5, 4), (6, 5), (2.5, 17)]],
+]
+_FALLBACK_CASES = [(1, 12, 1e-12, 0), (1, 12, 1e-12, 3007), (2, 6, 1e-12, 1)]
+
+
 @pytest.mark.parametrize("d,N,n,seed", [
     # delta lands within 0.002 of the cap, where the - pairs' rounding moves
     # A2 furthest from the closed form
@@ -330,9 +342,29 @@ def test_cascade_bisection_matches_reference_d2(N, n, seed):
     (1, 12, 7, 3007), (1, 12, 5, 3013),
     # the two-weight suite's instance 4 and both weights of instance 11 at N=10
     (1, 10, 4, 1004), (1, 10, 3, 1311), (1, 10, 3, 1711),
+    # the root rule's cases (7 and 13 are above)
+    *[key for key in _ROOT_RULE_CASES if key[3] not in (3007, 3013)], *_FALLBACK_CASES,
 ])
 def test_cascade_bisection_pinned_keys_match_reference(d, N, n, seed):
     _assert_same_as_reference(n, seed, build_grid(d, N))
+
+
+@pytest.mark.parametrize("d,N,n,seed", _ROOT_RULE_CASES + _FALLBACK_CASES)
+def test_cascade_scans_once_unless_the_guard_fails(monkeypatch, d, N, n, seed):
+    # inside the rounding margin a step reads the root masses; only the
+    # returned weight's realized_A2, or a step the guard refuses, scans
+    calls = []
+
+    def counted(w, p=2.0):
+        calls.append(p)
+        return ap_characteristic(w, p)
+
+    monkeypatch.setattr(weights, "ap_characteristic", counted)
+    random_a2_weight(n, seed, build_grid(d, N))
+    if (d, N, n, seed) in _FALLBACK_CASES:
+        assert len(calls) > 1
+    else:
+        assert len(calls) == 1
 
 
 _deltas = st.one_of(
@@ -342,7 +374,7 @@ _deltas = st.one_of(
 )
 
 
-@pytest.mark.parametrize("d,max_N", [(1, 10), (2, 5)])
+@pytest.mark.parametrize("d,max_N", [(1, 12), (2, 6)])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_cascade_a2_products_follow_closed_form(d, max_N, data):
@@ -369,3 +401,25 @@ def test_cascade_a2_products_follow_closed_form(d, max_N, data):
 def test_cascade_rejects_non_finite_target(n):
     with pytest.raises(WeightError, match="finite"):
         random_a2_weight(n, 0, build_grid(1, 4))
+
+
+@pytest.mark.parametrize("bad", ["2", None, True, False, math.nan, -math.inf, 10**400, [1]],
+                         ids=["str", "None", "True", "False", "nan", "-inf", "10**400", "list"])
+def test_weight_parameters_follow_one_rule(bad):
+    # the generators and the config reader refuse the same values, by
+    # grid.check_real, with WeightError
+    g = build_grid(1, 4)
+    for make in (lambda: random_a2_weight(bad, 0, g), lambda: power_weight(bad, g),
+                 lambda: build_config_weight({"family": "cascade", "n": bad}, g),
+                 lambda: build_config_weight({"family": "power", "a": bad}, g)):
+        with pytest.raises(WeightError, match="must be a finite number"):
+            make()
+
+
+def test_valid_weight_parameters_keep_their_type():
+    g = build_grid(1, 4)
+    n = random_a2_weight(2, 5, g).meta["parameters"]["n"]
+    assert n == 2 and type(n) is int
+    assert type(power_weight(np.float64(0.25), g).meta["parameters"]["a"]) is np.float64
+    assert (random_a2_weight(np.int64(3), 5, g).values.tobytes()
+            == random_a2_weight(3.0, 5, g).values.tobytes())
