@@ -5,6 +5,10 @@ command is deterministic: identical configs and flags produce byte-identical
 outputs (runtimes are logged separately and excluded from that contract).
 Exit codes: 0 when every asserted check passes, 1 when a check fails, 2 for
 malformed input or configuration.
+
+`main` builds its parser once per process and dispatches by name: a command
+runs the `cmd_<name>` this module holds at call time, so a wrapper put in
+its place is the one that runs.  `build_parser()` returns a fresh parser.
 """
 
 from __future__ import annotations
@@ -124,9 +128,8 @@ def cmd_cz(args) -> int:
     f = GridFunction(grid, vals)
     f = f * (1.0 / f.l1_norm())
     cz = cz_decompose(f, args.lam)
-    bad_integral = max(
-        (abs(cz.bad_part(q).integral()) for q in cz.bad_cubes), default=0.0
-    )
+    integrals = cz.bad_integrals()
+    bad_integral = float(np.abs(integrals).max()) if integrals.size else 0.0
     packing = cz.bad_measure() * args.lam
     checks = {
         "bad_mean_zero": bad_integral <= 1e-12,
@@ -363,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p, default_n=12)
     _add_weight_flags(p)
     p.add_argument("--p", type=float, default=2.0)
-    p.set_defaults(func=cmd_char)
 
     p = sub.add_parser("norm", help="operator norm of a shift between weighted spaces")
     _add_common_flags(p)
@@ -374,19 +376,16 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("power-iteration", "dense-svd", "auto"))
     p.add_argument("--lebesgue", action="store_true",
                    help="unweighted norm regardless of weight flags")
-    p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("cz", help="Calderon-Zygmund decomposition checks")
     _add_common_flags(p)
     _add_grid_flags(p)
     p.add_argument("--lam", type=float, default=2.0)
-    p.set_defaults(func=cmd_cz)
 
     p = sub.add_parser("corona", help="corona decomposition with packing and Carleson checks")
     _add_common_flags(p)
     _add_grid_flags(p, default_n=12)
     _add_weight_flags(p)
-    p.set_defaults(func=cmd_corona)
 
     p = sub.add_parser("test-conditions", help="two-weight testing constants")
     _add_common_flags(p)
@@ -395,29 +394,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shift_flags(p)
     p.add_argument("--method", default="auto",
                    choices=("auto", "power-iteration", "dense-svd"))
-    p.set_defaults(func=cmd_test_conditions)
 
     p = sub.add_parser("lemmas", help="paraproduct, level-set, and chain checks")
     _add_common_flags(p)
     _add_grid_flags(p, default_n=8)
     _add_weight_flags(p)
     _add_shift_flags(p)
-    p.set_defaults(func=cmd_lemmas)
 
     p = sub.add_parser("sweep", help="weight sweep: norms, constants, CSV emission")
     _add_out_flag(p)
     p.add_argument("--format", dest="fmt", default=None, choices=("csv", "json"))
     p.add_argument("--config", default=None)
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
 
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

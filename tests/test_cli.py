@@ -4,10 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from dyadlab import GridError, ShiftError, build_grid, power_weight
+from dyadlab import GridError, ShiftError, build_grid, cli, power_weight
 from dyadlab.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from dyadlab.experiments import ExperimentConfig
 from dyadlab.serialize import FormatError, save_weight
+from dyadlab.shifts import CZDecomposition
 
 
 def run(capsys, *argv):
@@ -70,6 +71,85 @@ def test_cz_command_checks_pass(capsys):
     code, doc = run(capsys, "cz", "--N", "9", "--lam", "2.5", "--seed", "11")
     assert code == EXIT_OK
     assert all(doc["checks"].values())
+
+
+def test_cz_command_reads_no_per_cube_bad_part(monkeypatch, capsys):
+    """`cz` takes its worst bad integral from one pyramid: it builds no
+    full-grid bad part per cube."""
+    argv = ("cz", "--d", "2", "--N", "7", "--seed", "3")
+    code, doc = run(capsys, *argv)
+    assert code == EXIT_OK and doc["bad_cube_count"] > 0
+
+    def refuse(self, cube):
+        raise AssertionError("bad_part called")
+
+    monkeypatch.setattr(CZDecomposition, "bad_part", refuse)
+    assert run(capsys, *argv) == (EXIT_OK, doc)
+
+
+# -- one parser per process ---------------------------------------------------
+
+def _stdout(capsys, *argv):
+    code = main(list(argv))
+    return code, capsys.readouterr().out
+
+
+@pytest.fixture
+def fresh_parser(monkeypatch):
+    """The parser cache emptied for the test and restored after it."""
+    monkeypatch.setattr(cli, "_parser", None)
+
+
+def test_commands_run_the_module_attribute_at_call_time(monkeypatch, capsys, fresh_parser):
+    """A wrapper put in place of `cli.cmd_<name>` after the parser is cached,
+    as the benchmark's span recorder does, is the one that runs."""
+    want = _stdout(capsys, "cz", "--N", "5")
+    calls = []
+    inner = cli.cmd_cz
+
+    def wrapper(args):
+        calls.append(args.command)
+        return inner(args)
+
+    monkeypatch.setattr(cli, "cmd_cz", wrapper)
+    assert _stdout(capsys, "cz", "--N", "5") == want
+    assert calls == ["cz"]
+
+
+def test_cached_parser_restores_the_defaults(monkeypatch, capsys, fresh_parser):
+    first = _stdout(capsys, "char", "--N", "4", "--p", "3")
+    second = _stdout(capsys, "char", "--N", "4")
+    monkeypatch.setattr(cli, "_parser", None)
+    assert second == _stdout(capsys, "char", "--N", "4")
+    assert json.loads(first[1])["report"]["p"] == 3.0
+    assert json.loads(second[1])["report"]["p"] == 2.0
+
+
+def test_cached_parser_survives_an_argparse_error(monkeypatch, capsys, fresh_parser):
+    _stdout(capsys, "cz", "--N", "5")
+    with pytest.raises(SystemExit) as exc:
+        main(["cz", "--d", "3"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    capsys.readouterr()
+    after = _stdout(capsys, "cz", "--N", "5", "--seed", "2")
+    monkeypatch.setattr(cli, "_parser", None)
+    assert after == _stdout(capsys, "cz", "--N", "5", "--seed", "2")
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys, fresh_parser):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for argv in (["char", "--N", "4"], ["cz", "--N", "5"], ["char", "--N", "3"]):
+        assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    assert len(built) == 1
+    assert build() is not build()
 
 
 def test_corona_command(capsys):

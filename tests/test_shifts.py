@@ -466,6 +466,53 @@ def test_cz_decompose_is_bitwise_the_cube_by_cube_oracle(shape, seed, lam, signe
         assert cz.bad_part(cube).values.tobytes() == part.tobytes()
 
 
+_BAD_INTEGRAL_GRIDS = [(1, n) for n in range(1, 13)] + [(2, n) for n in range(1, 7)]
+
+
+def _unit_l1(grid, seed, signed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(grid.cell_count) ** 2
+    if signed:
+        vals *= np.sign(rng.standard_normal(grid.cell_count))
+    f = GridFunction(grid, vals)
+    return f * (1.0 / f.l1_norm())
+
+
+@pytest.mark.parametrize("d,N", _BAD_INTEGRAL_GRIDS)
+def test_bad_integrals_match_the_per_cube_oracle(d, N):
+    """One pyramid gives every bad part's integral within 1e-16 of summing
+    the part itself (||f||_1 = 1), and every integral is zero to 1e-12."""
+    grid = build_grid(d, N)
+    for seed, signed in ((N, False), (100 + N, True)):
+        f = _unit_l1(grid, seed, signed)
+        for lam in (0.5, 1.25, 2.0, 3.0, 8.0, 2.0 ** (N * d)):
+            cz = cz_decompose(f, lam)
+            got = cz.bad_integrals()
+            want = np.array([cz.bad_part(q).integral() for q in cz.bad_cubes])
+            assert got.shape == want.shape == (len(cz.bad_cubes),)
+            assert np.all(np.abs(got - want) <= 1e-16)
+            assert np.all(np.abs(got) <= 1e-12)
+
+
+@pytest.mark.parametrize("d,N", [(1, 1), (1, 8), (2, 1), (2, 5)])
+def test_bad_integrals_at_the_extreme_heights(d, N):
+    grid = build_grid(d, N)
+    f = _unit_l1(grid, 5, True)
+    # above every cell average: no bad cube
+    cz = cz_decompose(f, 2.0 * np.abs(f.values).max())
+    assert cz.bad_cubes == []
+    got = cz.bad_integrals()
+    assert got.shape == (0,) and got.dtype == np.float64
+    # below the root average of |f|: the root is the one bad cube
+    root_avg = integral_pyramid(np.abs(f.values) * grid.cell_volume, d, N)[0][0]
+    for lam in (0.25, np.nextafter(root_avg, 0.0)):
+        cz = cz_decompose(f, float(lam))
+        assert cz.bad_cubes == [grid.root()]
+        (got,) = cz.bad_integrals()
+        assert abs(got - cz.bad_part(grid.root()).integral()) <= 1e-16
+        assert abs(got) <= 1e-12
+
+
 def test_cz_no_bad_cubes_for_flat_function():
     g = build_grid(1, 6)
     cz = cz_decompose(GridFunction.constant(g, 1.0), 2.0)
