@@ -11,14 +11,16 @@ output fields of all family levels at or below a level j, so quantities
 indexed by every cube of the grid cost O(N 2^(Nd)) in total instead of one
 operator application per cube.  Indicator testing (the T1-style and
 weak-boundedness constants) works in the sigma-weighted Haar basis of the
-Nazarov-Treil-Volberg T1 theorem: T(sigma 1_Q') is read from the shift's
-matrix in that basis, Y^ (`shifts._haar_rows`), which the `dense-svd` norm
-shares; a brute-force oracle on small grids pins the fast path down in the
-tests.
+Nazarov-Treil-Volberg T1 theorem: one matrix, the shift's in that basis,
+Y^ (`shifts._haar_rows`), which the `dense-svd` norm shares, gives
+T(sigma 1_Q') through its rows and the coefficients of T*(mu 1_Q) through
+its column sums; a brute-force oracle on small grids pins the fast path
+down in the tests.
 
 Elsewhere, cube and cell masses come only from a Weight's cached pyramids:
 w(Q) is `w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each
-holds the cell masses; the testing constants use their basis's own masses.
+holds the cell masses; the testing constants use the basis's own masses
+for sigma and the same expression, `shifts._cube_masses`, for mu.
 A measure argument of None means Lebesgue measure;
 `weights._measure` resolves it, for this module and `shifts` alike, to the
 constant-one Weight.
@@ -57,8 +59,8 @@ from .corona import (
     CubeSet,
     pn_alpha,
 )
-from .shifts import (_DENSE_CELLS, SimpleHaarShift, _dense_norm, _haar_rows, _weak_type,
-                     operator_norm)
+from .shifts import (_DENSE_CELLS, SimpleHaarShift, _cube_masses, _dense_norm, _haar_rows,
+                     _measure_scalings, _weak_type, _zpool, operator_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -122,12 +124,47 @@ def _indicator_fields(rows, B: np.ndarray, j: int, depth: int) -> np.ndarray:
     return np.concatenate(out, axis=1)
 
 
-def _t1_supremum(rows, B: list):
-    """C_T1 and its `level_argmax` witness from the `_indicator_sums` B:
-    C_T1^2 = max_Q m(Q) sum_Q B^2.  Values within Y^'s rounding bound rho
-    of the maximum count as equal to it, so that an exact tie stays a tie."""
-    values = [(m * np.square(field).reshape(m.size, -1).sum(1))[np.argsort(z)]
-              for m, field, z in zip(rows.mass, B, rows.z)]
+def _tstar1_values(rows, B: list, mu_mass: list) -> list:
+    """||1_Q T*(mu 1_Q)||^2_sigma / mu(Q) for every cube Q, per level in
+    Morton order, from Y^ = Y^(T, sigma, mu) and the `_indicator_sums` B.
+
+    The sigma-Haar coefficients of T*(mu 1_Q) are c_P(Q) = sum_{x in Q} b_x
+    Y^[x, P].  On Q the functions P inside Q keep theirs, and the ancestors
+    and the constant leave one constant, A(Q) = sum_{x in Q} b_x B(x); so
+    the norm is sum_{P in Q} c_P(Q)^2 + m(Q) A(Q)^2.  c_P(Q) is a sum over
+    Q's cells, pooled level by level, for Q below P's support cube (at most
+    tau - 1 levels up), and at or above it P's full column sum, whose squares
+    pool upward.  Q's sums are carried times 2^-2e(Q), e(Q) half mu(Q)'s
+    binary exponent: exact, and no square overflows unless its value does."""
+    d, N = rows.grid.d, rows.grid.N
+    e = [np.frexp(m)[1] // 2 for m in mu_mass]
+    own, part = ([np.zeros(m.size) for m in mu_mass] for _ in range(2))
+    for p, low, start, stop in rows.levels[1:]:
+        count, R = 1 << (low * d), 1 << ((p - low) * d)
+        # c_P(Q) of each slot on every level-p cube Q of its support cube
+        c = (rows.Y[start:stop] * rows.b).reshape(R, -1, count, R, 1 << ((N - p) * d)).sum(4)
+        for j in range(p, low - 1, -1):
+            if j < p:
+                c = c.reshape(R, -1, count, c.shape[3] >> d, 1 << d).sum(4)
+            width = c.shape[3]              # level-j cubes in a support cube
+            held = np.einsum("aleqa->qale", c.reshape(width, R // width, -1, count, width))
+            held = np.ldexp(held, -e[j].reshape(count, width, 1, 1))      # Q holds P
+            (own if j == low else part)[j] += np.square(held).reshape(own[j].size, -1).sum(1)
+    values = []
+    for j in range(N, -1, -1):
+        if j < N:                           # the supports below Q
+            own[j] += _zpool(np.ldexp(own[j + 1], 2 * (e[j + 1] - np.repeat(e[j], 1 << d))), d)
+        A = np.ldexp((rows.b * B[j]).reshape(own[j].size, -1).sum(1), -e[j])
+        values.append((own[j] + part[j] + rows.mass[j] * A * A)
+                      / np.ldexp(mu_mass[j], -2 * e[j]))
+    return values[::-1]
+
+
+def _supremum(rows, values: list):
+    """The square root of the largest of the per-level Morton-order `values`
+    and its `level_argmax` witness.  Values within Y^'s rounding bound rho of
+    the maximum count as equal to it, so that an exact tie stays a tie."""
+    values = [v[np.argsort(z)] for v, z in zip(values, rows.z)]
     top = max(v.max() for v in values)
     best, wit = level_argmax(rows.grid, ((k, np.where(v >= top * (1.0 - rows.rho), top, v), None)
                                          for k, v in enumerate(values)))
@@ -136,7 +173,7 @@ def _t1_supremum(rows, B: list):
 
 def _wb_supremum(rows, mu_mass: list, B: list, tau: int):
     """C_WB and its witness: sqrt(m(Q')) |sum_{x in Q''} b_x F(x)| / sqrt(mu(Q''))
-    is the ratio, F the `_indicator_fields` of Q'; ties as in `_t1_supremum`."""
+    is the ratio, F the `_indicator_fields` of Q'; ties as in `_supremum`."""
     grid, d, N = rows.grid, rows.grid.d, rows.grid.N
     morton = [np.argsort(z) for z in rows.z]        # Morton position of each flat index
     depths = range(min(tau, N + 1))
@@ -164,15 +201,6 @@ def _wb_supremum(rows, mu_mass: list, B: list, tau: int):
     return best, (grid.root(), grid.root())
 
 
-def _read_rows(name: str, T, sigma, mu):
-    """`_haar_rows` and `_indicator_sums` of (T, sigma, mu); WeightError names `name`."""
-    rows = _haar_rows(T, sigma, mu)
-    if rows is None:
-        raise WeightError(f"{name} has no Haar basis in floating point: a cell mass is not "
-                          "a positive normal number, or a two-point value over- or underflows")
-    return rows, _indicator_sums(rows)
-
-
 def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | None,
                       norm_method: str = "auto") -> TestingReport:
     """Weak-boundedness and indicator-testing constants with the full norm.
@@ -184,77 +212,37 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     is a restricted-supremum lower bound for the norm of f -> T(sigma f) from
     L2(sigma) to L2(mu).
 
-    All three are read from the shift's matrix in the sigma-weighted Haar
-    basis, Y^ (`shifts._haar_rows`, with its own masses), built for (T*, mu,
-    sigma) and for (T, sigma, mu), which the `dense-svd` norm shares; a
-    measure with no such basis in floats raises WeightError.  T1 witnesses
-    follow `level_argmax`; the WB witness is the first maximal pair in the
-    order: Q's level, Q' depth then offset, Q'' depth then offset, Q's index.
+    All three are read from one matrix, the shift's in the sigma-weighted
+    Haar basis, Y^(T, sigma, mu) (`shifts._haar_rows`), which the `dense-svd`
+    norm shares; C_T*1 from its column sums (`_tstar1_values`).  mu enters
+    only through its scalings and cube masses, so a sigma with no Haar basis
+    in floats, or a mu with a cell mass that is not a positive normal number,
+    raises WeightError naming it.  T1 witnesses follow `level_argmax`; the
+    WB witness is the first maximal pair in the order: Q's level, Q' depth
+    then offset, Q'' depth then offset, Q's index.
     Like `operator_norm`, it works on the measures moved into
     `weights._in_window` and scales the four values back.
     """
     (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
-    dual, B = _read_rows("mu", T.adjoint(), mu, sigma)
-    (c_tstar1, wit_tstar1), mu_mass = _t1_supremum(dual, B), dual.mass
-    del dual, B             # read first and dropped: one Y^ alive at a time
-    rows, B = _read_rows("sigma", T, sigma, mu)
-    c_t1, wit_t1 = _t1_supremum(rows, B)
+    grid = T.grid
+    rows = _haar_rows(T, sigma, mu)
+    if rows is None:
+        raise WeightError("sigma has no Haar basis in floating point: a cell mass is not "
+                          "a positive normal number, or a two-point value over- or underflows")
+    mu_mass = _cube_masses(grid, _measure_scalings(grid, mu, sigma)[0][rows.z[-1]])
+    if mu_mass is None:
+        raise WeightError("mu has a cell mass that is not a positive normal number, "
+                          "or a total mass that overflows")
+    B = _indicator_sums(rows)
+    c_t1, wit_t1 = _supremum(rows, [m * np.square(field).reshape(m.size, -1).sum(1)
+                                    for m, field in zip(rows.mass, B)])
+    c_tstar1, wit_tstar1 = _supremum(rows, _tstar1_values(rows, B, mu_mass))
     c_wb, wit_wb = _wb_supremum(rows, mu_mass, B, T.tau)
     full = (_dense_norm(T, sigma, mu, rows)
-            if norm_method in ("auto", "dense-svd") and T.grid.cell_count <= _DENSE_CELLS
+            if norm_method in ("auto", "dense-svd") and grid.cell_count <= _DENSE_CELLS
             else operator_norm(T, sigma, mu, method=norm_method))
     c_wb, c_t1, c_tstar1, full = (_times_two_to(x, k_sigma + k_mu)
                                   for x in (c_wb, c_t1, c_tstar1, full))
-    return TestingReport(
-        c_wb=c_wb, c_t1=c_t1, c_tstar1=c_tstar1, full_norm=full, tau=T.tau,
-        witnesses={"t1": wit_t1, "tstar1": wit_tstar1, "wb": list(wit_wb)},
-    )
-
-
-def brute_testing_constants(T: SimpleHaarShift, sigma: Weight | None,
-                            mu: Weight | None) -> TestingReport:
-    """Oracle evaluation by one operator application per indicator (small grids)."""
-    grid = T.grid
-    if grid.cell_count > 4096:
-        raise GridError("brute-force testing constants limited to 4096 cells")
-    d, N, tau = grid.d, grid.N, T.tau
-    sigma, mu = _measure(grid, sigma), _measure(grid, mu)
-
-    def t1_side(op, s, m):
-        best, wit = 0.0, grid.root()
-        pyrs = {}
-        for j in range(N + 1):
-            for flat in range(grid.level_count(j)):
-                cube = grid.cube(j, flat)
-                out = op.apply_values(GridFunction.indicator(cube).values * s.values)
-                pyrs[(j, flat)] = integral_pyramid(out * m.sums[N], d, N)
-                num = float((cube.cell_values(out) ** 2 * cube.cell_values(m.sums[N])).sum())
-                ratio = math.sqrt(num / s.sums[j][flat])
-                if ratio > best:
-                    best, wit = ratio, cube
-        return best, wit, pyrs
-
-    c_t1, wit_t1, pyrs = t1_side(T, sigma, mu)
-    c_tstar1, wit_tstar1, _ = t1_side(T.adjoint(), mu, sigma)
-
-    c_wb, wit_wb = 0.0, (grid.root(), grid.root())
-    for j in range(N + 1):
-        for flat in range(grid.level_count(j)):
-            q = grid.cube(j, flat)
-            deep = min(tau - 1, N - j)
-            members = [q]
-            frontier = [q]
-            for _ in range(deep):
-                frontier = [c for f in frontier for c in f.children()]
-                members.extend(frontier)
-            for qp in members:
-                pyr = pyrs[(qp.level, qp.flat)]
-                for qs in members:
-                    val = abs(pyr[qs.level][qs.flat])
-                    den = math.sqrt(sigma.sums[qp.level][qp.flat] * mu.sums[qs.level][qs.flat])
-                    if val / den > c_wb:
-                        c_wb, wit_wb = val / den, (qp, qs)
-    full = operator_norm(T, sigma, mu, method="dense-svd")
     return TestingReport(
         c_wb=c_wb, c_t1=c_t1, c_tstar1=c_tstar1, full_norm=full, tau=T.tau,
         witnesses={"t1": wit_t1, "tstar1": wit_tstar1, "wb": list(wit_wb)},

@@ -545,6 +545,19 @@ def _zpool(arr: np.ndarray, d: int) -> np.ndarray:
     return a[:, 0] + a[:, 1] if d == 1 else (a[:, 0] + a[:, 1]) + (a[:, 2] + a[:, 3])
 
 
+def _cube_masses(grid: DyadicGrid, a: np.ndarray):
+    """Cube masses, root level first, of the measure with Morton-order input
+    scaling a: cell masses (a |cell|)^2, pooled in Morton order; None when a
+    cell mass is not a positive normal number or the root mass overflows."""
+    with np.errstate(all="ignore"):
+        root = a * grid.cell_volume
+        mass = [root * root]
+        for _ in range(grid.N):
+            mass.append(_zpool(mass[-1], grid.d))
+    mass.reverse()
+    return mass if mass[-1].min() >= _TINY and np.isfinite(mass[0]).all() else None
+
+
 def _on_cubes(block: np.ndarray, parts: int) -> np.ndarray:
     """The writable view of a (2, count, R, E, cells) block that pairs each
     of `parts` equal runs of a support cube's slots with the same run of its
@@ -604,15 +617,9 @@ def _haar_rows(T, sigma, mu):
     d, N, tau, n = grid.d, grid.N, T.tau, grid.cell_count
     z, levels = _haar_layout(d, N, tau)
     a, b = (x[z[N]] for x in _measure_scalings(grid, sigma, mu))     # Morton order
-    root = a * grid.cell_volume
-    mass = [root * root]
-    with np.errstate(all="ignore"):
-        for _ in range(N):
-            mass.append(_zpool(mass[-1], d))
-        mass.reverse()
-        if not (mass[N].min() >= _TINY and np.isfinite(mass[0]).all()):
-            return None
-        w = _two_point_values(mass, d)                      # (count, 2, E) per level
+    mass = _cube_masses(grid, a)
+    with np.errstate(all="ignore"):     # w: (count, 2, E) per level
+        w = None if mass is None else _two_point_values(mass, d)
     if w is None:
         return None
     pairs, gamma, pieces = {}, {}, {}

@@ -4,16 +4,19 @@ They read the library's own arrays (a corona's anchor arrays and stopping
 forest, a shift's profile blocks) and answer one cube at a time, or build a
 dense matrix, which the library itself never needs.  A generic shift's
 entries also give its matrix directly, through `haar_basis`: the oracle for
-the profiles they compile into.
+the profiles they compile into.  The testing constants have a brute-force
+oracle too, one operator application per indicator.
 """
 
 import math
 
 import numpy as np
 
-from dyadlab import CubeSet, DyadicCube, GenericHaarShift, ShiftError, SimpleHaarShift
+from dyadlab import (CubeSet, DyadicCube, GenericHaarShift, GridError, GridFunction, ShiftError,
+                     SimpleHaarShift, TestingReport, operator_norm)
 from dyadlab.corona import CoronaStructureError
-from dyadlab.grid import check_cube, haar_basis
+from dyadlab.grid import check_cube, haar_basis, integral_pyramid
+from dyadlab.weights import _measure
 from dyadlab.partition import hilbert_compressed
 
 
@@ -134,3 +137,55 @@ def compressed_matrix(part, sigma, mu):
         raise ShiftError("dense matrix limited to partitions with at most 4096 cells")
     a, b = np.sqrt(sigma.values), np.sqrt(mu.values)
     return b[:, None] * hilbert_compressed(part, np.diag(a))
+
+
+def brute_testing_constants(T, sigma, mu):
+    """`testing_constants` by one operator application per indicator (small
+    grids): each T1-type ratio from T(sigma 1_Q) or T*(mu 1_Q) on Q's cells,
+    divided by the square root of the tested mass before it is squared, and
+    each WB ratio from the integrals of T(sigma 1_Q'); witnesses are the first
+    maximal cube, or pair, in scan order.  The norm is `dense-svd`'s."""
+    grid = T.grid
+    if grid.cell_count > 4096:
+        raise GridError("brute-force testing constants limited to 4096 cells")
+    d, N, tau = grid.d, grid.N, T.tau
+    sigma, mu = _measure(grid, sigma), _measure(grid, mu)
+
+    def t1_side(op, s, m):
+        best, wit = 0.0, grid.root()
+        pyrs = {}
+        for j in range(N + 1):
+            for flat in range(grid.level_count(j)):
+                cube = grid.cube(j, flat)
+                out = op.apply_values(GridFunction.indicator(cube).values * s.values)
+                pyrs[(j, flat)] = integral_pyramid(out * m.sums[N], d, N)
+                scaled = cube.cell_values(out) / math.sqrt(s.sums[j][flat])
+                ratio = math.sqrt(float((scaled ** 2 * cube.cell_values(m.sums[N])).sum()))
+                if ratio > best:
+                    best, wit = ratio, cube
+        return best, wit, pyrs
+
+    c_t1, wit_t1, pyrs = t1_side(T, sigma, mu)
+    c_tstar1, wit_tstar1, _ = t1_side(T.adjoint(), mu, sigma)
+
+    c_wb, wit_wb = 0.0, (grid.root(), grid.root())
+    for j in range(N + 1):
+        for flat in range(grid.level_count(j)):
+            q = grid.cube(j, flat)
+            members = [q]
+            frontier = [q]
+            for _ in range(min(tau - 1, N - j)):
+                frontier = [c for f in frontier for c in f.children()]
+                members.extend(frontier)
+            for qp in members:
+                pyr = pyrs[(qp.level, qp.flat)]
+                for qs in members:
+                    val = abs(pyr[qs.level][qs.flat])
+                    den = math.sqrt(sigma.sums[qp.level][qp.flat] * mu.sums[qs.level][qs.flat])
+                    if val / den > c_wb:
+                        c_wb, wit_wb = val / den, (qp, qs)
+    full = operator_norm(T, sigma, mu, method="dense-svd")
+    return TestingReport(
+        c_wb=c_wb, c_t1=c_t1, c_tstar1=c_tstar1, full_norm=full, tau=T.tau,
+        witnesses={"t1": wit_t1, "tstar1": wit_tstar1, "wb": list(wit_wb)},
+    )

@@ -11,7 +11,6 @@ from dyadlab import (
     GridFunction,
     Weight,
     bold_h,
-    brute_testing_constants,
     build_corona,
     build_grid,
     corona_ab_split,
@@ -35,8 +34,8 @@ from dyadlab import (
 )
 from dyadlab.corona import pn_alpha
 from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
-                               ProfileFamily, _indicator_fields, _indicator_sums, affine_fit,
-                               fit_slope)
+                               ProfileFamily, _indicator_fields, _indicator_sums,
+                               _tstar1_values, affine_fit, fit_slope)
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
 from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
@@ -46,7 +45,8 @@ import dyadlab.estimates as estimates
 import dyadlab.shifts as shifts
 import dyadlab.experiments as exp
 
-from helpers import cube_set, masked, random_generic, stopping_descendants
+from helpers import (brute_testing_constants, cube_set, masked, random_generic,
+                     stopping_descendants)
 
 
 # -- testing constants ---------------------------------------------------------
@@ -138,8 +138,9 @@ def test_fast_constants_match_brute_oracle(d, N, tau, seed, tied):
     assert fast.c_t1 == pytest.approx(brute.c_t1, abs=1e-10)
     assert fast.c_tstar1 == pytest.approx(brute.c_tstar1, abs=1e-10)
     assert fast.c_wb == pytest.approx(brute.c_wb, abs=1e-10)
-    assert (fast.witnesses["t1"].level, fast.witnesses["t1"].flat) == (
-        brute.witnesses["t1"].level, brute.witnesses["t1"].flat)
+    for key in ("t1", "tstar1"):
+        assert (fast.witnesses[key].level, fast.witnesses[key].flat) == (
+            brute.witnesses[key].level, brute.witnesses[key].flat)
     assert fast.witnesses["wb"] == list(_first_maximal_wb_pair(T, sigma, mu))
 
 
@@ -231,12 +232,46 @@ def test_indicator_fields_are_t_of_sigma_indicators(shape, tau, separated, n, se
                     k += 1
 
 
-def test_testing_constants_build_two_haar_matrices(monkeypatch):
-    """One `dense-svd` call builds Y^ for (T*, mu, sigma), then for (T,
-    sigma, mu), runs one Krylov loop on the second and builds no dense
-    matrix; a `power-iteration` call builds the same two."""
+@given(st.sampled_from([(1, N) for N in range(1, 7)] + [(2, N) for N in range(1, 4)]),
+       st.integers(1, 3), st.integers(0, 3), st.integers(0, 10**6),
+       st.sampled_from(("none", "weight", "dual")), st.sampled_from(("none", "weight", "dual")))
+@settings(max_examples=60, deadline=None)
+def test_tstar1_values_are_t_star_of_mu_indicators(shape, tau, n, seed, sigma_kind, mu_kind):
+    """Read from Y^(T, sigma, mu), `_tstar1_values` is ||1_Q T*(mu 1_Q)||^2_sigma
+    / mu(Q) for every cube Q, with T* applied to mu 1_Q, to 1e-13 of the same
+    quantity with |g| and |gamma|.  Cubes are located through the layout's
+    Morton maps."""
+    d, N = shape
+    tau = min(tau, N)
+    g = build_grid(d, N)
+    w = random_a2_weight(n, seed, g)
+    pick = {"none": None, "weight": w, "dual": dual_weight(w)}
+    sigma, mu = pick[sigma_kind], pick[mu_kind]
+    T = random_simple_shift(tau, seed + 1, g)
+    T_abs = SimpleHaarShift(g, tau, T.levels, {a: np.abs(T.g[a]) for a in T.levels},
+                            {a: np.abs(T.gamma[a]) for a in T.levels}, validate=False)
+    rows = shifts._haar_rows(T, sigma, mu)
+    mu_mass = shifts._cube_masses(g, shifts._measure_scalings(g, mu, sigma)[0][rows.z[N]])
+    values = _tstar1_values(rows, _indicator_sums(rows), mu_mass)
+    s, m = _measure(g, sigma), _measure(g, mu)
+    adj, adj_abs = T.adjoint(), T_abs.adjoint()
+    for j in range(N + 1):
+        assert values[j].shape == (g.level_count(j),)
+        for q in range(g.level_count(j)):
+            Q = g.cube(j, int(rows.z[j][q]))
+            f = GridFunction.indicator(Q).values * m.values
+            want, scale = (float((Q.cell_values(op.apply_values(f)) ** 2
+                                  * Q.cell_values(s.sums[N])).sum()) / m.sums[j][Q.flat]
+                           for op in (adj, adj_abs))
+            assert abs(values[j][q] - want) <= 1e-13 * scale
+
+
+def test_testing_constants_build_one_haar_matrix(monkeypatch):
+    """Under either norm method, one call builds Y^ once, for (T, sigma, mu),
+    runs one Krylov loop (on Y^ for `dense-svd`) and builds no dense matrix;
+    a `dense-svd` call takes no adjoint."""
     T, sigma, mu = exp.two_weight_instance(5, depth=6)
-    builds, counts = [], {"_golub_kahan": 0, "dense_matrix": 0}
+    builds, counts = [], {"_golub_kahan": 0, "dense_matrix": 0, "adjoint": 0}
     haar_rows = shifts._haar_rows
 
     def counting_rows(shift, s, m):
@@ -251,18 +286,20 @@ def test_testing_constants_build_two_haar_matrices(monkeypatch):
 
     for module in (shifts, estimates):
         monkeypatch.setattr(module, "_haar_rows", counting_rows)
-    for name in counts:
+    for name in ("_golub_kahan", "dense_matrix"):
         monkeypatch.setattr(shifts, name, counting(name, getattr(shifts, name)))
-    for method, krylov in (("dense-svd", 1), ("power-iteration", 1)):
+    monkeypatch.setattr(SimpleHaarShift, "adjoint",
+                        counting("adjoint", SimpleHaarShift.adjoint))
+    for method in ("dense-svd", "power-iteration"):
         builds.clear()
-        counts.update(_golub_kahan=0, dense_matrix=0)
+        counts.update(_golub_kahan=0, dense_matrix=0, adjoint=0)
         eval_testing_constants(T, sigma, mu, norm_method=method)
-        assert len(builds) == 2
-        (first, s1, m1), (second, s2, m2) = builds
-        assert second is T and (s2, m2) == (sigma, mu) and (s1, m1) == (mu, sigma)
-        assert all(np.array_equal(first.g[j], T.gamma[j])
-                   and np.array_equal(first.gamma[j], T.g[j]) for j in T.levels)
-        assert counts == {"_golub_kahan": krylov, "dense_matrix": 0}
+        assert len(builds) == 1
+        shift, s, m = builds[0]
+        assert shift is T and s is sigma and m is mu
+        assert counts["_golub_kahan"] == 1 and counts["dense_matrix"] == 0
+        if method == "dense-svd":
+            assert counts["adjoint"] == 0
 
 
 @pytest.mark.parametrize("k", [600, -600])
@@ -326,15 +363,37 @@ def test_constant_measures_far_from_one_give_c_times_the_norm():
 @pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
 def test_a_weight_with_no_haar_basis_raises_weight_error(method):
     """Sibling cells 2^1100 apart in mass leave no floating-point Haar
-    basis, on either side of the pair."""
+    basis.  Only sigma needs one: as mu the same weight gives the brute
+    oracle's constants and witnesses, although its squares would overflow."""
     grid = build_grid(1, 3)
     values = np.ones(grid.cell_count)
     values[:2] = 2.0 ** -550, 2.0 ** 550
     w = Weight(values, grid)
     T = random_simple_shift(1, 4, grid)
-    for sigma, mu in ((w, None), (w, dual_weight(w)), (None, w)):
-        with pytest.raises(WeightError, match="no Haar basis"):
+    for sigma, mu in ((w, None), (w, dual_weight(w))):
+        with pytest.raises(WeightError, match="sigma has no Haar basis"):
             eval_testing_constants(T, sigma, mu, norm_method=method)
+    fast = eval_testing_constants(T, None, w, norm_method=method)
+    brute = brute_testing_constants(T, None, w)
+    for key in ("c_t1", "c_tstar1", "c_wb"):
+        assert math.isfinite(getattr(brute, key))
+        assert getattr(fast, key) == pytest.approx(getattr(brute, key), rel=1e-10, abs=0.0)
+    assert fast.witnesses == brute.witnesses
+
+
+def test_a_measure_with_a_cell_mass_out_of_the_normal_range_raises_weight_error():
+    """mu divides the testing ratios by mu(Q)^(1/2): a cell mass that is
+    subnormal or zero (values spanning more than the float range, so that no
+    power of four moves them into it) raises WeightError naming mu."""
+    grid = build_grid(1, 3)
+    T = random_simple_shift(1, 4, grid)
+    for tiny in (1e-320, 5e-324):
+        values = np.ones(grid.cell_count)
+        values[:2] = tiny, 1e300
+        w = Weight(values, grid)
+        for method in ("dense-svd", "power-iteration"):
+            with pytest.raises(WeightError, match="^mu "):
+                eval_testing_constants(T, None, w, norm_method=method)
 
 
 def test_necessity_on_sample_instances():
