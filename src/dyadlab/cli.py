@@ -107,12 +107,7 @@ def cmd_norm(args) -> int:
     cfg, T = _flag_shift(args, grid)
     wid, w = _resolve_weight(args, grid)
     sigma, mu = (None, None) if args.lebesgue else (w, dual_weight(w))
-    try:
-        value = operator_norm(T, sigma, mu, method=args.method)
-    except OperatorNormError as exc:
-        _emit({"command": "norm", "error": str(exc), "bracket": list(exc.bracket)},
-              args.out)
-        return EXIT_CHECK_FAILED
+    value = operator_norm(T, sigma, mu, method=args.method)
     _emit({
         "command": "norm", "grid": {"d": args.d, "N": args.N},
         "shift": cfg.to_dict()["shift"], "weight": wid,
@@ -420,12 +415,15 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except CliError as exc:
+    except (CliError, GridError, WeightError, ShiftError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (GridError, WeightError, ShiftError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    except OperatorNormError as exc:        # the norm has no value; a sweep writes a directory
+        if args.command == "sweep":
+            raise
+        _emit({"command": args.command, "error": str(exc), "bracket": list(exc.bracket)},
+              args.out)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

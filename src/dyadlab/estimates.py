@@ -59,8 +59,8 @@ from .corona import (
     CubeSet,
     pn_alpha,
 )
-from .shifts import (_DENSE_CELLS, SimpleHaarShift, _cube_masses, _dense_norm, _haar_rows,
-                     _measure_scalings, _weak_type, _zpool, operator_norm)
+from .shifts import (SimpleHaarShift, _cube_masses, _dense_norm, _haar_rows,
+                     _measure_scalings, _norm_method, _weak_type, _zpool, operator_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +226,6 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
     grid = T.grid
     rows = _haar_rows(T, sigma, mu)
-    if rows is None:
-        raise WeightError("sigma has no Haar basis in floating point: a cell mass is not "
-                          "a positive normal number, or a two-point value over- or underflows")
     mu_mass = _cube_masses(grid, _measure_scalings(grid, mu, sigma)[0][rows.z[-1]])
     if mu_mass is None:
         raise WeightError("mu has a cell mass that is not a positive normal number, "
@@ -238,8 +235,7 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
                                     for m, field in zip(rows.mass, B)])
     c_tstar1, wit_tstar1 = _supremum(rows, _tstar1_values(rows, B, mu_mass))
     c_wb, wit_wb = _wb_supremum(rows, mu_mass, B, T.tau)
-    full = (_dense_norm(T, sigma, mu, rows)
-            if norm_method in ("auto", "dense-svd") and grid.cell_count <= _DENSE_CELLS
+    full = (_dense_norm(T, lambda: rows) if _norm_method(grid, norm_method) == "dense-svd"
             else operator_norm(T, sigma, mu, method=norm_method))
     c_wb, c_t1, c_tstar1, full = (_times_two_to(x, k_sigma + k_mu)
                                   for x in (c_wb, c_t1, c_tstar1, full))

@@ -10,7 +10,7 @@ matrix-free: one integral pyramid, one pairing pass per level, one expansion
 pass, costing O((2^(tau d) + N) 2^(Nd)).
 
 The module also provides operator norms between weighted L^2 spaces
-(matrix-free Golub-Kahan-Lanczos bidiagonalization, and a dense oracle that
+(matrix-free Golub-Kahan-Lanczos bidiagonalization, and a certified norm that
 runs the same loop once, on the shift's matrix in the sigma-weighted Haar
 basis, and certifies its value with one Cholesky factorization of that
 matrix's Gram over the tree of dyadic cubes: see `operator_norm`), the
@@ -35,7 +35,7 @@ A reduction whose value reaches an output is a fixed-order numpy reduction
 (`np.einsum`, `np.bincount`, `pool`), never a BLAS dot or norm, whose partial
 sums split by thread: the outputs are the same bytes at any BLAS thread
 count.  BLAS products that only decide a certificate's pass or fail
-(the tree Gram and its Schur updates, the fallback's M^T M) may stay.
+(the tree Gram and its Schur updates) may stay.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .grid import (
     scatter_subcells,
     subcell_matrix,
 )
-from .weights import Weight, _in_window, _measure, _times_two_to
+from .weights import Weight, WeightError, _in_window, _measure, _times_two_to
 
 
 class ShiftError(ValueError):
@@ -71,8 +71,9 @@ class ShiftError(ValueError):
 
 
 class OperatorNormError(RuntimeError):
-    """The Krylov norm iteration did not converge; `bracket` holds its last
-    two top Ritz values, which increase towards the norm."""
+    """The norm has no value: the Krylov iteration did not converge, or the
+    `dense-svd` certificate refused it; `bracket` holds the last two
+    estimates, which increase towards the norm (None where there is none)."""
 
     def __init__(self, message, bracket):
         super().__init__(message)
@@ -395,16 +396,28 @@ _DENSE_CELLS = 4096
 def _measure_scalings(grid, sigma, mu):
     vol = grid.cell_volume
     # input scaling: L2(sigma) isometry composed with (sigma .); output: L2(mu) isometry
-    a = np.sqrt(_measure(grid, sigma).values / vol)
+    with np.errstate(over="ignore"):
+        a = np.sqrt(_measure(grid, sigma).values / vol)
     b = np.sqrt(_measure(grid, mu).values * vol)
     return a, b
 
 
+def _norm_method(grid, method: str) -> str:
+    """`method`, `auto` resolved by the 4096-cell gate; ShiftError if it cannot run."""
+    if method == "auto":
+        method = "dense-svd" if grid.cell_count <= _DENSE_CELLS else "power-iteration"
+    if method not in ("dense-svd", "power-iteration"):
+        raise ShiftError(f"unknown method {method!r}")
+    if method == "dense-svd" and grid.cell_count > _DENSE_CELLS:
+        raise ShiftError(f"dense matrix limited to grids with at most {_DENSE_CELLS} cells")
+    return method
+
+
 def dense_matrix(T, sigma: Weight | None = None, mu: Weight | None = None) -> np.ndarray:
     """Dense matrix of f -> T(sigma f) between the scaled coordinates of
-    L2(sigma) and L2(mu); its largest singular value is the operator norm."""
-    if T.grid.cell_count > _DENSE_CELLS:
-        raise ShiftError("dense matrix limited to grids with at most 4096 cells")
+    L2(sigma) and L2(mu); its largest singular value is the operator norm.
+    The tests' oracle: no norm here builds it."""
+    _norm_method(T.grid, "dense-svd")       # the 4096-cell gate
     a, b = _measure_scalings(T.grid, sigma, mu)
     return b[:, None] * T.apply_values(np.diag(a))
 
@@ -416,10 +429,10 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
 
     `power-iteration` runs Golub-Kahan-Lanczos bidiagonalization from a fixed
     seeded start vector (see `power_iteration_norm` for the stopping rule);
-    `dense-svd` is the oracle for grids of at most 4096 cells; `auto` picks
-    the oracle when it is available.
+    `dense-svd`, for grids of at most 4096 cells, certifies its value; `auto`
+    picks `dense-svd` when it is available (`_norm_method`).
 
-    The oracle works on one matrix, Y^ = fl(M W) (`_haar_rows`; M the
+    `dense-svd` works on one matrix, Y^ = fl(M W) (`_haar_rows`; M the
     matrix of `dense_matrix`, W the sigma-weighted Haar basis, so
     |M| = |M W|).  It runs the loop once (same `tol`, `max_iter` and `seed`)
     on x -> Y^ x and y -> Y^T y (`_haar_products`) and takes s = |Y^ v| for
@@ -428,62 +441,51 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     H^ = fl(Y^T Y^) (`_tree_gram`), run supernode by supernode over the tree
     of support cubes (`_tree_cholesky`) in O(n (N width)^2) work, width a
     supernode's slots; no n x n array is formed (eps' at most 2.0e-10 on the
-    two-weight suite rows 0-199).  When the basis is not defined in floating
-    point, no loop runs; then, or when the certificate refuses or the loop
-    raises (s = 0), the norm is the square root of the top eigenvalue of
-    M^T M from LAPACK's symmetric eigensolver.  A wrong Krylov value
-    therefore never passes, the dense branch never raises
-    `OperatorNormError`, and M = 0 (s = 0) gives +0.0 through the fallback,
-    never NaN.
+    two-weight suite rows 0-199).  Its four outcomes are `_dense_norm`'s:
+    a refused certificate or an unconverged loop raises OperatorNormError,
+    so a wrong Krylov value never passes.  A sigma with no Haar basis, or
+    for `power-iteration` a sigma scaling that overflows, raises WeightError.
 
     Either method runs on sigma and mu moved into `weights._in_window` by
     exact powers of four, and scales the value (or the bracket) back.
     """
-    if method == "auto":
-        method = "dense-svd" if T.grid.cell_count <= _DENSE_CELLS else "power-iteration"
+    method = _norm_method(T.grid, method)
     (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
     k = k_sigma + k_mu
-    if method == "dense-svd":
-        if T.grid.cell_count > _DENSE_CELLS:
-            raise ShiftError("dense matrix limited to grids with at most 4096 cells")
-        return _times_two_to(_dense_norm(T, sigma, mu, _haar_rows(T, sigma, mu), tol,
-                                         max_iter, seed), k)
-    if method != "power-iteration":
-        raise ShiftError(f"unknown method {method!r}")
-
-    grid = T.grid
-    a, b = _measure_scalings(grid, sigma, mu)
-    T_adj = T.adjoint()
     try:
-        return _times_two_to(power_iteration_norm(
-            lambda v: b * T.apply_values(a * v),
-            lambda w: a * T_adj.apply_values(b * w),
-            grid.cell_count, tol=tol, max_iter=max_iter, seed=seed,
-        ), k)
+        if method == "dense-svd":
+            s = _dense_norm(T, lambda: _haar_rows(T, sigma, mu), tol, max_iter, seed)
+        else:
+            a, b = _measure_scalings(T.grid, sigma, mu)
+            if not np.isfinite(a).all():        # b = sqrt(mu |cell|) is always finite
+                raise WeightError("sigma's scaling sqrt(sigma/|cell|) overflows")
+            T_adj = T.adjoint()
+            s = power_iteration_norm(lambda v: b * T.apply_values(a * v),
+                                     lambda w: a * T_adj.apply_values(b * w),
+                                     T.grid.cell_count, tol=tol, max_iter=max_iter, seed=seed)
     except OperatorNormError as exc:
-        if k == 0:
-            raise
         raise OperatorNormError(str(exc), tuple(
             None if e is None else _times_two_to(e, k) for e in exc.bracket)) from None
+    return _times_two_to(s, k)
 
 
-def _dense_norm(T, sigma, mu, rows, tol: float = 1e-8, max_iter: int = 10_000,
+def _dense_norm(T, rows, tol: float = 1e-8, max_iter: int = 10_000,
                 seed: int = _POWER_SEED) -> float:
-    """The `dense-svd` branch of `operator_norm`, given T's `_haar_rows`."""
-    if rows is not None:
-        forward, backward = _haar_products(rows)
-        try:
-            _, v = _golub_kahan(forward, backward, T.grid.cell_count, tol, max_iter, seed)
-            s = _norm(forward(v))
-        except OperatorNormError:
-            s = 0.0
-        if _certifies(rows, s):
-            return s
-    M = dense_matrix(T, sigma, mu)
-    gram = M.T @ M
-    del M
-    top = float(np.linalg.eigvalsh(gram)[-1])
-    return math.sqrt(top) if top > 0.0 else 0.0
+    """The `dense-svd` norm of T on Y^ = rows(), T's `_haar_rows`: +0.0, with
+    no build, when no term of T has both profiles nonzero (T = 0 exactly);
+    the Krylov value s = |Y^ v| when `_certifies` passes; OperatorNormError
+    when it refuses (bracket (None, s)) or the loop does not converge; and
+    `_haar_rows`' WeightError when sigma has no Haar basis in floats."""
+    if not any(((T.g[j] != 0).any(2) & (T.gamma[j] != 0).any(2)).any() for j in T.levels):
+        return 0.0
+    rows = rows()
+    forward, backward = _haar_products(rows)
+    _, v = _golub_kahan(forward, backward, T.grid.cell_count, tol, max_iter, seed)
+    s = _norm(forward(v))
+    if not _certifies(rows, s):
+        raise OperatorNormError(f"the tree certificate refuses the Krylov value {s!r}",
+                                bracket=(None, s))
+    return s
 
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -591,7 +593,7 @@ def _two_point_values(mass, d):
 
 
 def _haar_rows(T, sigma, mu):
-    """Y^ = fl(M W) and its shadow in the sigma-weighted Haar basis, or None
+    """Y^ = fl(M W) and its shadow in the sigma-weighted Haar basis; WeightError
     when the basis is not well defined in floating point (a cell mass not a
     positive normal number, a root mass that overflows, or a two-point value
     zero or not finite).
@@ -621,7 +623,8 @@ def _haar_rows(T, sigma, mu):
     with np.errstate(all="ignore"):     # w: (count, 2, E) per level
         w = None if mass is None else _two_point_values(mass, d)
     if w is None:
-        return None
+        raise WeightError("sigma has no Haar basis in floating point: a cell mass is not "
+                          "a positive normal number, or a two-point value over- or underflows")
     pairs, gamma, pieces = {}, {}, {}
     for j in T.levels:
         cube = ancestor_flat(d, j + tau, j, z[j + tau])
@@ -803,10 +806,10 @@ def _certifies(rows, s: float) -> bool:
 
     Conversely (Thm 10.7), to first order the factorization is sure to
     succeed once the margin t - |M|^2 exceeds eta t, so eps = 2 eta leaves
-    half the margin for the Krylov value's own shortfall below |M|.  Rows
-    of None, a non-finite Y^ or Z, or s^2 below 2^-900 never certify.
+    half the margin for the Krylov value's own shortfall below |M|.  A
+    non-finite Y^ or Z, or s^2 below 2^-900, never certifies.
     """
-    if rows is None or not s * s >= _LEAST_SQUARE:
+    if not s * s >= _LEAST_SQUARE:
         return False
     if not (np.isfinite(rows.Y).all() and np.isfinite(rows.Z).all()):
         return False

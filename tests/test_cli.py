@@ -67,6 +67,29 @@ def test_norm_command_methods_agree(capsys):
     assert pi["norm"] == pytest.approx(dn["norm"], rel=1e-6)
 
 
+@pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
+def test_test_conditions_reports_a_norm_error_like_norm(monkeypatch, capsys, tmp_path, method):
+    """When the norm has no value, `test-conditions` prints the error and its
+    bracket and exits 1, as `norm` does, under either method."""
+    from dyadlab import shifts
+    from dyadlab.cli import EXIT_CHECK_FAILED
+
+    def no_convergence(*args):
+        raise shifts.OperatorNormError("Golub-Kahan-Lanczos did not converge in 2 steps",
+                                       bracket=(1.0, 2.0))
+
+    monkeypatch.setattr(shifts, "_golub_kahan", no_convergence)
+    out = str(tmp_path / "tc.json")
+    code, doc = run(capsys, "test-conditions", "--N", "6", "--family", "power",
+                    "--method", method, "--out", out)
+    assert code == EXIT_CHECK_FAILED
+    assert doc == {"schema": cli.SCHEMA, "command": "test-conditions",
+                   "error": "Golub-Kahan-Lanczos did not converge in 2 steps",
+                   "bracket": [1.0, 2.0]}
+    with open(out, encoding="utf-8") as fh:
+        assert json.load(fh) == doc
+
+
 def test_cz_command_checks_pass(capsys):
     code, doc = run(capsys, "cz", "--N", "9", "--lam", "2.5", "--seed", "11")
     assert code == EXIT_OK

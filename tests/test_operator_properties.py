@@ -18,22 +18,22 @@ precision on its slots and is negligible off them, the tree Gram lies within
 gamma_n |Y^|^T |Y^| of the exact Y^T Y^ with exact zeros off the nested
 pattern, err covers its Gram and Y^ terms, and the tree verdict is
 `np.linalg.cholesky`'s on the finest-first permuted dense matrix at
-s^2 (1 +- 1e-6).  Only a refused certificate (s = 0 from a zero shift or an
-unconverged Krylov run) or a basis that does not exist in floating point
-(masses whose two-point ratios overflow, where no Krylov run happens) builds
-M and takes LAPACK's symmetric eigensolver.  The route tests count Krylov
-runs, `dense_matrix`, `apply_values` and eigensolver calls; the suite prefix
-must certify without M; a tracemalloc guard keeps a tau=1 N=10 norm below
-one n x n array; and sigma scaled by 2^+-600 scales the norm exactly and
-still certifies.  The property tests cover the oracle on random grids and
-weight pairs, the duality identities at d=1 and d=2 (<Tf, g> = <f, T*g> for
-simple and generic shifts, and the same dense norm for T and its adjoint),
-the dual-weight involution, and the profiles a generic shift compiles into
-against the matrix of its entries.
+s^2 (1 +- 1e-6).  The norm never builds M: a zero shift is +0.0 with no
+Y^ and no Krylov run, an unconverged run raises OperatorNormError, and a
+sigma with no two-point basis in floating point raises WeightError.  The
+route tests count Y^ builds, Krylov runs, `dense_matrix` and `apply_values`
+calls; the suite prefix must certify without M; a tracemalloc guard keeps
+a tau=1 N=10 norm below one n x n array; and sigma scaled by 2^+-600 scales
+the norm exactly and still certifies.  The property tests cover the oracle
+on random grids and weight pairs, the duality identities at d=1 and d=2
+(<Tf, g> = <f, T*g> for simple and generic shifts, and the same dense norm
+for T and its adjoint), the dual-weight involution, and the profiles a
+generic shift compiles into against the matrix of its entries.
 """
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +58,7 @@ from dyadlab import (
     random_simple_shift,
     zero_shift,
 )
+from dyadlab.weights import WeightError
 import dyadlab.experiments as exp
 from dyadlab import shifts
 from dyadlab.grid import ancestor_flat, ancestor_map, descendant_offset, expand, scatter_subcells
@@ -75,7 +76,7 @@ def grids(draw, max_n=MAX_N):
 
 
 def _full_svd_norm(T, sigma, mu):
-    return float(np.linalg.svd(dense_matrix(T, sigma, mu), compute_uv=False)[0])
+    return float(np.linalg.svd(shifts.dense_matrix(T, sigma, mu), compute_uv=False)[0])
 
 
 def _d2_cascade_case():
@@ -105,20 +106,6 @@ def test_dense_norm_of_zero_shift_is_zero():
         assert _full_svd_norm(T, w, dual_weight(w)) == 0.0
 
 
-@pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    """Counts the dense oracle's eigensolver fallbacks."""
-    calls = []
-    solve = np.linalg.eigvalsh
-
-    def counting(a):
-        calls.append(a.shape)
-        return solve(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    return calls
-
-
 def test_certificate_refuses_a_value_below_the_norm():
     """The tree certificate passes the full SVD's norm and refuses it less
     1e-6, and 0, at tau=1 and tau=2 on 128 cells: 8 and 14 Haar slots a
@@ -131,24 +118,6 @@ def test_certificate_refuses_a_value_below_the_norm():
         assert shifts._certifies(rows, s)
         assert not shifts._certifies(rows, s * (1.0 - 1e-6))
         assert not shifts._certifies(rows, 0.0)
-
-
-def test_zero_shift_takes_the_eigensolver_fallback(eigvalsh_calls):
-    g = build_grid(1, 6)
-    w = random_a2_weight(1, 5, g)
-    norm = operator_norm(zero_shift(g, 2), w, dual_weight(w), method="dense-svd")
-    assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
-    assert eigvalsh_calls == [(64, 64)]
-
-
-@pytest.mark.parametrize("max_iter", [1, 2, 3])
-def test_unconverged_krylov_run_takes_the_fallback_and_never_raises(eigvalsh_calls, max_iter):
-    T, sigma, mu = exp.two_weight_instance(5, depth=7)
-    with pytest.raises(OperatorNormError):
-        operator_norm(T, sigma, mu, max_iter=max_iter)
-    norm = operator_norm(T, sigma, mu, method="dense-svd", max_iter=max_iter)
-    assert eigvalsh_calls == [(128, 128)]
-    assert norm == pytest.approx(_full_svd_norm(T, sigma, mu), rel=1e-12)
 
 
 @pytest.fixture
@@ -171,7 +140,7 @@ def dense_builds(monkeypatch):
     return calls
 
 
-def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_calls):
+def test_suite_prefix_certifies_without_the_eigensolver(dense_builds):
     """Every row, tau=1 included, runs the Krylov loop once and certifies
     without building M, and its value is the full SVD's to 1e-13."""
     for i in range(24):
@@ -181,42 +150,59 @@ def test_suite_prefix_certifies_without_the_eigensolver(dense_builds, eigvalsh_c
         assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 0, "apply_values": 0}, i
         full = _full_svd_norm(T, sigma, mu)
         assert abs(norm - full) <= 1e-13 * full
-    assert eigvalsh_calls == []
 
 
-@pytest.mark.parametrize("case", ["generic", "martingale_d2", "zero", "masked", "unconverged",
-                                  "overflow"])
+def test_a_zero_shift_is_plus_zero_with_no_krylov_run(dense_builds, monkeypatch):
+    """The zero shift, an empty generic shift and a shift with every cube
+    masked have no term whose g and gamma are both nonzero: their dense norm
+    is +0.0 with no Y^ build, no Krylov run and no M."""
+    builds = []
+    monkeypatch.setattr(shifts, "_haar_rows", lambda *args: builds.append(args))
+    g = build_grid(1, 6)
+    w = random_a2_weight(1, 5, g)
+    for T in (zero_shift(g, 2), GenericHaarShift(g, 1, []),
+              masked(random_simple_shift(2, 11, g), {})):
+        norm = operator_norm(T, w, dual_weight(w), method="dense-svd")
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+    assert builds == []
+    assert dense_builds == {"_golub_kahan": 0, "dense_matrix": 0, "apply_values": 0}
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3])
+def test_an_unconverged_dense_run_raises(max_iter):
+    """A Krylov loop cut at 1-3 steps raises OperatorNormError under
+    `dense-svd` too; for sigma times 4^300, which `_in_window` moves back,
+    the bracket is the same times 2^300."""
+    T, sigma, mu = exp.two_weight_instance(5, depth=7)
+    brackets = []
+    for s in (sigma, Weight(np.ldexp(sigma.values, 600), T.grid)):
+        with pytest.raises(OperatorNormError) as err:
+            operator_norm(T, s, mu, method="dense-svd", max_iter=max_iter)
+        brackets.append(err.value.bracket)
+    assert brackets[0][1] > 0.0
+    assert brackets[1] == tuple(None if e is None else 2.0 ** 300 * e for e in brackets[0])
+
+
+@pytest.mark.parametrize("case", ["generic", "martingale_d2", "masked"])
 def test_the_n_by_n_route_builds_m_once(case, dense_builds):
-    """Only the fallback builds M: a generic shift, the d=2 martingale
-    transform and a masked shift (zeroed cubes, so rank-deficient) certify
-    without it, while the zero shift and an unconverged Krylov run (s = 0)
-    build it once.  The Krylov loop runs once when the basis exists; sibling
-    masses 2^+-550 apart overflow it, and M is built with no Krylov run."""
+    """Only the test oracle builds M, once: a generic shift, the d=2
+    martingale transform and a masked shift (zeroed cubes, so
+    rank-deficient) certify with one Krylov run and no M."""
     grid = build_grid(1, 6) if case != "martingale_d2" else build_grid(2, 3)
     w = random_a2_weight(1, 5, grid)
-    sigma, mu, max_iter = w, dual_weight(w), 10_000
+    sigma, mu = w, dual_weight(w)
     if case == "generic":
         T = random_generic(grid, np.random.default_rng(7), count=40)
     elif case == "martingale_d2":       # three terms per cube
         T = martingale_transform(random_signs(grid, 5), grid)
-    elif case == "zero":
-        T = zero_shift(grid, 2)
-    elif case == "masked":
+    else:
         rng = np.random.default_rng(3)
         T = masked(random_simple_shift(2, 11, grid),
                    {j: rng.random(grid.level_count(j)) < 0.5 for j in range(grid.N - 1)})
-    elif case == "unconverged":
-        (T, sigma, mu), max_iter = exp.two_weight_instance(5, depth=7), 2
-    else:
-        grid = build_grid(1, 3)
-        values = np.ones(grid.cell_count)
-        values[:2] = 2.0 ** -550, 2.0 ** 550
-        T, sigma, mu = random_simple_shift(1, 4, grid), Weight(values, grid), None
-    norm = operator_norm(T, sigma, mu, method="dense-svd", max_iter=max_iter)
-    built = int(case in ("zero", "unconverged", "overflow"))
-    krylov = int(case != "overflow")
-    assert dense_builds == {"_golub_kahan": krylov, "dense_matrix": built, "apply_values": built}
+    norm = operator_norm(T, sigma, mu, method="dense-svd")
+    assert dense_builds == {"_golub_kahan": 1, "dense_matrix": 0, "apply_values": 0}
     assert norm == pytest.approx(_full_svd_norm(T, sigma, mu), rel=1e-12, abs=0.0)
+    assert dense_builds["dense_matrix"] == 1
 
 
 def test_a_tau_one_norm_builds_no_n_by_n_array():
@@ -235,7 +221,7 @@ def test_a_tau_one_norm_builds_no_n_by_n_array():
 
 
 @pytest.mark.parametrize("i", [3, 4, 5])
-def test_the_certificate_is_scale_safe(i, eigvalsh_calls):
+def test_the_certificate_is_scale_safe(i):
     """sigma times 2^+-600 scales the norm by 2^+-300 and still certifies:
     the two-point values are ratios, so nothing over- or underflows, and
     the certificate refuses the scaled value less 1e-9."""
@@ -246,7 +232,6 @@ def test_the_certificate_is_scale_safe(i, eigvalsh_calls):
         norm = operator_norm(T, scaled, mu, method="dense-svd")
         assert norm == pytest.approx(base * 2.0 ** (k // 2), rel=1e-12, abs=0.0)
         assert not shifts._certifies(shifts._haar_rows(T, scaled, mu), norm * (1.0 - 1e-9))
-    assert eigvalsh_calls == []
 
 
 def _profile_factors(T):
@@ -269,19 +254,37 @@ def _profile_factors(T):
     return C, G
 
 
-def test_a_basis_that_overflows_refuses(eigvalsh_calls):
+def test_a_sigma_with_no_haar_basis_raises_weight_error():
     """Two sibling cells 2^1100 apart in mass overflow the ratio m_B/m_A, so
-    there is no floating-point two-point basis: the certificate refuses and
-    the eigensolver fallback gives the norm."""
+    sigma has no two-point basis in floating point: `dense-svd` and `auto`
+    raise WeightError, and `power-iteration`, which needs no basis, matches
+    the full SVD."""
     grid = build_grid(1, 3)
     values = np.ones(grid.cell_count)
     values[:2] = 2.0 ** -550, 2.0 ** 550
     sigma = Weight(values, grid)
     T = random_simple_shift(1, 4, grid)
-    assert shifts._haar_rows(T, sigma, None) is None
-    norm = operator_norm(T, sigma, None, method="dense-svd")
-    assert eigvalsh_calls == [(8, 8)]
-    assert norm == pytest.approx(_full_svd_norm(T, sigma, None), rel=1e-12)
+    for method in ("dense-svd", "auto"):
+        with pytest.raises(WeightError, match="sigma has no Haar basis in floating point"):
+            operator_norm(T, sigma, None, method=method)
+    assert operator_norm(T, sigma, None) == pytest.approx(_full_svd_norm(T, sigma, None),
+                                                          rel=1e-12)
+
+
+@pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
+def test_a_sigma_whose_scaling_overflows_raises_weight_error(method):
+    """sigma = (5e-324, 1e308, 1, ...) on 8 cells spans more than the float
+    range, so `_in_window` leaves it unmoved and sqrt(sigma/|cell|)
+    overflows: either method raises WeightError naming sigma, with no
+    overflow warning."""
+    grid = build_grid(1, 3)
+    values = np.ones(grid.cell_count)
+    values[:2] = 5e-324, 1e308
+    sigma = Weight(values, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WeightError, match="sigma"):
+            operator_norm(random_simple_shift(1, 4, grid), sigma, None, method=method)
 
 
 @st.composite
