@@ -23,7 +23,7 @@ import numpy as np
 from .grid import GridError, GridFunction, build_grid, check_natural
 from .weights import WeightError, ap_characteristic, dual_weight
 from .shifts import OperatorNormError, ShiftError, cz_decompose, operator_norm
-from .corona import carleson_check, corona_invariant_violation, packing_check
+from .corona import STOPPING_FACTOR, carleson_check, corona_invariant_violation, packing_check
 from .estimates import (
     jn_check,
     paraproduct_identity,
@@ -151,7 +151,7 @@ def cmd_corona(args) -> int:
     violation = corona_invariant_violation(corona)
     checks = {
         "density_invariants": violation <= 1e-12,
-        "packing_quarter": pk.child_union_ratio <= 0.25 + 1e-12,
+        "packing_quarter": pk.child_union_ratio <= 1.0 / STOPPING_FACTOR + 1e-12,
         "carleson_bound": cr.worst_ratio <= 1.0 + 1e-10,
     }
     _emit({
@@ -258,8 +258,8 @@ def _essence_bundle(args, w):
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    if args.out:
-        cfg.out_dir = args.out
+    if args.out_dir:
+        cfg.out_dir = args.out_dir
     if args.fmt:
         cfg.fmt = args.fmt
     rows = run_sweep(cfg)
@@ -318,15 +318,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _add_out_flag(p):
-    p.add_argument("--out", default=None, help="output file or directory")
-
-
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=0,
                    help="one seed for every random draw of the command: the random "
                         "shift, the cascade weight and lemmas' test function alike")
-    _add_out_flag(p)
+    p.add_argument("--out", default=None, help="output file or directory")
 
 
 def _add_grid_flags(p, default_n=10):
@@ -397,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_shift_flags(p)
 
     p = sub.add_parser("sweep", help="weight sweep: norms, constants, CSV emission")
-    _add_out_flag(p)
+    p.add_argument("--out", dest="out_dir", default=None, help="output directory")
     p.add_argument("--format", dest="fmt", default=None, choices=("csv", "json"))
     p.add_argument("--config", default=None)
 
@@ -418,11 +414,9 @@ def main(argv=None) -> int:
     except (CliError, GridError, WeightError, ShiftError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OperatorNormError as exc:        # the norm has no value; a sweep writes a directory
-        if args.command == "sweep":
-            raise
+    except OperatorNormError as exc:    # no norm value; a sweep's --out is args.out_dir
         _emit({"command": args.command, "error": str(exc), "bracket": list(exc.bracket)},
-              args.out)
+              getattr(args, "out", None))
         return EXIT_CHECK_FAILED
 
 

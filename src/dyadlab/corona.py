@@ -43,6 +43,7 @@ from .grid import (
 from .weights import Weight
 
 STOPPING_FACTOR = 4.0
+CARLESON_CONSTANT = 16.0 / 9.0     # stopping mass under Q <= this * ||w||_A2 * w(Q)
 
 
 class CoronaStructureError(RuntimeError):
@@ -187,9 +188,6 @@ class CoronaDecomposition:
         out = level >= check_cube(self.grid, cube).level
         out[out] = ancestor_flat(self.grid.d, level[out], cube.level, flat[out]) == cube.flat
         return out
-
-    def density(self, cube: DyadicCube) -> float:
-        return self.measure.density(cube)
 
     def carleson_arrays(self) -> list[np.ndarray]:
         """Per level: sum of w(L) over stopping cubes L inside each cube."""
@@ -352,25 +350,25 @@ class CarlesonReport:
     witness: DyadicCube | None
 
 
-def carleson_check(corona: CoronaDecomposition,
-                   constant: float = 16.0 / 9.0) -> CarlesonReport:
+def carleson_check(corona: CoronaDecomposition) -> CarlesonReport:
     """Worst ratio over all cubes of the stopping mass sum against
-    constant * ||w||_A2 * w(Q)."""
+    CARLESON_CONSTANT * ||w||_A2 * w(Q)."""
     grid = corona.grid
     w = corona.measure
     a2 = w.a2_characteristic()
     arrays = corona.carleson_arrays()
-    worst, wit = level_argmax(grid, ((j, arrays[j] / (constant * a2 * w.sums[j]), None)
+    bound = CARLESON_CONSTANT * a2
+    worst, wit = level_argmax(grid, ((j, arrays[j] / (bound * w.sums[j]), None)
                                      for j in range(grid.N + 1)))
-    return CarlesonReport(worst, constant, a2, wit)
+    return CarlesonReport(worst, CARLESON_CONSTANT, a2, wit)
 
 
 def descendant_mass_drop(corona: CoronaDecomposition) -> float:
     """Worst ratio over stopping L of w(union of strict stopping descendants)
-    against (1 - (9/16)/||w||_A2) * w(L)."""
+    against (1 - (1/CARLESON_CONSTANT)/||w||_A2) * w(L), 1/CARLESON_CONSTANT = 9/16."""
     w = corona.measure
     a2 = w.a2_characteristic()
-    factor = 1.0 - (9.0 / 16.0) / a2
+    factor = 1.0 - (1.0 / CARLESON_CONSTANT) / a2
     forest = corona.forest
     kids = forest.parent >= 0
     # bincount adds each stop's children one by one in level then index order

@@ -51,8 +51,8 @@ from .grid import (
     subcell_matrix,
     suffix_sweep,
 )
-from .weights import (Weight, WeightError, _in_window, _measure, _times_two_to,
-                      a_infty_modulus, two_weight_a2)
+from .weights import (Weight, WeightError, _measure, _times_two_to, a_infty_modulus,
+                      two_weight_a2)
 from .corona import (
     CoronaDecomposition,
     CoronaStructureError,
@@ -60,7 +60,12 @@ from .corona import (
     pn_alpha,
 )
 from .shifts import (SimpleHaarShift, _cube_masses, _dense_norm, _haar_rows,
-                     _measure_scalings, _norm_method, _weak_type, _zpool, operator_norm)
+                     _measure_scalings, _norm_method, _weak_type, _window, _zpool,
+                     operator_norm)
+
+ESSENCE_T_VALUES = tuple(range(1, 9))   # thresholds K t w(L)/|L| of `essence_check`'s curves
+_AB_SPLIT_TOL = 1e-12       # relative spread of H_L on a descendant that is one value
+_SUFFICIENCY_EPS = 0.5      # the A-infinity flatness level of `sufficiency_experiment`
 
 
 # ---------------------------------------------------------------------------
@@ -220,25 +225,24 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     raises WeightError naming it.  T1 witnesses follow `level_argmax`; the
     WB witness is the first maximal pair in the order: Q's level, Q' depth
     then offset, Q'' depth then offset, Q's index.
-    Like `operator_norm`, it works on the measures moved into
-    `weights._in_window` and scales the four values back.
+    Like `operator_norm`, it runs in `shifts._window`, which scales a norm
+    error's bracket back; the four values are scaled back here.
     """
-    (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
     grid = T.grid
-    rows = _haar_rows(T, sigma, mu)
-    mu_mass = _cube_masses(grid, _measure_scalings(grid, mu, sigma)[0][rows.z[-1]])
-    if mu_mass is None:
-        raise WeightError("mu has a cell mass that is not a positive normal number, "
-                          "or a total mass that overflows")
-    B = _indicator_sums(rows)
-    c_t1, wit_t1 = _supremum(rows, [m * np.square(field).reshape(m.size, -1).sum(1)
-                                    for m, field in zip(rows.mass, B)])
-    c_tstar1, wit_tstar1 = _supremum(rows, _tstar1_values(rows, B, mu_mass))
-    c_wb, wit_wb = _wb_supremum(rows, mu_mass, B, T.tau)
-    full = (_dense_norm(T, lambda: rows) if _norm_method(grid, norm_method) == "dense-svd"
-            else operator_norm(T, sigma, mu, method=norm_method))
-    c_wb, c_t1, c_tstar1, full = (_times_two_to(x, k_sigma + k_mu)
-                                  for x in (c_wb, c_t1, c_tstar1, full))
+    with _window(sigma, mu) as (sigma, mu, k):
+        rows = _haar_rows(T, sigma, mu)
+        mu_mass = _cube_masses(grid, _measure_scalings(grid, mu, sigma)[0][rows.z[-1]])
+        if mu_mass is None:
+            raise WeightError("mu has a cell mass that is not a positive normal number, "
+                              "or a total mass that overflows")
+        B = _indicator_sums(rows)
+        c_t1, wit_t1 = _supremum(rows, [m * np.square(field).reshape(m.size, -1).sum(1)
+                                        for m, field in zip(rows.mass, B)])
+        c_tstar1, wit_tstar1 = _supremum(rows, _tstar1_values(rows, B, mu_mass))
+        c_wb, wit_wb = _wb_supremum(rows, mu_mass, B, T.tau)
+        full = (_dense_norm(T, lambda: rows) if _norm_method(grid, norm_method) == "dense-svd"
+                else operator_norm(T, sigma, mu, method=norm_method))
+    c_wb, c_t1, c_tstar1, full = (_times_two_to(x, k) for x in (c_wb, c_t1, c_tstar1, full))
     return TestingReport(
         c_wb=c_wb, c_t1=c_t1, c_tstar1=c_tstar1, full_norm=full, tau=T.tau,
         witnesses={"t1": wit_t1, "tstar1": wit_tstar1, "wb": list(wit_wb)},
@@ -368,8 +372,7 @@ class ABSplitReport:
 
 
 def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
-                    T: SimpleHaarShift, w: Weight,
-                    tol: float = 1e-12) -> ABSplitReport:
+                    T: SimpleHaarShift, w: Weight) -> ABSplitReport:
     """Diagonal and off-diagonal parts of the stopping-family square expansion.
 
     A sums ||H_L||^2_{L2(w^{-1})} over stopping cubes; B sums the pairwise
@@ -425,7 +428,7 @@ def corona_ab_split(Q0: DyadicCube, n: int, corona: CoronaDecomposition,
     scale = np.ones(level.size)
     scale[lower[own]] = np.maximum(1.0, peak[own])
     dev[own] = 0.0
-    if (dev > tol * scale[upper]).any():
+    if (dev > _AB_SPLIT_TOL * scale[upper]).any():
         raise CoronaStructureError(
             "H is not single-valued on a stopping descendant; "
             "build the decomposition on a scale-separated family"
@@ -570,7 +573,7 @@ class EssenceReport:
 
 
 def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
-                  k_constant: float, t_values=tuple(range(1, 9))) -> EssenceReport:
+                  k_constant: float) -> EssenceReport:
     """Distributional data for H(L, fiber) at thresholds K t w(L)/|L|.
 
     Returns the superlevel masses in Lebesgue and dual measure, the worst
@@ -588,14 +591,14 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
     vol = grid.cell_volume
 
     leb_masses, dual_masses = [], []
-    for t in t_values:
+    for t in ESSENCE_T_VALUES:
         thr = k_constant * t * dens_l
         sel = local > thr
         leb_masses.append(float(sel.sum()) * vol)
         dual_masses.append(float(local_dual[sel].sum()))
-    leb_curve = DistributionCurve("lebesgue", tuple(t_values), tuple(leb_masses),
+    leb_curve = DistributionCurve("lebesgue", ESSENCE_T_VALUES, tuple(leb_masses),
                                   L.volume, k_constant * dens_l)
-    dual_curve = DistributionCurve("dual", tuple(t_values), tuple(dual_masses),
+    dual_curve = DistributionCurve("dual", ESSENCE_T_VALUES, tuple(dual_masses),
                                    float(local_dual.sum()), k_constant * dens_l)
 
     strata = pn_alpha(L, cubes, w)
@@ -721,24 +724,23 @@ class SufficiencyReport:
 
 
 def sufficiency_experiment(alpha: Weight, beta: Weight, shifts,
-                           eps: float = 0.5,
                            norm_method: str = "auto") -> SufficiencyReport:
     """Measure shift norms from L2(alpha) to L2(beta) against the pair constant.
 
     Reports the joint supremum constant sup_Q (alpha(Q)/|Q|)(beta(Q)/|Q|), the
-    flatness moduli of both weights at the given eps, the measured norms over
-    the shift family, and the worst norm normalized by the square root of the
-    pair constant.
+    flatness moduli of both weights at eps = `_SUFFICIENCY_EPS`, the measured
+    norms over the shift family, and the worst norm normalized by the square
+    root of the pair constant.
     """
     a2_pair = two_weight_a2(alpha, beta).characteristic
-    mod_a = a_infty_modulus(alpha, eps)
-    mod_b = a_infty_modulus(beta, eps)
+    mod_a = a_infty_modulus(alpha, _SUFFICIENCY_EPS)
+    mod_b = a_infty_modulus(beta, _SUFFICIENCY_EPS)
     norms = tuple(
         operator_norm(T, sigma=alpha, mu=beta, method=norm_method) for T in shifts
     )
     worst = max(norms) if norms else 0.0
     return SufficiencyReport(
-        two_weight_a2=a2_pair, a_infty_alpha=mod_a, a_infty_beta=mod_b, eps=eps,
-        norms=norms, worst_norm=worst,
+        two_weight_a2=a2_pair, a_infty_alpha=mod_a, a_infty_beta=mod_b,
+        eps=_SUFFICIENCY_EPS, norms=norms, worst_norm=worst,
         ratio_to_sqrt_a2=worst / math.sqrt(a2_pair) if a2_pair > 0 else 0.0,
     )

@@ -26,8 +26,8 @@ from .shifts import (
 )
 from .partition import ShellPartition, partition_operator_norm, partition_power_weight
 from .corona import CoronaDecomposition, CubeSet, build_corona, qn_partition
-from .estimates import (ProfileFamily, affine_fit, fit_slope, h_functionals, jn_check,
-                        testing_constants)
+from .estimates import (ESSENCE_T_VALUES, ProfileFamily, affine_fit, fit_slope,
+                        h_functionals, jn_check, testing_constants)
 from .serialize import FormatError, load_weight
 
 WORKERS_ENV = "DYADLAB_WORKERS"
@@ -49,7 +49,7 @@ SWEEP_DEPTH = 16
 # SWEEP_REFINEMENT changes.
 SWEEP_REFINEMENT = 500
 ESSENCE_TAU = 2
-ESSENCE_T_VALUES = tuple(range(1, 9))
+ESSENCE_SLOPE = -0.5        # the calibrated K makes both decay curves fall at least this fast
 WEAK_L1_DEPTH = 8
 WEAK_L1_TRIALS = 100
 WEAK_BOUNDEDNESS_COUNT = 5
@@ -112,8 +112,8 @@ def _two_weight_row(i: int) -> dict:
     }
 
 
-def run_two_weight_suite(count: int = TWO_WEIGHT_COUNT) -> list[dict]:
-    return _map_workers(_two_weight_row, range(count))
+def run_two_weight_suite() -> list[dict]:
+    return _map_workers(_two_weight_row, range(TWO_WEIGHT_COUNT))
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +190,17 @@ def essence_distributions(w: Weight, T: SimpleHaarShift, cases) -> list[dict]:
     return data
 
 
-def essence_aggregate_masses(data, k_constant: float,
-                             t_values=ESSENCE_T_VALUES):
+def essence_aggregate_masses(data, k_constant: float):
     """Worst-case normalized superlevel masses over the collected cases.
 
     Returns (lebesgue, dual) tuples: at each t, the max over cases of the
     normalized mass |{|H| > K t w(L)/|L|}| / |L| and its dual-measure twin.
     """
-    leb = np.zeros(len(t_values))
-    dua = np.zeros(len(t_values))
+    leb = np.zeros(len(ESSENCE_T_VALUES))
+    dua = np.zeros(len(ESSENCE_T_VALUES))
     for case in data:
         u = case["u_sorted"]
-        for idx, t in enumerate(t_values):
+        for idx, t in enumerate(ESSENCE_T_VALUES):
             cnt = int(np.searchsorted(-u, -k_constant * t, side="left"))
             if cnt == 0:
                 continue
@@ -210,17 +209,16 @@ def essence_aggregate_masses(data, k_constant: float,
     return tuple(leb), tuple(dua)
 
 
-def calibrate_essence_k(data, t_values=ESSENCE_T_VALUES,
-                        slope_target: float = -0.5):
-    """Smallest K on a fixed log grid whose aggregate curves decay at the
-    target slope in both measures without being vacuous at t=1."""
+def calibrate_essence_k(data):
+    """Smallest K on a fixed log grid whose aggregate curves decay at slope
+    ESSENCE_SLOPE in both measures without being vacuous at t=1."""
     for k in np.geomspace(0.05, 50.0, 61):
-        leb, dua = essence_aggregate_masses(data, k, t_values)
+        leb, dua = essence_aggregate_masses(data, k)
         if leb[0] <= 0.0:
             continue
-        sl = fit_slope(t_values, leb)
-        sd = fit_slope(t_values, dua)
-        if sl is not None and sl <= slope_target and (sd is None or sd <= slope_target):
+        sl = fit_slope(ESSENCE_T_VALUES, leb)
+        sd = fit_slope(ESSENCE_T_VALUES, dua)
+        if sl is not None and sl <= ESSENCE_SLOPE and (sd is None or sd <= ESSENCE_SLOPE):
             return float(k)
     raise RuntimeError("no K on the grid achieves the target decay")
 
@@ -288,11 +286,11 @@ def sweep_models(chars, norms) -> dict:
 # weak-L1 spike suite and derived weak-boundedness suite
 # ---------------------------------------------------------------------------
 
-def weak_l1_trial(tau: int, t: int, depth: int = WEAK_L1_DEPTH):
+def weak_l1_trial(tau: int, t: int):
     """Shift and L1-normalized spike for trial t of the weak-type suite."""
     from .grid import haar_basis
 
-    grid = build_grid(1, depth)
+    grid = build_grid(1, WEAK_L1_DEPTH)
     T = random_simple_shift(tau, 5000 + 1000 * tau + t, grid)
     rng = np.random.default_rng(6000 + 1000 * tau + t)
     if t % 2 == 0:
@@ -309,9 +307,9 @@ def weak_l1_trial(tau: int, t: int, depth: int = WEAK_L1_DEPTH):
     return T, f
 
 
-def weak_boundedness_instance(i: int, depth: int = WEAK_L1_DEPTH):
+def weak_boundedness_instance(i: int):
     """Shift and weight of instance i of the derived weak-boundedness suite."""
-    grid = build_grid(1, depth)
+    grid = build_grid(1, WEAK_L1_DEPTH)
     return (random_simple_shift(2, 9100 + i, grid),
             random_a2_weight(1 + i % 4, 9000 + i, grid))
 

@@ -240,9 +240,7 @@ def cube_view(cells: np.ndarray, cube: DyadicCube) -> np.ndarray:
 # level-array toolkit
 # ---------------------------------------------------------------------------
 
-def _side_of(count: int, d: int) -> int:
-    if d == 1:
-        return count
+def _side_of(count: int) -> int:
     m = math.isqrt(count)
     if m * m != count:
         raise GridError(f"array of length {count} is not a d=2 level array")
@@ -262,7 +260,7 @@ def pool(arr: np.ndarray, d: int, steps: int = 1) -> np.ndarray:
         if d == 1:
             arr = arr[0::2] + arr[1::2]
         else:
-            h = _side_of(arr.shape[0], d) // 2
+            h = _side_of(arr.shape[0]) // 2
             a = arr.reshape((h, 2, h, 2) + tail)
             arr = ((a[:, 0, :, 0] + a[:, 0, :, 1])
                    + (a[:, 1, :, 0] + a[:, 1, :, 1])).reshape((h * h,) + tail)
@@ -276,7 +274,7 @@ def expand(arr: np.ndarray, d: int, steps: int = 1) -> np.ndarray:
     s = 1 << steps
     if d == 1:
         return np.repeat(arr, s, axis=0)
-    m = _side_of(arr.shape[0], d)
+    m = _side_of(arr.shape[0])
     tail = arr.shape[1:]
     a = np.repeat(np.repeat(arr.reshape((m, m) + tail), s, axis=0), s, axis=1)
     return a.reshape((m * m * s * s,) + tail)
@@ -293,7 +291,7 @@ def subcell_matrix(arr: np.ndarray, d: int, t: int) -> np.ndarray:
     tail = arr.shape[1:]
     if d == 1:
         return arr.reshape((arr.shape[0] >> t, s) + tail)
-    h = _side_of(arr.shape[0], d) >> t
+    h = _side_of(arr.shape[0]) >> t
     a = arr.reshape((h, s, h, s) + tail).swapaxes(1, 2)
     return a.reshape((h * h, s * s) + tail)
 

@@ -41,6 +41,7 @@ count.  BLAS products that only decide a certificate's pass or fail
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,6 +79,9 @@ class OperatorNormError(RuntimeError):
     def __init__(self, message, bracket):
         super().__init__(message)
         self.bracket = bracket
+
+    def __reduce__(self):       # worker processes send it back with its bracket
+        return type(self), (str(self), self.bracket)
 
 
 def _check_profile_block(block: np.ndarray, level: int, tau: int, grid: DyadicGrid):
@@ -271,11 +275,6 @@ def apply_shift(T, f: GridFunction, sigma: Weight | None = None) -> GridFunction
     return GridFunction(T.grid, T.apply_values(vals))
 
 
-def adjoint(T):
-    """The Lebesgue-adjoint shift: g and gamma swapped per cube."""
-    return T.adjoint()
-
-
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
@@ -446,13 +445,11 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     so a wrong Krylov value never passes.  A sigma with no Haar basis, or
     for `power-iteration` a sigma scaling that overflows, raises WeightError.
 
-    Either method runs on sigma and mu moved into `weights._in_window` by
-    exact powers of four, and scales the value (or the bracket) back.
+    Either method runs on sigma and mu moved by `_window`, which scales the
+    bracket of an OperatorNormError back; the value is scaled back here.
     """
     method = _norm_method(T.grid, method)
-    (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
-    k = k_sigma + k_mu
-    try:
+    with _window(sigma, mu) as (sigma, mu, k):
         if method == "dense-svd":
             s = _dense_norm(T, lambda: _haar_rows(T, sigma, mu), tol, max_iter, seed)
         else:
@@ -463,10 +460,22 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
             s = power_iteration_norm(lambda v: b * T.apply_values(a * v),
                                      lambda w: a * T_adj.apply_values(b * w),
                                      T.grid.cell_count, tol=tol, max_iter=max_iter, seed=seed)
+    return _times_two_to(s, k)
+
+
+@contextmanager
+def _window(sigma, mu):
+    """(sigma, mu, k): the measures moved into `weights._in_window` by exact
+    powers of four, and k = k_sigma + k_mu.  A norm or testing constant of
+    the moved pair times 2^k is the one of (sigma, mu); the caller scales its
+    values, and an OperatorNormError leaves with its bracket scaled here."""
+    (sigma, k_sigma), (mu, k_mu) = _in_window(sigma), _in_window(mu)
+    k = k_sigma + k_mu
+    try:
+        yield sigma, mu, k
     except OperatorNormError as exc:
         raise OperatorNormError(str(exc), tuple(
             None if e is None else _times_two_to(e, k) for e in exc.bracket)) from None
-    return _times_two_to(s, k)
 
 
 def _dense_norm(T, rows, tol: float = 1e-8, max_iter: int = 10_000,

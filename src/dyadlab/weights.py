@@ -150,11 +150,11 @@ def _in_window(w: Weight | None) -> tuple[Weight | None, int]:
 
     A norm or testing constant of f -> T(sigma f) from L2(sigma) to L2(mu) is
     sqrt(c_sigma c_mu) times the one of (sigma, mu) for (c_sigma sigma,
-    c_mu mu), so `shifts` and `estimates` compute it on the measures in the
-    window and multiply by 2^(k_sigma + k_mu) (`_times_two_to`): squares of
-    norms neither overflow nor become subnormal.  A measure whose values span
-    more than the window stays as it is when the move would leave a value
-    out of the normal range.
+    c_mu mu), so `shifts._window` moves both measures into the window, for
+    the norms and the testing constants alike, and the caller multiplies by
+    2^(k_sigma + k_mu) (`_times_two_to`): squares of norms neither overflow
+    nor become subnormal.  A measure whose values span more than the window
+    stays as it is when the move would leave a value out of the normal range.
     """
     if w is None:
         return w, 0

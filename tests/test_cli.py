@@ -348,6 +348,54 @@ def test_sweep_row_computes_its_norm_once(monkeypatch, with_testing):
     assert row.norm > 0.0
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_reports_a_norm_error_like_norm(monkeypatch, capsys, tmp_path, workers):
+    """When a row's norm has no value, `sweep` prints the error and its
+    bracket and exits 1, in this process or from a worker; its --out
+    directory is not written."""
+    import multiprocessing
+
+    from dyadlab import shifts
+    from dyadlab.cli import EXIT_CHECK_FAILED
+
+    if workers != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched loop reaches the workers only through fork")
+
+    def no_convergence(*args):
+        raise shifts.OperatorNormError("Golub-Kahan-Lanczos did not converge in 2 steps",
+                                       bracket=(1.0, 2.0))
+
+    monkeypatch.setenv("DYADLAB_WORKERS", workers)
+    monkeypatch.setattr(shifts, "_golub_kahan", no_convergence)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({**_SMALL_SWEEP, "norm_method": "dense-svd"}))
+    out = tmp_path / "out"
+    code, doc = run(capsys, "sweep", "--config", str(cfgp), "--out", str(out))
+    assert code == EXIT_CHECK_FAILED
+    assert doc == {"schema": cli.SCHEMA, "command": "sweep",
+                   "error": "Golub-Kahan-Lanczos did not converge in 2 steps",
+                   "bracket": [1.0, 2.0]}
+    assert not out.exists()
+
+
+def test_sweep_runs_a_martingale_transform(tmp_path, capsys):
+    """A config shift of kind `martingale` is the martingale transform of
+    the config seed's signs."""
+    from dyadlab import dual_weight, martingale_transform, operator_norm, random_signs
+
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({**_SMALL_SWEEP, "norm_method": "dense-svd",
+                                "shift": {"kind": "martingale", "seed": 3}}))
+    out = tmp_path / "out"
+    code, _ = run(capsys, "sweep", "--config", str(cfgp), "--out", str(out))
+    assert code == EXIT_OK
+    (row,) = json.loads((out / "summary.json").read_text())["rows"]
+    g = build_grid(1, 4)
+    w = power_weight(0.5, g)
+    T = martingale_transform(random_signs(g, 3), g)
+    assert row["norm"] == operator_norm(T, w, dual_weight(w), method="dense-svd") > 0.0
+
+
 def test_sweep_refuses_seed_flag(tmp_path):
     """A sweep draws its seeds from the config alone; --seed is not a sweep flag."""
     cfgp = tmp_path / "cfg.json"

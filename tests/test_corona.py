@@ -423,7 +423,7 @@ def _reference_descendants(forest, L):
 
 def _reference_export(corona, forest):
     def node(c):
-        return {"cube": c.address(), "density": corona.density(c),
+        return {"cube": c.address(), "density": corona.measure.density(c),
                 "mass": corona.measure.mass(c),
                 "children": [node(ch) for ch in forest.get((c.level, c.flat), [])]}
 
@@ -448,7 +448,7 @@ def _reference_invariant_violation(corona, forest):
     for L in corona.stopping_cubes():
         parent = _reference_parent(corona, forest, L)
         if parent is not None:
-            gap = STOPPING_FACTOR * corona.density(parent) - corona.density(L)
+            gap = STOPPING_FACTOR * corona.measure.density(parent) - corona.measure.density(L)
             worst = max(worst, float(gap) if gap >= 0 else 0.0)
     return worst
 
@@ -667,7 +667,7 @@ def test_corona_fourfold_invariants_on_random_cascades(shape, n, seed, dual, dat
         for L in corona.stopping_cubes():
             parent = stopping_parent(corona, L)
             if parent is not None:
-                assert corona.density(L) > STOPPING_FACTOR * corona.density(parent)
+                assert corona.measure.density(L) > STOPPING_FACTOR * corona.measure.density(parent)
         union = {j: np.zeros(g.level_count(j), dtype=int) for j in range(N + 1)}
         for L in corona.stopping_cubes():
             for j, m in corona.corona_of(L).masks.items():

@@ -382,6 +382,24 @@ def test_far_scaled_bracket_is_scaled_back():
     assert brackets[1] == tuple(2.0 ** 300 * e for e in brackets[0])
 
 
+@pytest.mark.parametrize("method", ["dense-svd", "power-iteration"])
+def test_testing_constants_scale_a_bracket_back_like_operator_norm(monkeypatch, method):
+    """For sigma times 2^600 and a loop that stops with bracket (1, 2), the
+    testing constants' norm raises the bracket `operator_norm` raises,
+    (2^300, 2^301): both run in `shifts._window`."""
+    def no_convergence(*args):
+        raise shifts.OperatorNormError("did not converge", bracket=(1.0, 2.0))
+
+    monkeypatch.setattr(shifts, "_golub_kahan", no_convergence)
+    T, sigma, mu = exp.two_weight_instance(1, depth=6)
+    far = Weight(np.ldexp(sigma.values, 600), T.grid)
+    for norm in (lambda: operator_norm(T, far, mu, method=method),
+                 lambda: eval_testing_constants(T, far, mu, norm_method=method)):
+        with pytest.raises(shifts.OperatorNormError) as err:
+            norm()
+        assert err.value.bracket == (2.0 ** 300, 2.0 ** 301)
+
+
 def test_constant_measures_far_from_one_give_c_times_the_norm():
     grid = build_grid(1, 3)
     T = random_simple_shift(1, 4, grid)

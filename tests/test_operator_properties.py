@@ -32,6 +32,7 @@ generic shift compiles into against the matrix of its entries.
 """
 
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -181,6 +182,27 @@ def test_an_unconverged_dense_run_raises(max_iter):
         brackets.append(err.value.bracket)
     assert brackets[0][1] > 0.0
     assert brackets[1] == tuple(None if e is None else 2.0 ** 300 * e for e in brackets[0])
+
+
+def test_a_refused_certificate_raises_with_the_krylov_value(monkeypatch):
+    """A certificate that refuses raises OperatorNormError with bracket
+    (None, s), s the Krylov value; for sigma times 4^300 the bracket is
+    (None, s 2^300), scaled back like an unconverged run's."""
+    T, sigma, mu = exp.two_weight_instance(5, depth=7)
+    s = operator_norm(T, sigma, mu, method="dense-svd")
+    monkeypatch.setattr(shifts, "_certifies", lambda rows, s: False)
+    for k in (0, 300):
+        with pytest.raises(OperatorNormError, match="certificate refuses") as err:
+            operator_norm(T, Weight(np.ldexp(sigma.values, 2 * k), T.grid), mu,
+                          method="dense-svd")
+        assert err.value.bracket == (None, s * 2.0 ** k)
+
+
+def test_operator_norm_error_pickles_with_its_bracket():
+    """A worker process sends the error back whole: message and bracket."""
+    err = pickle.loads(pickle.dumps(OperatorNormError("no value", bracket=(None, 2.5))))
+    assert type(err) is OperatorNormError
+    assert (str(err), err.bracket) == ("no value", (None, 2.5))
 
 
 @pytest.mark.parametrize("case", ["generic", "martingale_d2", "masked"])

@@ -12,7 +12,6 @@ from dyadlab import (
     ShiftError,
     SimpleHaarShift,
     WeightError,
-    adjoint,
     apply_shift,
     build_grid,
     cz_decompose,
@@ -247,7 +246,7 @@ def test_apply_with_sigma_multiplies_first():
 def test_adjoint_involution_and_pairing():
     g = build_grid(1, 7)
     T = random_simple_shift(2, 13, g)
-    TT = adjoint(adjoint(T))
+    TT = T.adjoint().adjoint()
     for j in T.levels:
         assert np.array_equal(TT.g[j], T.g[j])
         assert np.array_equal(TT.gamma[j], T.gamma[j])
@@ -256,7 +255,7 @@ def test_adjoint_involution_and_pairing():
     f = GridFunction(g, rng.standard_normal(g.cell_count))
     h = GridFunction(g, rng.standard_normal(g.cell_count))
     lhs = inner_product(apply_shift(T, f), h)
-    rhs = inner_product(f, apply_shift(adjoint(T), h))
+    rhs = inner_product(f, apply_shift(T.adjoint(), h))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
@@ -681,11 +680,11 @@ def test_generic_shift_validation_and_adjoint():
     f = GridFunction(g, rng.standard_normal(g.cell_count))
     h = GridFunction(g, rng.standard_normal(g.cell_count))
     lhs = inner_product(apply_shift(ok, f), h)
-    rhs = inner_product(f, apply_shift(adjoint(ok), h))
+    rhs = inner_product(f, apply_shift(ok.adjoint(), h))
     assert abs(lhs - rhs) < 1e-12
     assert isinstance(ok, SimpleHaarShift)
-    assert np.abs(dense_matrix(adjoint(ok)) - generic_dense_matrix(ok).T).max() < 1e-15
-    assert np.array_equal(dense_matrix(adjoint(adjoint(ok))), dense_matrix(ok))
+    assert np.abs(dense_matrix(ok.adjoint()) - generic_dense_matrix(ok).T).max() < 1e-15
+    assert np.array_equal(dense_matrix(ok.adjoint().adjoint()), dense_matrix(ok))
     assert operator_norm(ok, method="dense-svd") <= (
         operator_norm(ok, method="power-iteration") + 1e-6
     )
