@@ -13,9 +13,10 @@ operator application per cube.  Indicator testing (the T1-style and
 weak-boundedness constants) works in the sigma-weighted Haar basis of the
 Nazarov-Treil-Volberg T1 theorem: one matrix, the shift's in that basis,
 Y^ (`shifts._haar_rows`), which the `dense-svd` norm shares, gives
-T(sigma 1_Q') through its rows and the coefficients of T*(mu 1_Q) through
-its column sums; a brute-force oracle on small grids pins the fast path
-down in the tests.
+T(sigma 1_Q') through its rows, read through the view that wrote them
+(`shifts._slots`), and the coefficients of T*(mu 1_Q) through its column
+sums; a brute-force oracle on small grids pins the fast path down in the
+tests.
 
 Elsewhere, cube and cell masses come only from a Weight's cached pyramids:
 w(Q) is `w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each
@@ -60,7 +61,7 @@ from .corona import (
     pn_alpha,
 )
 from .shifts import (SimpleHaarShift, _cube_masses, _dense_norm, _haar_rows,
-                     _measure_scalings, _norm_method, _weak_type, _window, _zpool,
+                     _measure_scalings, _norm_method, _slots, _weak_type, _window, _zpool,
                      operator_norm)
 
 ESSENCE_T_VALUES = tuple(range(1, 9))   # thresholds K t w(L)/|L| of `essence_check`'s curves
@@ -90,17 +91,6 @@ class TestingReport:
     to_dict = report_dict
 
 
-def _slots_under(rows, p: int, j: int) -> np.ndarray:
-    """Y^'s level-p slots under each level-j cube Q on Q's cells, shape
-    (count at j, cubes under Q, E, cells of Q) in Morton order: a level-p
-    slot lives on the level max(p - tau + 1, 0) ancestor, here Q or above."""
-    d, N = rows.grid.d, rows.grid.N
-    _, low, start, stop = rows.levels[p + 1]
-    A, L = 1 << ((j - low) * d), 1 << ((p - j) * d)
-    view = rows.Y[start:stop].reshape(A, L, -1, 1 << (low * d), A, 1 << ((N - j) * d))
-    return np.einsum("aleqax->qalex", view).reshape(-1, L, view.shape[2], view.shape[-1])
-
-
 def _indicator_sums(rows) -> list:
     """B[k], k = 0..N, in Morton cell order: b T(m 1_Q) / m(Q) on each
     level-k cube Q.  1_Q / m(Q) is w_0 w_0 plus w_P(Q) w_P over Q's
@@ -108,8 +98,8 @@ def _indicator_sums(rows) -> list:
     d = rows.grid.d
     B = [rows.w[0][0, 0, 0] * rows.Y[0]]
     for p in range(rows.grid.N):
-        slots = _slots_under(rows, p, p)
-        count, E = slots.shape[0], slots.shape[2]
+        slots = _slots(rows.Y, rows.levels[p + 1], p, d)
+        count, E = rows.mass[p].size, slots.shape[3]
         coef = rows.w[p + 1][:, 0].reshape(count, 1 << d, E)
         step = np.einsum("qce,qecx->qcx", coef, slots.reshape(count, E, 1 << d, -1))
         B.append(B[-1] + step.ravel())
@@ -120,11 +110,12 @@ def _indicator_fields(rows, B: np.ndarray, j: int, depth: int) -> np.ndarray:
     """b T(m 1_Q') / m(Q') on the cells of each level-j cube Q for each Q' at
     most `depth` < tau levels below, shape (count at j, Q' by depth then Morton
     offset, cells of Q): B[j]'s running sum goes on with Q''s ancestors."""
-    count = rows.mass[j].size
+    count, d = rows.mass[j].size, rows.grid.d
     out = [B.reshape(count, 1, -1)]
     for p in range(j, j + depth):
-        coef = rows.w[p + 1][:, 0].reshape(count, out[-1].shape[1], 1 << rows.grid.d, -1)
-        step = np.einsum("qlce,qlex->qlcx", coef, _slots_under(rows, p, j))
+        coef = rows.w[p + 1][:, 0].reshape(count, out[-1].shape[1], 1 << d, -1)
+        slots = _slots(rows.Y, rows.levels[p + 1], j, d)
+        step = np.einsum("qlce,qlex->qlcx", coef, slots.reshape((count,) + slots.shape[2:]))
         out.append((out[-1][:, :, None] + step).reshape(count, -1, B.size // count))
     return np.concatenate(out, axis=1)
 
@@ -723,21 +714,18 @@ class SufficiencyReport:
     to_dict = report_dict
 
 
-def sufficiency_experiment(alpha: Weight, beta: Weight, shifts,
-                           norm_method: str = "auto") -> SufficiencyReport:
+def sufficiency_experiment(alpha: Weight, beta: Weight, shifts) -> SufficiencyReport:
     """Measure shift norms from L2(alpha) to L2(beta) against the pair constant.
 
     Reports the joint supremum constant sup_Q (alpha(Q)/|Q|)(beta(Q)/|Q|), the
-    flatness moduli of both weights at eps = `_SUFFICIENCY_EPS`, the measured
-    norms over the shift family, and the worst norm normalized by the square
-    root of the pair constant.
+    flatness moduli of both weights at eps = `_SUFFICIENCY_EPS`, the norms
+    over the shift family (`operator_norm`'s `auto` method), and the worst
+    norm normalized by the square root of the pair constant.
     """
     a2_pair = two_weight_a2(alpha, beta).characteristic
     mod_a = a_infty_modulus(alpha, _SUFFICIENCY_EPS)
     mod_b = a_infty_modulus(beta, _SUFFICIENCY_EPS)
-    norms = tuple(
-        operator_norm(T, sigma=alpha, mu=beta, method=norm_method) for T in shifts
-    )
+    norms = tuple(operator_norm(T, sigma=alpha, mu=beta, method="auto") for T in shifts)
     worst = max(norms) if norms else 0.0
     return SufficiencyReport(
         two_weight_a2=a2_pair, a_infty_alpha=mod_a, a_infty_beta=mod_b,

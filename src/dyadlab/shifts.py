@@ -388,7 +388,9 @@ def zero_shift(grid: DyadicGrid, tau: int = 1) -> SimpleHaarShift:
 # operator norms
 # ---------------------------------------------------------------------------
 
-_POWER_SEED = 0x0D7AD1C
+_POWER_SEED = 0x0D7AD1C         # the Krylov loop's start vector
+_KRYLOV_TOL = 1e-8              # its stopping rule: residual at most this times s
+_KRYLOV_STEPS = 10_000          # its step cap (at most n steps run)
 _DENSE_CELLS = 4096
 
 
@@ -422,8 +424,7 @@ def dense_matrix(T, sigma: Weight | None = None, mu: Weight | None = None) -> np
 
 
 def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
-                  method: str = "power-iteration", tol: float = 1e-8,
-                  max_iter: int = 10_000, seed: int = _POWER_SEED) -> float:
+                  method: str = "power-iteration") -> float:
     """Norm of f -> T(sigma f) from L2(sigma) to L2(mu).
 
     `power-iteration` runs Golub-Kahan-Lanczos bidiagonalization from a fixed
@@ -433,9 +434,9 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
 
     `dense-svd` works on one matrix, Y^ = fl(M W) (`_haar_rows`; M the
     matrix of `dense_matrix`, W the sigma-weighted Haar basis, so
-    |M| = |M W|).  It runs the loop once (same `tol`, `max_iter` and `seed`)
-    on x -> Y^ x and y -> Y^T y (`_haar_products`) and takes s = |Y^ v| for
-    its unit right Ritz vector v.  The certificate (`_certifies`) factors
+    |M| = |M W|).  It runs the same loop once (same `_KRYLOV_TOL`,
+    `_KRYLOV_STEPS` and `_POWER_SEED`) on x -> Y^ x and y -> Y^T y
+    (`_haar_products`) and takes s = |Y^ v| for its unit right Ritz vector v.  The certificate (`_certifies`) factors
     the same Y^: a Cholesky factorization of s^2 (1 + eps) I - H^,
     H^ = fl(Y^T Y^) (`_tree_gram`), run supernode by supernode over the tree
     of support cubes (`_tree_cholesky`) in O(n (N width)^2) work, width a
@@ -451,15 +452,14 @@ def operator_norm(T, sigma: Weight | None = None, mu: Weight | None = None,
     method = _norm_method(T.grid, method)
     with _window(sigma, mu) as (sigma, mu, k):
         if method == "dense-svd":
-            s = _dense_norm(T, lambda: _haar_rows(T, sigma, mu), tol, max_iter, seed)
+            s = _dense_norm(T, lambda: _haar_rows(T, sigma, mu))
         else:
             a, b = _measure_scalings(T.grid, sigma, mu)
             if not np.isfinite(a).all():        # b = sqrt(mu |cell|) is always finite
                 raise WeightError("sigma's scaling sqrt(sigma/|cell|) overflows")
             T_adj = T.adjoint()
             s = power_iteration_norm(lambda v: b * T.apply_values(a * v),
-                                     lambda w: a * T_adj.apply_values(b * w),
-                                     T.grid.cell_count, tol=tol, max_iter=max_iter, seed=seed)
+                                     lambda w: a * T_adj.apply_values(b * w), T.grid.cell_count)
     return _times_two_to(s, k)
 
 
@@ -478,8 +478,7 @@ def _window(sigma, mu):
             None if e is None else _times_two_to(e, k) for e in exc.bracket)) from None
 
 
-def _dense_norm(T, rows, tol: float = 1e-8, max_iter: int = 10_000,
-                seed: int = _POWER_SEED) -> float:
+def _dense_norm(T, rows) -> float:
     """The `dense-svd` norm of T on Y^ = rows(), T's `_haar_rows`: +0.0, with
     no build, when no term of T has both profiles nonzero (T = 0 exactly);
     the Krylov value s = |Y^ v| when `_certifies` passes; OperatorNormError
@@ -489,7 +488,7 @@ def _dense_norm(T, rows, tol: float = 1e-8, max_iter: int = 10_000,
         return 0.0
     rows = rows()
     forward, backward = _haar_products(rows)
-    _, v = _golub_kahan(forward, backward, T.grid.cell_count, tol, max_iter, seed)
+    _, v = _golub_kahan(forward, backward, T.grid.cell_count)
     s = _norm(forward(v))
     if not _certifies(rows, s):
         raise OperatorNormError(f"the tree certificate refuses the Krylov value {s!r}",
@@ -520,9 +519,10 @@ class _HaarRows(NamedTuple):
     by ascending function level p (-1 for the constant); `levels` holds
     (p, a, start, stop) per level: slot start + E r + e of a cell is the
     function of pattern e on the r-th level-p cube, in Morton order, of the
-    cell's level-a ancestor (its support cube).  rho bounds |Y^ - M W| <=
-    rho Z entrywise.  In Morton order: z[l] maps level l to flat indices, mass[l]
-    holds its cube masses, w the `_two_point_values`, b the cell scalings."""
+    cell's level-a ancestor (its support cube), and `_slots` is the one
+    view of that layout.  rho bounds |Y^ - M W| <= rho Z entrywise.  In
+    Morton order: z[l] maps level l to flat indices, mass[l] holds its cube
+    masses, w the `_two_point_values`, b the cell scalings."""
     Y: np.ndarray
     Z: np.ndarray
     z: list
@@ -569,13 +569,18 @@ def _cube_masses(grid: DyadicGrid, a: np.ndarray):
     return mass if mass[-1].min() >= _TINY and np.isfinite(mass[0]).all() else None
 
 
-def _on_cubes(block: np.ndarray, parts: int) -> np.ndarray:
-    """The writable view of a (2, count, R, E, cells) block that pairs each
-    of `parts` equal runs of a support cube's slots with the same run of its
-    cells: (2, count, parts, R / parts, E, cells / parts)."""
-    two, count, R, E, cells = block.shape
-    return np.einsum("scqieqx->scqiex",
-                     block.reshape(two, count, parts, R // parts, E, parts, cells // parts))
+def _slots(Y: np.ndarray, level: tuple, j: int, d: int) -> np.ndarray:
+    """The writable view of Y's level-p slots under each level-j cube, on that
+    cube's cells, for `level` = (p, a, start, stop) and a <= j <= p (j = 0
+    for the constant): shape (..., support cubes, level-j cubes in one,
+    level-p cubes in a level-j cube, E, cells of a level-j cube), in Morton
+    order, leading axes carried through.  The reshape only splits axes, so
+    writes land in Y."""
+    p, low, start, stop = level
+    A, L = 1 << ((j - low) * d), 1 << (max(p - j, 0) * d)
+    view = Y[..., start:stop, :].reshape(
+        Y.shape[:-2] + (A, L, -1, 1 << (low * d), A, Y.shape[-1] >> (j * d)))
+    return np.einsum("...rleqry->...qrley", view)
 
 
 def _two_point_values(mass, d):
@@ -620,9 +625,9 @@ def _haar_rows(T, sigma, mu):
     m w.  Both sums run on the pairings <m 1_c, g_Q>, the pools of g_Q m over
     the level-(j + tau) cells of Q.  Every level array is in Morton order,
     so the cells of a cube and the slots of its level-p cubes are
-    consecutive, and a level-j term lands on the slots of the cubes under
-    its Q through a diagonal view (`_on_cubes`).  The same steps on |g|,
-    |gamma| and |w| give the shadow Z, one stacked axis apart.
+    consecutive, and each level-j term is written into the slots of the
+    cubes under its Q through `_slots`.  The same steps on |g|, |gamma| and
+    |w| give the shadow Z, one stacked axis apart.
     """
     grid = T.grid
     d, N, tau, n = grid.d, grid.N, T.tau, grid.cell_count
@@ -652,25 +657,21 @@ def _haar_rows(T, sigma, mu):
         field = np.repeat(pieces[l], 1 << ((N - l - tau) * d), axis=0) if l in pieces else 0.0
         suffix.append(suffix[-1] + field)
     suffix.reverse()
-    rows = np.empty((2, levels[-1][3], n))
-    for p, low, start, stop in levels:
-        count, E = 1 << (low * d), w[p + 1].shape[2]
-        R = (stop - start) // E
-        # each support cube's level-p slots on its cells
-        block = np.zeros((2, count, R, E, n // count))
+    rows = np.zeros((2, levels[-1][3], n))
+    for level in levels:
+        p, low = level[:2]
+        E = w[p + 1].shape[2]
         own = np.repeat(w[p + 1], 1 << ((N - p - 1) * d), axis=0) * suffix[p + 1][:, :, None]
-        diagonal = _on_cubes(block, R)
-        diagonal[...] = own.reshape(count, R, -1, 2, E).transpose(3, 0, 1, 4, 2).reshape(
-            diagonal.shape)
+        diagonal = _slots(rows, level, max(p, 0), d)
+        diagonal[...] = own.reshape(diagonal.shape[1:3] + (-1, 2, E)).transpose(
+            3, 0, 1, 4, 2)[:, :, :, None]
         for j in (j for j in T.levels if low <= j <= p):
             coef = _zpool(w[p + 1][:, :, :, None] * pairs[j][p + 1 - j][:, :, None, :], d)
             width, K = 1 << ((p - j) * d), coef.shape[3]
             coef = coef.reshape(-1, width, 2, E, K).transpose(2, 0, 1, 3, 4).reshape(
                 2, -1, width * E, K)
-            out = np.einsum("scik,sckx->scix", coef, gamma[j])
-            diagonal = _on_cubes(block, R // width)
-            diagonal += out.reshape(diagonal.shape)
-        rows[:, start:stop].reshape(2, R, E, count, -1)[...] = block.transpose(0, 2, 3, 1, 4)
+            diagonal = _slots(rows, level, j, d)
+            diagonal += np.einsum("scik,sckx->scix", coef, gamma[j]).reshape(diagonal.shape)
     rows *= b
     terms = max([T.g[j].shape[0] for j in T.levels], default=0)
     m = 4 * N * d + N + tau * (d + 1) + terms + 12
@@ -841,8 +842,7 @@ def _certificate_error(rows) -> float:
     return (_gamma(n) * y2 + e * (2.0 * math.sqrt(y2) + e)) / (1.0 - _gamma(2 * n)) ** 3
 
 
-def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
-                         max_iter: int = 10_000, seed: int = _POWER_SEED) -> float:
+def power_iteration_norm(forward, backward, n: int) -> float:
     """Largest singular value of a matrix M given as x -> Mx and y -> M^T y.
 
     Golub-Kahan-Lanczos bidiagonalization from a seeded Gaussian start, with
@@ -850,23 +850,23 @@ def power_iteration_norm(forward, backward, n: int, tol: float = 1e-8,
     M^T once.  After k steps M V_k = U_k B_k with B_k upper bidiagonal, and
     the top singular triple (s, p, q) of B_k leaves the residual
     |M^T U_k p - s V_k q| = beta_k |e_k^T p|.  The loop stops when that is at
-    most `tol` * s, and returns s, a lower bound for |M| that increases with
-    k by interlacing.  A zero alpha means the Krylov space is invariant and
-    B_k holds the exact top singular value (0.0 when M kills the start).
-    At most min(max_iter, n) steps run.
+    most `_KRYLOV_TOL` * s, and returns s, a lower bound for |M| that
+    increases with k by interlacing.  A zero alpha means the Krylov space is
+    invariant and B_k holds the exact top singular value (0.0 when M kills
+    the start).  At most min(`_KRYLOV_STEPS`, n) steps run; the start is
+    seeded by `_POWER_SEED`.
     """
-    return _golub_kahan(forward, backward, n, tol, max_iter, seed)[0]
+    return _golub_kahan(forward, backward, n)[0]
 
 
-def _golub_kahan(forward, backward, n, tol, max_iter, seed):
+def _golub_kahan(forward, backward, n):
     """The loop of `power_iteration_norm`: the estimate s and the unit right
     Ritz vector V_k q that goes with it."""
-    rng = np.random.default_rng(check_natural(seed, "seed", ShiftError))
-    v = rng.standard_normal(n)
+    v = np.random.default_rng(_POWER_SEED).standard_normal(n)
     v /= _norm(v)
     V, U, alphas, betas = [], [], [], []
     est = est_prev = None
-    for _ in range(min(max_iter, n)):
+    for _ in range(min(_KRYLOV_STEPS, n)):
         u = forward(v) - (betas[-1] * U[-1] if U else 0.0)
         for x in U:         # full reorthogonalization, in place
             u -= np.einsum("i,i", x, u) * x
@@ -882,7 +882,7 @@ def _golub_kahan(forward, backward, n, tol, max_iter, seed):
         for x in V:
             p -= np.einsum("i,i", x, p) * x
         beta = _norm(p)
-        if beta * abs(left[-1, 0]) <= tol * est:
+        if beta * abs(left[-1, 0]) <= _KRYLOV_TOL * est:
             return est, _ritz_vector(V, right[0])
         betas.append(beta)
         v = p / beta

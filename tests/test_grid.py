@@ -232,7 +232,7 @@ def _report_cases():
     reports = [ap_characteristic(power_weight(0.5, grid)),
                eval_testing_constants(T, w, dual_weight(w), norm_method="dense-svd"),
                weak_boundedness_from_t1_check(T, w),
-               sufficiency_experiment(w, dual_weight(w), [T], norm_method="dense-svd"),
+               sufficiency_experiment(w, dual_weight(w), [T]),
                run_sweep(cfg)[0]]
     return [(rep, [f.name for f in fields(rep)]) for rep in reports]
 

@@ -9,16 +9,19 @@ not a BLAS one, so the constants and witnesses compare exactly.  Dense norms com
 relative, and power norms at 1e-9, since a reordered reduction can move the
 step at which the Krylov loop stops.
 
-`PYTHONPATH=src python tests/test_norm_record.py --exact` prints every key
-whose value moved bitwise and leaves the record alone; without `--exact`
-the script rewrites `tests/data/norm_record.json`.  Run either from the
-repository root.
+`PYTHONPATH=src python tests/test_norm_record.py --exact` prints one host
+line (numpy, its BLAS, the BLAS thread-count variable and numpy's CPU
+dispatch targets), then every key whose value moved bitwise, and leaves
+the record alone; without `--exact` the script rewrites
+`tests/data/norm_record.json`.  Run either from the repository root.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dyadlab import (
@@ -92,9 +95,19 @@ def _moved(want, got):
             if want.get(name, {}).get(key) != got.get(name, {}).get(key)]
 
 
+def _host() -> str:
+    """What a bitwise move on another machine may come from."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return (f"host: numpy {np.__version__}, {blas['name']} {blas['version']}, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}, "
+            f"dispatch {' '.join(config['SIMD Extensions']['found'])}")
+
+
 if __name__ == "__main__":
     fresh = norm_record()
     if "--exact" in sys.argv[1:]:
+        print(_host())
         for name, key, old, new in _moved(json.loads(RECORD.read_text()), fresh):
             rel = (f" rel {abs(new - old) / abs(old):.2e}"
                    if isinstance(old, float) and isinstance(new, float) and old else "")

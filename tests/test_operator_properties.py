@@ -170,15 +170,16 @@ def test_a_zero_shift_is_plus_zero_with_no_krylov_run(dense_builds, monkeypatch)
 
 
 @pytest.mark.parametrize("max_iter", [1, 2, 3])
-def test_an_unconverged_dense_run_raises(max_iter):
+def test_an_unconverged_dense_run_raises(max_iter, monkeypatch):
     """A Krylov loop cut at 1-3 steps raises OperatorNormError under
     `dense-svd` too; for sigma times 4^300, which `_in_window` moves back,
     the bracket is the same times 2^300."""
+    monkeypatch.setattr(shifts, "_KRYLOV_STEPS", max_iter)
     T, sigma, mu = exp.two_weight_instance(5, depth=7)
     brackets = []
     for s in (sigma, Weight(np.ldexp(sigma.values, 600), T.grid)):
         with pytest.raises(OperatorNormError) as err:
-            operator_norm(T, s, mu, method="dense-svd", max_iter=max_iter)
+            operator_norm(T, s, mu, method="dense-svd")
         brackets.append(err.value.bracket)
     assert brackets[0][1] > 0.0
     assert brackets[1] == tuple(None if e is None else 2.0 ** 300 * e for e in brackets[0])
@@ -422,6 +423,35 @@ def test_haar_products_match_the_dense_oracle(case):
     x = np.random.default_rng(n).standard_normal(n)
     for got, A in ((forward(x), Y), (backward(x), Y.T)):
         assert np.all(np.abs(got - A @ x) <= 1e-14 * (np.abs(A) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("d,N", [(1, 5), (2, 3)])
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_slots_view_is_the_haar_rows_layout(d, N, tau):
+    """For every function level p and a <= j <= p (j = 0 for the constant),
+    `_slots(Y, level, j, d)[..., q, r, l, e, x]` is Y[..., start + E (r L +
+    l) + e, (q A + r) C + x], with A level-j cubes per support cube, L level-p
+    cubes per level-j cube and C cells per level-j cube (the `_HaarRows`
+    layout), on an unstacked and a stacked Y; a write through it lands in Y
+    at exactly those entries."""
+    _, levels = shifts._haar_layout(d, N, tau)
+    n = 1 << (N * d)
+    rng = np.random.default_rng(10 * d + tau)
+    for lead in ((), (2,)):
+        Y = rng.standard_normal(lead + (levels[-1][3], n))
+        for level in levels:
+            p, low, start, _ = level
+            E = 1 if p < 0 else (1 << d) - 1
+            for j in range(low, max(p, 0) + 1):
+                A, L, C = 1 << ((j - low) * d), 1 << ((p - j) * d if p >= 0 else 0), n >> (j * d)
+                q, r, l, e, x = np.ix_(*(np.arange(k) for k in (1 << (low * d), A, L, E, C)))
+                slot, cell = start + E * (r * L + l) + e, (q * A + r) * C + x
+                assert np.array_equal(shifts._slots(Y, level, j, d), Y[..., slot, cell])
+                got, want = np.zeros_like(Y), np.zeros_like(Y)
+                view = shifts._slots(got, level, j, d)
+                view[...] = 1.0 + np.arange(view.size).reshape(view.shape)
+                want[..., slot, cell] = 1.0 + np.arange(view.size).reshape(view.shape)
+                assert np.array_equal(got, want)
 
 
 def _dense_tree_gram(rows, grams):
