@@ -9,22 +9,12 @@ sets), zeroed level by level off the kept family cubes (`_restricted`).
 All scans share one trick: per-level "suffix" cell arrays accumulate the
 output fields of all family levels at or below a level j, so quantities
 indexed by every cube of the grid cost O(N 2^(Nd)) in total instead of one
-operator application per cube.  Indicator testing (the T1-style and
-weak-boundedness constants) works in the sigma-weighted Haar basis of the
-Nazarov-Treil-Volberg T1 theorem: one matrix, the shift's in that basis,
-Y^ (`shifts._haar_rows`), which the `dense-svd` norm shares, gives
-T(sigma 1_Q') through its rows, read through the view that wrote them
-(`shifts._slots`), and the coefficients of T*(mu 1_Q) through its column
-sums; a brute-force oracle on small grids pins the fast path down in the
-tests.
+operator application per cube.  The testing constants are read off `haar`'s
+matrix instead (`testing_constants`).
 
 Elsewhere, cube and cell masses come only from a Weight's cached pyramids:
 w(Q) is `w.sums`, w^{-1}(Q) is `w.dual_sums`, and the finest level of each
-holds the cell masses; the testing constants use the basis's own masses
-for sigma and the same expression, `shifts._cube_masses`, for mu.
-A measure argument of None means Lebesgue measure;
-`weights._measure` resolves it, for this module and `shifts` alike, to the
-constant-one Weight.
+holds the cell masses; a measure argument of None is `weights._measure`'s.
 """
 
 from __future__ import annotations
@@ -52,17 +42,16 @@ from .grid import (
     subcell_matrix,
     suffix_sweep,
 )
-from .weights import (Weight, WeightError, _measure, _times_two_to, a_infty_modulus,
-                      two_weight_a2)
+from .weights import Weight, _measure, _times_two_to, a_infty_modulus, two_weight_a2
 from .corona import (
     CoronaDecomposition,
     CoronaStructureError,
     CubeSet,
     pn_alpha,
 )
-from .shifts import (SimpleHaarShift, _cube_masses, _dense_norm, _haar_rows,
-                     _measure_scalings, _norm_method, _slots, _weak_type, _window, _zpool,
-                     operator_norm)
+from .haar import haar_rows, testing_values
+from .shifts import (SimpleHaarShift, dense_norm, operator_norm, resolve_method, weak_type,
+                     window)
 
 ESSENCE_T_VALUES = tuple(range(1, 9))   # thresholds K t w(L)/|L| of `essence_check`'s curves
 _AB_SPLIT_TOL = 1e-12       # relative spread of H_L on a descendant that is one value
@@ -91,105 +80,24 @@ class TestingReport:
     to_dict = report_dict
 
 
-def _indicator_sums(rows) -> list:
-    """B[k], k = 0..N, in Morton cell order: b T(m 1_Q) / m(Q) on each
-    level-k cube Q.  1_Q / m(Q) is w_0 w_0 plus w_P(Q) w_P over Q's
-    ancestors P, whose slots Q's cells hold: one running sum per cell."""
-    d = rows.grid.d
-    B = [rows.w[0][0, 0, 0] * rows.Y[0]]
-    for p in range(rows.grid.N):
-        slots = _slots(rows.Y, rows.levels[p + 1], p, d)
-        count, E = rows.mass[p].size, slots.shape[3]
-        coef = rows.w[p + 1][:, 0].reshape(count, 1 << d, E)
-        step = np.einsum("qce,qecx->qcx", coef, slots.reshape(count, E, 1 << d, -1))
-        B.append(B[-1] + step.ravel())
-    return B
-
-
-def _indicator_fields(rows, B: np.ndarray, j: int, depth: int) -> np.ndarray:
-    """b T(m 1_Q') / m(Q') on the cells of each level-j cube Q for each Q' at
-    most `depth` < tau levels below, shape (count at j, Q' by depth then Morton
-    offset, cells of Q): B[j]'s running sum goes on with Q''s ancestors."""
-    count, d = rows.mass[j].size, rows.grid.d
-    out = [B.reshape(count, 1, -1)]
-    for p in range(j, j + depth):
-        coef = rows.w[p + 1][:, 0].reshape(count, out[-1].shape[1], 1 << d, -1)
-        slots = _slots(rows.Y, rows.levels[p + 1], j, d)
-        step = np.einsum("qlce,qlex->qlcx", coef, slots.reshape((count,) + slots.shape[2:]))
-        out.append((out[-1][:, :, None] + step).reshape(count, -1, B.size // count))
-    return np.concatenate(out, axis=1)
-
-
-def _tstar1_values(rows, B: list, mu_mass: list) -> list:
-    """||1_Q T*(mu 1_Q)||^2_sigma / mu(Q) for every cube Q, per level in
-    Morton order, from Y^ = Y^(T, sigma, mu) and the `_indicator_sums` B.
-
-    The sigma-Haar coefficients of T*(mu 1_Q) are c_P(Q) = sum_{x in Q} b_x
-    Y^[x, P].  On Q the functions P inside Q keep theirs, and the ancestors
-    and the constant leave one constant, A(Q) = sum_{x in Q} b_x B(x); so
-    the norm is sum_{P in Q} c_P(Q)^2 + m(Q) A(Q)^2.  c_P(Q) is a sum over
-    Q's cells, pooled level by level, for Q below P's support cube (at most
-    tau - 1 levels up), and at or above it P's full column sum, whose squares
-    pool upward.  Q's sums are carried times 2^-2e(Q), e(Q) half mu(Q)'s
-    binary exponent: exact, and no square overflows unless its value does."""
-    d, N = rows.grid.d, rows.grid.N
-    e = [np.frexp(m)[1] // 2 for m in mu_mass]
-    own, part = ([np.zeros(m.size) for m in mu_mass] for _ in range(2))
-    for p, low, start, stop in rows.levels[1:]:
-        count, R = 1 << (low * d), 1 << ((p - low) * d)
-        # c_P(Q) of each slot on every level-p cube Q of its support cube
-        c = (rows.Y[start:stop] * rows.b).reshape(R, -1, count, R, 1 << ((N - p) * d)).sum(4)
-        for j in range(p, low - 1, -1):
-            if j < p:
-                c = c.reshape(R, -1, count, c.shape[3] >> d, 1 << d).sum(4)
-            width = c.shape[3]              # level-j cubes in a support cube
-            held = np.einsum("aleqa->qale", c.reshape(width, R // width, -1, count, width))
-            held = np.ldexp(held, -e[j].reshape(count, width, 1, 1))      # Q holds P
-            (own if j == low else part)[j] += np.square(held).reshape(own[j].size, -1).sum(1)
-    values = []
-    for j in range(N, -1, -1):
-        if j < N:                           # the supports below Q
-            own[j] += _zpool(np.ldexp(own[j + 1], 2 * (e[j + 1] - np.repeat(e[j], 1 << d))), d)
-        A = np.ldexp((rows.b * B[j]).reshape(own[j].size, -1).sum(1), -e[j])
-        values.append((own[j] + part[j] + rows.mass[j] * A * A)
-                      / np.ldexp(mu_mass[j], -2 * e[j]))
-    return values[::-1]
-
-
-def _supremum(rows, values: list):
-    """The square root of the largest of the per-level Morton-order `values`
+def _supremum(grid, values: list, rho: float):
+    """The square root of the largest of the per-level row-major `values`
     and its `level_argmax` witness.  Values within Y^'s rounding bound rho of
     the maximum count as equal to it, so that an exact tie stays a tie."""
-    values = [v[np.argsort(z)] for v, z in zip(values, rows.z)]
     top = max(v.max() for v in values)
-    best, wit = level_argmax(rows.grid, ((k, np.where(v >= top * (1.0 - rows.rho), top, v), None)
-                                         for k, v in enumerate(values)))
+    best, wit = level_argmax(grid, ((k, np.where(v >= top * (1.0 - rho), top, v), None)
+                                    for k, v in enumerate(values)))
     return math.sqrt(max(best, 0.0)), wit
 
 
-def _wb_supremum(rows, mu_mass: list, B: list, tau: int):
-    """C_WB and its witness: sqrt(m(Q')) |sum_{x in Q''} b_x F(x)| / sqrt(mu(Q''))
-    is the ratio, F the `_indicator_fields` of Q'; ties as in `_supremum`."""
-    grid, d, N = rows.grid, rows.grid.d, rows.grid.N
-    morton = [np.argsort(z) for z in rows.z]        # Morton position of each flat index
-    depths = range(min(tau, N + 1))
-    # cubes under a cube by depth then row-major offset, and their field index
-    under = [(e, r) for e in depths for r in range(1 << (e * d))]
-    order = np.concatenate([((1 << (e * d)) - 1) // ((1 << d) - 1) + morton[e] for e in depths])
-    ratios = []
-    for j in range(N + 1):
-        count, deep = rows.mass[j].size, min(tau - 1, N - j)
-        fields = _indicator_fields(rows, B[j], j, deep) * rows.b.reshape(count, 1, -1)
-        width = fields.shape[1]
-        ratio = np.concatenate([
-            np.abs(fields.reshape(count, width, 1 << (e * d), -1).sum(axis=3))
-            / np.sqrt(mu_mass[j + e]).reshape(count, 1, -1) for e in range(deep + 1)], axis=2)
-        ratio *= np.concatenate([np.sqrt(rows.mass[j + e]).reshape(count, -1)
-                                 for e in range(deep + 1)], axis=1)[:, :, None]
-        ratios.append(ratio[np.ix_(morton[j], order[:width], order[:width])].transpose(1, 2, 0))
+def _wb_supremum(grid, ratios: list, rho: float, tau: int):
+    """C_WB and its witness pair from `haar.testing_values`' ratios; ties as in `_supremum`."""
+    d, N = grid.d, grid.N
+    # cubes under a cube by depth then row-major offset
+    under = [(e, r) for e in range(min(tau, N + 1)) for r in range(1 << (e * d))]
     best = max(float(r.max()) for r in ratios)
     for j, ratio in enumerate(ratios):
-        hits = ratio >= best * (1.0 - rows.rho)
+        hits = ratio >= best * (1.0 - rho)
         if hits.any():
             *pair, c = np.unravel_index(np.argmax(hits), hits.shape)
             return best, tuple(grid.cube(j + e, int(descendant_flat(d, j, j + e, int(c), r)))
@@ -208,30 +116,24 @@ def testing_constants(T: SimpleHaarShift, sigma: Weight | None, mu: Weight | Non
     is a restricted-supremum lower bound for the norm of f -> T(sigma f) from
     L2(sigma) to L2(mu).
 
-    All three are read from one matrix, the shift's in the sigma-weighted
-    Haar basis, Y^(T, sigma, mu) (`shifts._haar_rows`), which the `dense-svd`
-    norm shares; C_T*1 from its column sums (`_tstar1_values`).  mu enters
-    only through its scalings and cube masses, so a sigma with no Haar basis
-    in floats, or a mu with a cell mass that is not a positive normal number,
-    raises WeightError naming it.  T1 witnesses follow `level_argmax`; the
-    WB witness is the first maximal pair in the order: Q's level, Q' depth
-    then offset, Q'' depth then offset, Q's index.
-    Like `operator_norm`, it runs in `shifts._window`, which scales a norm
-    error's bracket back; the four values are scaled back here.
+    All three are read from Y^(T, sigma, mu) (`haar.testing_values`), which
+    the `dense-svd` norm shares.  A sigma with no Haar basis in floats, or a
+    mu with a cell mass that is not a positive normal number, raises
+    WeightError naming it.  T1 witnesses follow `level_argmax`; the WB
+    witness is the first maximal pair in the order: Q's level, Q' depth then
+    offset, Q'' depth then offset, Q's index.  Like `operator_norm`, it runs
+    in `shifts.window`, which scales a norm error's bracket back; the four
+    values are scaled back here.
     """
     grid = T.grid
-    with _window(sigma, mu) as (sigma, mu, k):
-        rows = _haar_rows(T, sigma, mu)
-        mu_mass = _cube_masses(grid, _measure_scalings(grid, mu, sigma)[0][rows.z[-1]])
-        if mu_mass is None:
-            raise WeightError("mu has a cell mass that is not a positive normal number, "
-                              "or a total mass that overflows")
-        B = _indicator_sums(rows)
-        c_t1, wit_t1 = _supremum(rows, [m * np.square(field).reshape(m.size, -1).sum(1)
-                                        for m, field in zip(rows.mass, B)])
-        c_tstar1, wit_tstar1 = _supremum(rows, _tstar1_values(rows, B, mu_mass))
-        c_wb, wit_wb = _wb_supremum(rows, mu_mass, B, T.tau)
-        full = (_dense_norm(T, lambda: rows) if _norm_method(grid, norm_method) == "dense-svd"
+    with window(sigma, mu) as (sigma, mu, k):
+        rows = haar_rows(T, sigma, mu)
+        t1, tstar1, wb = testing_values(rows, mu, T.tau)
+        c_t1, wit_t1 = _supremum(grid, t1, rows.rho)
+        c_tstar1, wit_tstar1 = _supremum(grid, tstar1, rows.rho)
+        c_wb, wit_wb = _wb_supremum(grid, wb, rows.rho, T.tau)
+        del t1, tstar1, wb      # the ratios are not kept while the norm runs
+        full = (dense_norm(T, lambda: rows) if resolve_method(grid, norm_method) == "dense-svd"
                 else operator_norm(T, sigma, mu, method=norm_method))
     c_wb, c_t1, c_tstar1, full = (_times_two_to(x, k) for x in (c_wb, c_t1, c_tstar1, full))
     return TestingReport(
@@ -614,7 +516,7 @@ def essence_check(L: DyadicCube, cubes: CubeSet, T: SimpleHaarShift, w: Weight,
             sel = members.mask(j)
             if not sel.any():
                 continue
-            weak = _weak_type(subcell_matrix(s, d, N - j)) * vol
+            weak = weak_type(subcell_matrix(s, d, N - j)) * vol
             denom = (2.0 ** (-alpha)) * dens_l * (2.0 ** (-j * d))
             weak_worst = max(weak_worst, float((weak[sel] / denom).max()))
     return EssenceReport(

@@ -132,8 +132,8 @@ def dual_weight(w: Weight) -> Weight:
 def _measure(grid: DyadicGrid, w: Weight | None) -> Weight:
     """w itself, or Lebesgue measure as the constant-one Weight when w is None.
 
-    The one rule for a measure argument of None, shared by `shifts` and
-    `estimates`; a Weight of another grid raises GridError.
+    The one rule for a measure argument of None, shared by `shifts`, `haar`
+    and `estimates`; a Weight of another grid raises GridError.
     """
     if w is not None and w.grid != grid:
         raise GridError("measure lives on another grid")
@@ -150,7 +150,7 @@ def _in_window(w: Weight | None) -> tuple[Weight | None, int]:
 
     A norm or testing constant of f -> T(sigma f) from L2(sigma) to L2(mu) is
     sqrt(c_sigma c_mu) times the one of (sigma, mu) for (c_sigma sigma,
-    c_mu mu), so `shifts._window` moves both measures into the window, for
+    c_mu mu), so `shifts.window` moves both measures into the window, for
     the norms and the testing constants alike, and the caller multiplies by
     2^(k_sigma + k_mu) (`_times_two_to`): squares of norms neither overflow
     nor become subnormal.  A measure whose values span more than the window

@@ -327,7 +327,7 @@ def test_sweep_row_computes_its_norm_once(monkeypatch, with_testing):
     import dyadlab.estimates
     import dyadlab.experiments as exp
 
-    calls, real, real_dense = [], exp.operator_norm, dyadlab.estimates._dense_norm
+    calls, real, real_dense = [], exp.operator_norm, dyadlab.estimates.dense_norm
 
     def counted(*args, **kwargs):
         calls.append(kwargs.get("method"))
@@ -340,7 +340,7 @@ def test_sweep_row_computes_its_norm_once(monkeypatch, with_testing):
     monkeypatch.delenv("DYADLAB_WORKERS", raising=False)     # rows in this process
     monkeypatch.setattr(exp, "operator_norm", counted)
     monkeypatch.setattr(dyadlab.estimates, "operator_norm", counted)
-    monkeypatch.setattr(dyadlab.estimates, "_dense_norm", counted_dense)
+    monkeypatch.setattr(dyadlab.estimates, "dense_norm", counted_dense)
     cfg = ExperimentConfig.from_dict({**_SMALL_SWEEP, "norm_method": "dense-svd",
                                       "with_testing": with_testing})
     (row,) = exp.run_sweep(cfg)

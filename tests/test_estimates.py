@@ -34,14 +34,15 @@ from dyadlab import (
 )
 from dyadlab.corona import pn_alpha
 from dyadlab.estimates import (_WB_BATCH_ENTRIES, DistributionCurve, EssenceReport,
-                               ProfileFamily, _indicator_fields, _indicator_sums,
-                               _tstar1_values, affine_fit, fit_slope)
+                               ProfileFamily, affine_fit, fit_slope)
+from dyadlab.haar import _indicator_fields, _indicator_sums, _tstar1_values
 from dyadlab.grid import (assemble_levels, integral_pyramid, level_argmax, pool,
                           subcell_matrix, suffix_sweep)
 from dyadlab.shifts import SimpleHaarShift, apply_shift, default_levels
 from dyadlab.weights import WeightError, _measure
 from dyadlab.estimates import testing_constants as eval_testing_constants
 import dyadlab.estimates as estimates
+import dyadlab.haar as haar
 import dyadlab.shifts as shifts
 import dyadlab.experiments as exp
 
@@ -209,7 +210,7 @@ def test_indicator_fields_are_t_of_sigma_indicators(shape, tau, separated, n, se
     The field is sum_P w_P(Q') Y^[x, P] over Q''s ancestors P and the
     constant, which on Y = M W is b_x T(sigma 1_Q')(x) / m(Q') exactly.
     Those terms cancel: the field can be far below each term.  Since
-    |Y^ - Y| <= rho Z entrywise (`shifts._certifies`), the error is, to first
+    |Y^ - Y| <= rho Z entrywise (`haar.certifies`), the error is, to first
     order, at most rho times the same read-out on the shadow (Z for Y^, |w|
     for w); the read-out's own roundings, a few per path, are of the same
     order, and in practice the error stays far below that bound.  The
@@ -225,7 +226,7 @@ def test_indicator_fields_are_t_of_sigma_indicators(shape, tau, separated, n, se
     T = random_simple_shift(tau, seed + 1, g, separated=separated)
     T_abs = SimpleHaarShift(g, tau, T.levels, {a: np.abs(T.g[a]) for a in T.levels},
                             {a: np.abs(T.gamma[a]) for a in T.levels}, validate=False)
-    rows = shifts._haar_rows(T, sigma, mu)
+    rows = haar.haar_rows(T, sigma, mu)
     shadow = _shadow(rows)
     B, B_shadow = _indicator_sums(rows), _indicator_sums(shadow)
     density = _measure(g, sigma).values
@@ -281,8 +282,8 @@ def test_tstar1_values_are_t_star_of_mu_indicators(shape, tau, n, seed, sigma_ki
     T = random_simple_shift(tau, seed + 1, g)
     T_abs = SimpleHaarShift(g, tau, T.levels, {a: np.abs(T.g[a]) for a in T.levels},
                             {a: np.abs(T.gamma[a]) for a in T.levels}, validate=False)
-    rows = shifts._haar_rows(T, sigma, mu)
-    mu_mass = shifts._cube_masses(g, shifts._measure_scalings(g, mu, sigma)[0][rows.z[N]])
+    rows = haar.haar_rows(T, sigma, mu)
+    mu_mass = haar._cube_masses(g, haar.measure_scalings(g, mu, sigma)[0][rows.z[N]])
     values, shadow = (_tstar1_values(r, _indicator_sums(r), mu_mass)
                       for r in (rows, _shadow(rows)))
     s, m = _measure(g, sigma), _measure(g, mu)
@@ -304,7 +305,7 @@ def test_testing_constants_build_one_haar_matrix(monkeypatch):
     a `dense-svd` call takes no adjoint."""
     T, sigma, mu = exp.two_weight_instance(5, depth=6)
     builds, counts = [], {"_golub_kahan": 0, "dense_matrix": 0, "adjoint": 0}
-    haar_rows = shifts._haar_rows
+    haar_rows = haar.haar_rows
 
     def counting_rows(shift, s, m):
         builds.append((shift, s, m))
@@ -317,7 +318,7 @@ def test_testing_constants_build_one_haar_matrix(monkeypatch):
         return wrapped
 
     for module in (shifts, estimates):
-        monkeypatch.setattr(module, "_haar_rows", counting_rows)
+        monkeypatch.setattr(module, "haar_rows", counting_rows)
     for name in ("_golub_kahan", "dense_matrix"):
         monkeypatch.setattr(shifts, name, counting(name, getattr(shifts, name)))
     monkeypatch.setattr(SimpleHaarShift, "adjoint",
@@ -387,7 +388,7 @@ def test_far_scaled_bracket_is_scaled_back(monkeypatch):
 def test_testing_constants_scale_a_bracket_back_like_operator_norm(monkeypatch, method):
     """For sigma times 2^600 and a loop that stops with bracket (1, 2), the
     testing constants' norm raises the bracket `operator_norm` raises,
-    (2^300, 2^301): both run in `shifts._window`."""
+    (2^300, 2^301): both run in `shifts.window`."""
     def no_convergence(*args):
         raise shifts.OperatorNormError("did not converge", bracket=(1.0, 2.0))
 

@@ -61,7 +61,7 @@ from dyadlab import (
 )
 from dyadlab.weights import WeightError
 import dyadlab.experiments as exp
-from dyadlab import shifts
+from dyadlab import haar, shifts
 from dyadlab.grid import ancestor_flat, ancestor_map, descendant_offset, expand, scatter_subcells
 
 from helpers import generic_dense_matrix, masked, random_generic
@@ -114,11 +114,11 @@ def test_certificate_refuses_a_value_below_the_norm():
     for i, slots in ((3, 8), (4, 14)):
         T, sigma, mu = exp.two_weight_instance(i, depth=7)
         s = _full_svd_norm(T, sigma, mu)
-        rows = shifts._haar_rows(T, sigma, mu)
+        rows = haar.haar_rows(T, sigma, mu)
         assert rows.Y.shape == rows.Z.shape == (slots, 128)
-        assert shifts._certifies(rows, s)
-        assert not shifts._certifies(rows, s * (1.0 - 1e-6))
-        assert not shifts._certifies(rows, 0.0)
+        assert haar.certifies(rows, s)
+        assert not haar.certifies(rows, s * (1.0 - 1e-6))
+        assert not haar.certifies(rows, 0.0)
 
 
 @pytest.fixture
@@ -158,7 +158,7 @@ def test_a_zero_shift_is_plus_zero_with_no_krylov_run(dense_builds, monkeypatch)
     masked have no term whose g and gamma are both nonzero: their dense norm
     is +0.0 with no Y^ build, no Krylov run and no M."""
     builds = []
-    monkeypatch.setattr(shifts, "_haar_rows", lambda *args: builds.append(args))
+    monkeypatch.setattr(shifts, "haar_rows", lambda *args: builds.append(args))
     g = build_grid(1, 6)
     w = random_a2_weight(1, 5, g)
     for T in (zero_shift(g, 2), GenericHaarShift(g, 1, []),
@@ -191,7 +191,7 @@ def test_a_refused_certificate_raises_with_the_krylov_value(monkeypatch):
     (None, s 2^300), scaled back like an unconverged run's."""
     T, sigma, mu = exp.two_weight_instance(5, depth=7)
     s = operator_norm(T, sigma, mu, method="dense-svd")
-    monkeypatch.setattr(shifts, "_certifies", lambda rows, s: False)
+    monkeypatch.setattr(shifts, "certifies", lambda rows, s: False)
     for k in (0, 300):
         with pytest.raises(OperatorNormError, match="certificate refuses") as err:
             operator_norm(T, Weight(np.ldexp(sigma.values, 2 * k), T.grid), mu,
@@ -254,7 +254,7 @@ def test_the_certificate_is_scale_safe(i):
         scaled = Weight(sigma.values * 2.0 ** k, T.grid)
         norm = operator_norm(T, scaled, mu, method="dense-svd")
         assert norm == pytest.approx(base * 2.0 ** (k // 2), rel=1e-12, abs=0.0)
-        assert not shifts._certifies(shifts._haar_rows(T, scaled, mu), norm * (1.0 - 1e-9))
+        assert not haar.certifies(haar.haar_rows(T, scaled, mu), norm * (1.0 - 1e-9))
 
 
 def _profile_factors(T):
@@ -350,7 +350,7 @@ def _exact_haar_basis(grid, sigma):
     (m_B 1_A - m_A 1_B) / sqrt(m_A m_B (m_A + m_B)) of split e of P's
     children, each times a |cell|, for the masses m = (a |cell|)^2."""
     d, N, n = grid.d, grid.N, grid.cell_count
-    a, _ = shifts._measure_scalings(grid, sigma, None)
+    a, _ = haar.measure_scalings(grid, sigma, None)
     root = (a * grid.cell_volume).astype(np.longdouble)
     m = root * root
     W = np.zeros((n, n), dtype=np.longdouble)
@@ -387,7 +387,7 @@ def _slot_columns(rows):
 
 
 def _dense_rows(rows):
-    """Y^, Z and the slot mask of a `_HaarRows` as n x n arrays by cell."""
+    """Y^, Z and the slot mask of a `HaarRows` as n x n arrays by cell."""
     n = rows.grid.cell_count
     cols = _slot_columns(rows)
     out = [np.zeros((n, n)) for _ in range(2)] + [np.zeros((n, n), dtype=bool)]
@@ -414,12 +414,12 @@ def test_haar_products_match_the_dense_oracle(case):
     Morton order, columns renumbered the products' way) to 1e-14 of
     |Y^| |x|."""
     T, sigma, mu = case
-    rows = shifts._haar_rows(T, sigma, mu)
+    rows = haar.haar_rows(T, sigma, mu)
     n = T.grid.cell_count
     columns = _function_columns(rows)
     assert np.array_equal(np.sort(columns), np.arange(n))
     Y = _dense_rows(rows)[0][rows.z[-1]][:, columns]
-    forward, backward = shifts._haar_products(rows)
+    forward, backward = haar.haar_products(rows)
     x = np.random.default_rng(n).standard_normal(n)
     for got, A in ((forward(x), Y), (backward(x), Y.T)):
         assert np.all(np.abs(got - A @ x) <= 1e-14 * (np.abs(A) @ np.abs(x)))
@@ -431,10 +431,10 @@ def test_slots_view_is_the_haar_rows_layout(d, N, tau):
     """For every function level p and a <= j <= p (j = 0 for the constant),
     `_slots(Y, level, j, d)[..., q, r, l, e, x]` is Y[..., start + E (r L +
     l) + e, (q A + r) C + x], with A level-j cubes per support cube, L level-p
-    cubes per level-j cube and C cells per level-j cube (the `_HaarRows`
+    cubes per level-j cube and C cells per level-j cube (the `HaarRows`
     layout), on an unstacked and a stacked Y; a write through it lands in Y
     at exactly those entries."""
-    _, levels = shifts._haar_layout(d, N, tau)
+    _, levels = haar._haar_layout(d, N, tau)
     n = 1 << (N * d)
     rng = np.random.default_rng(10 * d + tau)
     for lead in ((), (2,)):
@@ -446,9 +446,9 @@ def test_slots_view_is_the_haar_rows_layout(d, N, tau):
                 A, L, C = 1 << ((j - low) * d), 1 << ((p - j) * d if p >= 0 else 0), n >> (j * d)
                 q, r, l, e, x = np.ix_(*(np.arange(k) for k in (1 << (low * d), A, L, E, C)))
                 slot, cell = start + E * (r * L + l) + e, (q * A + r) * C + x
-                assert np.array_equal(shifts._slots(Y, level, j, d), Y[..., slot, cell])
+                assert np.array_equal(haar._slots(Y, level, j, d), Y[..., slot, cell])
                 got, want = np.zeros_like(Y), np.zeros_like(Y)
-                view = shifts._slots(got, level, j, d)
+                view = haar._slots(got, level, j, d)
                 view[...] = 1.0 + np.arange(view.size).reshape(view.shape)
                 want[..., slot, cell] = 1.0 + np.arange(view.size).reshape(view.shape)
                 assert np.array_equal(got, want)
@@ -485,7 +485,7 @@ def test_haar_route_matches_the_dense_oracle(case):
     W = _exact_haar_basis(grid, sigma)
     assert np.abs(W.T @ W - np.eye(n)).max() <= 1e-13
     C, G = _profile_factors(T)
-    a, b = shifts._measure_scalings(grid, sigma, mu)
+    a, b = haar.measure_scalings(grid, sigma, mu)
     ld = np.longdouble
     scale = b.astype(ld)[:, None], (a * grid.cell_volume).astype(ld)[None, :]
     M = scale[0] * (C.astype(ld) @ G.astype(ld).T) * scale[1]
@@ -493,20 +493,20 @@ def test_haar_route_matches_the_dense_oracle(case):
     # the long-double rounding, far below rho Z
     slack = 1e-16 * ((scale[0] * (np.abs(C).astype(ld) @ np.abs(G).astype(ld).T) * scale[1])
                      @ np.abs(W))
-    rows = shifts._haar_rows(T, sigma, mu)
+    rows = haar.haar_rows(T, sigma, mu)
     got, Z, on = _dense_rows(rows)
     assert np.all(np.abs(got - Y)[on] <= (rows.rho * Z + slack)[on])
     assert np.all(np.abs(Y)[~on] <= slack[~on])
-    grams = shifts._tree_gram(rows)
+    grams = haar._tree_gram(rows)
     H, pattern = _dense_tree_gram(rows, grams)
     exact = got.astype(ld).T @ got.astype(ld)
-    gn = shifts._gamma(n)
+    gn = haar._gamma(n)
     assert np.all(np.abs(H - exact) <= gn * (np.abs(got).T @ np.abs(got)) * (1.0 + 1e-9))
     assert not exact[~pattern].any()
     norm_y, norm_abs, norm_z = (float(np.linalg.svd(F, compute_uv=False)[0])
                                 for F in (got, np.abs(got), Z))
     e = rows.rho * norm_z
-    err = shifts._certificate_error(rows)
+    err = haar._certificate_error(rows)
     assert err >= (gn * norm_abs ** 2 + e * (2.0 * norm_y + e)) * (1.0 - 1e-12)
     s = _full_svd_norm(T, sigma, mu)
     # finest level first: column c is at level (bit_length(c) - 1) // d
@@ -518,7 +518,7 @@ def test_haar_route_matches_the_dense_oracle(case):
             dense = True
         except np.linalg.LinAlgError:
             dense = False
-        assert shifts._tree_cholesky(rows, grams, t) == dense == (s > 0.0 and t > s * s)
+        assert haar._tree_cholesky(rows, grams, t) == dense == (s > 0.0 and t > s * s)
 
 
 @st.composite
